@@ -28,7 +28,7 @@ from .generate import CounterexampleParams, build_counterexample
 from .model import Platform, TaskSet, validate_task_set
 from .rational import format_rational, parse_rational
 from .simulate import simulate_partitioned_edf
-from .taskio import dump_task_set, load_task_set
+from .taskio import dump_task_set, read_task_set
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -116,11 +116,6 @@ def _add_platform_args(sub: argparse.ArgumentParser) -> None:
                      help="number of processors")
 
 
-def _read(path: str) -> TaskSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_task_set(fh)
-
-
 def _require_valid(ts: TaskSet) -> None:
     violations = validate_task_set(ts)
     if violations:
@@ -146,7 +141,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    ts = _read(args.input)
+    ts = read_task_set(args.input)
     violations = validate_task_set(ts)
     _emit(
         {
@@ -162,7 +157,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    ts = _read(args.input)
+    ts = read_task_set(args.input)
     _require_valid(ts)
     plat = Platform(args.processors, parse_rational(args.speed))
     pa = partition_by_subtask_index(ts, plat.processors)
@@ -195,7 +190,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_federate(args: argparse.Namespace) -> int:
-    ts = _read(args.input)
+    ts = read_task_set(args.input)
     _require_valid(ts)
     plat = Platform(args.processors, parse_rational(args.speed))
     result = allocate_federated(ts, plat)
@@ -232,7 +227,7 @@ def _cmd_federate(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    ts = _read(args.input)
+    ts = read_task_set(args.input)
     _require_valid(ts)
     plat = Platform(args.processors, parse_rational(args.speed))
     horizon = None if args.horizon is None else parse_rational(args.horizon)

@@ -21,6 +21,11 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .model import Platform, TaskSet
+from .rational import format_rational
+
+# Most step instants one demand scan may enumerate; a larger scan (periods
+# whose lcm dwarfs them) ends with ValueError instead of running for hours.
+MAX_DEMAND_STEPS = 10**6
 
 
 class Item(NamedTuple):
@@ -56,7 +61,8 @@ def dbf(
     the window, under the densest legal release pattern.  A one-shot item
     (period None) is a single step of height ``work`` at t = deadline; a
     recurring item steps every ``period`` from its deadline on:
-    max(0, floor((t - deadline)/period) + 1) * work.
+    max(0, floor((t - deadline)/period) + 1) * work.  This is the
+    per-item reference that :func:`demand_profile` sums in one sweep.
     """
     work, deadline, t = Fraction(work), Fraction(deadline), Fraction(t)
     if period is None:
@@ -98,18 +104,7 @@ def default_horizon(items: Iterable[Item | Sequence]) -> Fraction:
 
 def demand_test_points(items: Iterable[Item | Sequence]) -> list[Fraction]:
     """Every instant up to the scan horizon where total demand can step."""
-    items = [_as_item(it) for it in items]
-    points: set[Fraction] = set()
-    horizon = default_horizon(items)
-    for it in items:
-        if it.period is None:
-            points.add(it.deadline)
-        else:
-            point = it.deadline
-            while point <= horizon:
-                points.add(point)
-                point += it.period
-    return sorted(points)
+    return [t for t, _ in demand_profile(items).breakpoints]
 
 
 @dataclass(frozen=True)
@@ -131,13 +126,42 @@ class DemandProfile:
 
 
 def demand_profile(items: Iterable[Item | Sequence]) -> DemandProfile:
-    """Tabulate the summed dbf of ``items`` at every test point."""
+    """Tabulate the summed dbf of ``items`` at every step instant up to
+    :func:`default_horizon`, in one sorted sweep.
+
+    Each item's step instants (its deadline, then every ``period`` after
+    it while within the horizon) are enumerated once, its work is added
+    to the step at each, and the running sum over the sorted instants is
+    the total demand there.  Raises ValueError, before enumerating, when
+    the scan needs more than ``MAX_DEMAND_STEPS`` step instants.
+    """
     items = [_as_item(it) for it in items]
-    breakpoints = []
-    for t in demand_test_points(items):
-        total = sum(
-            (dbf(it.work, it.deadline, it.period, t) for it in items), Fraction(0)
+    horizon = default_horizon(items)
+    counts = []
+    for it in items:
+        if it.period is None:
+            counts.append(1)
+        elif it.period <= 0:
+            raise ValueError(f"period must be positive, got {it.period}")
+        else:
+            counts.append((horizon - it.deadline) // it.period + 1)
+    if sum(counts) > MAX_DEMAND_STEPS:
+        raise ValueError(
+            f"demand scan to horizon {format_rational(horizon)} needs "
+            f"{sum(counts)} step instants, more than the limit of "
+            f"{MAX_DEMAND_STEPS}"
         )
+    steps: dict[Fraction, Fraction] = {}
+    for it, count in zip(items, counts):
+        t = it.deadline
+        for k in range(count):
+            if k:
+                t += it.period
+            steps[t] = steps[t] + it.work if t in steps else it.work
+    breakpoints = []
+    total = Fraction(0)
+    for t in sorted(steps):
+        total += steps[t]
         breakpoints.append((t, total))
     return DemandProfile(breakpoints=tuple(breakpoints))
 

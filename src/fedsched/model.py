@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -64,6 +65,37 @@ class DagTask:
         object.__setattr__(
             self, "edges", tuple((int(a), int(b)) for a, b in self.edges)
         )
+
+    # Derived values, computed on first use and kept in the instance
+    # __dict__: they take no part in equality, hashing, repr or the
+    # JSON encoding, and dataclasses.replace starts afresh.
+
+    @cached_property
+    def work(self) -> Fraction:
+        """Total work of a job: the sum of its subtask wcets."""
+        return sum((st.wcet for st in self.subtasks), Fraction(0))
+
+    @cached_property
+    def span(self) -> Fraction:
+        """Longest precedence path; raises ValueError (uncached) on a cycle."""
+        ids = [st.id for st in self.subtasks]
+        order = _topological_order(ids, self.edges)
+        if order is None:
+            raise ValueError(f"task {self.id}: dependency cycle among subtasks")
+        wcet = {st.id: st.wcet for st in self.subtasks}
+        known = set(ids)
+        preds: dict[int, list[int]] = {i: [] for i in ids}
+        for a, b in self.edges:
+            if a in known and b in known:
+                preds[b].append(a)
+        longest: dict[int, Fraction] = {}
+        best = Fraction(0)
+        for sid in order:
+            reach = max((longest[p] for p in preds[sid]), default=Fraction(0))
+            longest[sid] = reach + wcet[sid]
+            if longest[sid] > best:
+                best = longest[sid]
+        return best
 
 
 @dataclass(frozen=True)
@@ -125,7 +157,7 @@ def _topological_order(
 
 def work(task: DagTask) -> Fraction:
     """Total work of a job: the sum of its subtask wcets."""
-    return sum((st.wcet for st in task.subtasks), Fraction(0))
+    return task.work
 
 
 def span(task: DagTask) -> Fraction:
@@ -134,24 +166,7 @@ def span(task: DagTask) -> Fraction:
     This is the minimum completion time of the job on unboundedly many
     unit-speed processors.  Raises ValueError if the edges are cyclic.
     """
-    ids = [st.id for st in task.subtasks]
-    order = _topological_order(ids, task.edges)
-    if order is None:
-        raise ValueError(f"task {task.id}: dependency cycle among subtasks")
-    wcet = {st.id: st.wcet for st in task.subtasks}
-    known = set(ids)
-    preds: dict[int, list[int]] = {i: [] for i in ids}
-    for a, b in task.edges:
-        if a in known and b in known:
-            preds[b].append(a)
-    longest: dict[int, Fraction] = {}
-    best = Fraction(0)
-    for sid in order:
-        reach = max((longest[p] for p in preds[sid]), default=Fraction(0))
-        longest[sid] = reach + wcet[sid]
-        if longest[sid] > best:
-            best = longest[sid]
-    return best
+    return task.span
 
 
 def scale_to_unit_speed(ts: TaskSet, speed: Fraction) -> TaskSet:
@@ -201,7 +216,7 @@ def _validate_task(task: DagTask) -> list[str]:
     for st in task.subtasks:
         if st.wcet <= 0:
             v.append(f"{tag}: nonpositive wcet {st.wcet} on subtask {st.id}")
-    total = sum((st.wcet for st in task.subtasks), Fraction(0))
+    total = task.work
     if total != task.wcet_total:
         v.append(
             f"{tag}: work mismatch: subtasks sum to {total}, "

@@ -1,8 +1,10 @@
 import json
+import time
 from fractions import Fraction
 
 from fedsched.cli import main
 from fedsched.generate import CounterexampleParams, build_counterexample
+from fedsched.model import DagTask, Subtask, TaskSet
 from fedsched.taskio import read_task_set, save_task_set
 
 
@@ -123,6 +125,25 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["analyze", "-i", str(tmp_path / "absent.json"), "--speed", "1", "--processors", "1"]) == 2
     assert main(["sweep", "--grid", "10,10"]) == 2
     capsys.readouterr()
+
+
+def test_analyze_refuses_a_huge_demand_scan(tmp_path, capsys):
+    # coprime periods near 1e9: the scan horizon is about 2e18 and holds
+    # about 4e9 step instants, far past the demand engine's step limit
+    tasks = tuple(
+        DagTask(id=i, wcet_total=1, deadline=10, period=p, subtasks=(Subtask(1, 1),))
+        for i, p in enumerate((1_000_000_007, 1_000_000_009), start=1)
+    )
+    path = tmp_path / "huge.json"
+    save_task_set(TaskSet(name="huge", tasks=tasks), path)
+    start = time.perf_counter()
+    code = main(["analyze", "-i", str(path), "--speed", "1", "--processors", "1"])
+    assert code == 2
+    assert time.perf_counter() - start < 10
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "step instants" in captured.err
 
 
 def test_malformed_input_names_the_field(tmp_path, capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fedsched.feasibility import (
+    MAX_DEMAND_STEPS,
     Item,
     dbf,
     default_horizon,
@@ -14,8 +15,12 @@ from fedsched.feasibility import (
     demand_test_points,
     uniprocessor_edf_feasible,
 )
-from fedsched.generate import CounterexampleParams, build_counterexample
-from fedsched.model import DagTask, Platform, Subtask, TaskSet
+from fedsched.generate import (
+    CounterexampleParams,
+    build_counterexample,
+    random_task_set,
+)
+from fedsched.model import DagTask, Platform, Subtask, TaskSet, work
 
 
 def reference_set():
@@ -191,3 +196,110 @@ def test_item_accepts_pairs_and_triples():
     assert demand_test_points([Item(Fraction(1), Fraction(2))]) == [2]
     assert demand_test_points([(1, 2)]) == [2]
     assert demand_test_points([(1, 2, None)]) == [2]
+
+
+def as_reference_item(spec):
+    work, deadline, *rest = spec
+    period = rest[0] if rest else None
+    return (
+        Fraction(work),
+        Fraction(deadline),
+        None if period is None else Fraction(period),
+    )
+
+
+def reference_profile(specs):
+    """The summed dbf of every item at every step instant up to
+    default_horizon, each total re-summed from scratch: the scan the
+    one-pass engine replaced."""
+    items = [as_reference_item(spec) for spec in specs]
+    horizon = default_horizon(specs)
+    points = set()
+    for _, deadline, period in items:
+        t = deadline
+        while t <= horizon:
+            points.add(t)
+            if period is None:
+                break
+            t += period
+    return tuple(
+        (t, sum((dbf(w, d, p, t) for w, d, p in items), Fraction(0)))
+        for t in sorted(points)
+    )
+
+
+def reference_edf_feasible(profile, utilization, speed):
+    if utilization > speed:
+        return False
+    return all(demand <= speed * t for t, demand in profile)
+
+
+PERIODS = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3), Fraction(4))
+
+
+def random_item_spec(rng):
+    """One item in any accepted spelling.  Deadlines come from a small
+    pool, so duplicates are common, and periods from one whose lcm is 12."""
+    work = Fraction(rng.randint(0, 6), rng.choice((1, 2, 3)))
+    deadline = Fraction(rng.randint(1, 8), rng.choice((1, 2)))
+    period = rng.choice(PERIODS) if rng.random() < 0.5 else None
+    spelling = rng.randrange(4)
+    if spelling == 0:
+        return Item(work, deadline, period)
+    if spelling == 1 and period is None:
+        return (work, deadline)
+    if spelling == 2:
+        return [work, deadline, period]
+    return (work, deadline, period)
+
+
+def test_demand_profile_matches_reference_scan():
+    rng = random.Random(2024)
+    for case in range(1000):
+        items = [random_item_spec(rng) for _ in range(rng.randint(0, 5))]
+        if case % 7 == 0 and items:
+            items.append(items[0])  # an exact duplicate item
+        got = demand_profile(items).breakpoints
+        want = reference_profile(items)
+        assert got == want, items
+        assert all(type(t) is Fraction and type(d) is Fraction for t, d in got)
+        assert demand_test_points(items) == [t for t, _ in want]
+        utilization = sum(
+            (w / p for w, _, p in map(as_reference_item, items) if p is not None),
+            Fraction(0),
+        )
+        speeds = {Fraction(1, 2), Fraction(1), Fraction(2)}
+        if utilization > 0:
+            speeds.add(utilization)  # the U == speed boundary
+        for speed in speeds:
+            verdict = reference_edf_feasible(want, utilization, speed)
+            assert uniprocessor_edf_feasible(items, speed) == verdict, (items, speed)
+
+
+def test_demand_profile_refuses_too_many_steps(monkeypatch):
+    # horizon 2 + 2*4 = 10: the item steps at 2, 6 and 10
+    monkeypatch.setattr("fedsched.feasibility.MAX_DEMAND_STEPS", 3)
+    assert demand_test_points([(1, 2, 4)]) == [2, 6, 10]
+    with pytest.raises(ValueError, match="horizon 10 needs 4 step instants"):
+        demand_profile([(1, 2, 4), (1, 2)])
+
+
+def test_step_limit_covers_random_task_sets():
+    # the largest 5-task random set over seeds 0..299 needs 458512 steps
+    most = 0
+    for seed in range(300):
+        items = [Item(work(t), t.deadline, t.period) for t in random_task_set(seed, 5)]
+        horizon = default_horizon(items)
+        most = max(most, sum(
+            1 if it.period is None else (horizon - it.deadline) // it.period + 1
+            for it in items
+        ))
+    assert most == 458512
+    assert MAX_DEMAND_STEPS >= 10**6 > most
+
+
+def test_nonpositive_period_is_an_error_not_a_hang():
+    with pytest.raises(ValueError, match="period must be positive"):
+        demand_profile([(1, 2, 0)])
+    with pytest.raises(ValueError, match="period must be positive"):
+        demand_profile([(1, 2, -3)])

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import random
 from fractions import Fraction
 
@@ -14,6 +16,7 @@ from fedsched.model import (
     validate_task_set,
     work,
 )
+from fedsched.taskio import task_set_from_dict, task_set_to_dict
 
 
 def make_task(tid=1, wcets=(1,), edges=(), deadline=None, period=None, total=None):
@@ -63,8 +66,39 @@ def test_span_independent_subtasks():
 
 def test_span_cycle_raises():
     task = make_task(wcets=(1, 1), edges=((1, 2), (2, 1)))
-    with pytest.raises(ValueError):
-        span(task)
+    for _ in range(3):  # the error is raised afresh, never cached
+        with pytest.raises(ValueError, match="dependency cycle"):
+            span(task)
+    assert work(task) == 2
+
+
+def test_cached_work_and_span_follow_replace():
+    task = make_task(wcets=(1, 2, 3), edges=((1, 2), (2, 3)))
+    assert (work(task), span(task)) == (6, 6)
+    unchained = dataclasses.replace(task, edges=())
+    assert (work(unchained), span(unchained)) == (6, 3)
+    heavier = dataclasses.replace(task, subtasks=(Subtask(1, Fraction(5)),), edges=())
+    assert (work(heavier), span(heavier)) == (5, 5)
+    assert (work(task), span(task)) == (6, 6)
+
+
+def test_cache_is_invisible_to_equality_hash_and_repr():
+    filled = make_task(wcets=(1, 2), edges=((1, 2),))
+    empty = make_task(wcets=(1, 2), edges=((1, 2),))
+    assert (work(filled), span(filled)) == (3, 3)
+    assert filled == empty
+    assert hash(filled) == hash(empty)
+    assert repr(filled) == repr(empty)
+    assert dataclasses.astuple(filled) == dataclasses.astuple(empty)
+
+
+def test_cache_leaves_json_encoding_unchanged():
+    ts = random_task_set(7, n_tasks=5)
+    before = json.dumps(task_set_to_dict(ts))
+    for task in ts:
+        work(task), span(task)
+    assert json.dumps(task_set_to_dict(ts)) == before
+    assert task_set_from_dict(json.loads(before)) == ts
 
 
 def test_span_never_exceeds_work():
