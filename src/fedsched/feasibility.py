@@ -17,14 +17,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .model import Platform, TaskSet
 from .rational import format_rational
 
-# Most step instants one demand scan may enumerate; a larger scan (periods
-# whose lcm dwarfs them) ends with ValueError instead of running for hours.
+# Most step instants one demand scan may enumerate, and most subtask jobs
+# one simulation may release; a larger run (periods whose lcm dwarfs them)
+# ends with ValueError instead of running for hours.
 MAX_DEMAND_STEPS = 10**6
 
 
@@ -91,6 +93,10 @@ def default_horizon(items: Iterable[Item | Sequence]) -> Fraction:
     with a fixed increment per hyperperiod, so (given the utilization
     check in :func:`uniprocessor_edf_feasible`) no new violation can
     first appear there.  Two hyperperiods keep the margin obvious.
+    :func:`demand_profile` tabulates this far; the verdict of
+    :func:`uniprocessor_edf_feasible` usually needs far less, since when
+    utilization stays below the speed it stops at the sooner of this
+    horizon and the L_a bound.
     """
     items = [_as_item(it) for it in items]
     if not items:
@@ -100,6 +106,41 @@ def default_horizon(items: Iterable[Item | Sequence]) -> Fraction:
     if periods:
         horizon += 2 * _rational_lcm(periods)
     return horizon
+
+
+def _demand_steps(
+    items: list[Item], horizon: Fraction
+) -> list[tuple[Fraction, Fraction]]:
+    """Every instant up to ``horizon`` where the summed dbf of ``items``
+    steps, with the height of the step there, in increasing time order.
+
+    Each item's step instants (its deadline, then every ``period`` after
+    it while within the horizon) are enumerated once and its work is
+    added to the step at each.  Raises ValueError, before enumerating,
+    when that takes more than ``MAX_DEMAND_STEPS`` step instants.
+    """
+    counts = []
+    for it in items:
+        if it.period is None:
+            counts.append(1)
+        elif it.period <= 0:
+            raise ValueError(f"period must be positive, got {it.period}")
+        else:
+            counts.append((horizon - it.deadline) // it.period + 1)
+    if sum(counts) > MAX_DEMAND_STEPS:
+        raise ValueError(
+            f"demand scan to horizon {format_rational(horizon)} needs "
+            f"{sum(counts)} step instants, more than the limit of "
+            f"{MAX_DEMAND_STEPS}"
+        )
+    steps: dict[Fraction, Fraction] = {}
+    for it, count in zip(items, counts):
+        t = it.deadline
+        for k in range(count):
+            if k:
+                t += it.period
+            steps[t] = steps[t] + it.work if t in steps else it.work
+    return sorted(steps.items(), key=itemgetter(0))
 
 
 def demand_test_points(items: Iterable[Item | Sequence]) -> list[Fraction]:
@@ -124,46 +165,29 @@ class DemandProfile:
             tuple((Fraction(t), Fraction(d)) for t, d in self.breakpoints),
         )
 
+    @classmethod
+    def _of_fractions(
+        cls, breakpoints: tuple[tuple[Fraction, Fraction], ...]
+    ) -> DemandProfile:
+        # the engine's breakpoints are Fractions already: skip the coercion
+        profile = object.__new__(cls)
+        object.__setattr__(profile, "breakpoints", breakpoints)
+        return profile
+
 
 def demand_profile(items: Iterable[Item | Sequence]) -> DemandProfile:
     """Tabulate the summed dbf of ``items`` at every step instant up to
-    :func:`default_horizon`, in one sorted sweep.
-
-    Each item's step instants (its deadline, then every ``period`` after
-    it while within the horizon) are enumerated once, its work is added
-    to the step at each, and the running sum over the sorted instants is
-    the total demand there.  Raises ValueError, before enumerating, when
+    :func:`default_horizon`, in one sorted sweep: the running sum of the
+    steps is the total demand at each instant.  Raises ValueError when
     the scan needs more than ``MAX_DEMAND_STEPS`` step instants.
     """
     items = [_as_item(it) for it in items]
-    horizon = default_horizon(items)
-    counts = []
-    for it in items:
-        if it.period is None:
-            counts.append(1)
-        elif it.period <= 0:
-            raise ValueError(f"period must be positive, got {it.period}")
-        else:
-            counts.append((horizon - it.deadline) // it.period + 1)
-    if sum(counts) > MAX_DEMAND_STEPS:
-        raise ValueError(
-            f"demand scan to horizon {format_rational(horizon)} needs "
-            f"{sum(counts)} step instants, more than the limit of "
-            f"{MAX_DEMAND_STEPS}"
-        )
-    steps: dict[Fraction, Fraction] = {}
-    for it, count in zip(items, counts):
-        t = it.deadline
-        for k in range(count):
-            if k:
-                t += it.period
-            steps[t] = steps[t] + it.work if t in steps else it.work
     breakpoints = []
     total = Fraction(0)
-    for t in sorted(steps):
-        total += steps[t]
+    for t, step in _demand_steps(items, default_horizon(items)):
+        total += step
         breakpoints.append((t, total))
-    return DemandProfile(breakpoints=tuple(breakpoints))
+    return DemandProfile._of_fractions(tuple(breakpoints))
 
 
 def uniprocessor_edf_feasible(
@@ -174,22 +198,55 @@ def uniprocessor_edf_feasible(
 
     True iff demand never exceeds supply at any step instant.  For
     one-shot items this is exact (necessary and sufficient).  Recurring
-    items must additionally keep total utilization (work/period) within
+    items must additionally keep total utilization U (work/period) within
     ``speed``: long-run demand grows at that rate, and bounding it is
     what makes the finite scan horizon sufficient.
+
+    The scan walks the step instants in increasing order, keeps a running
+    sum, and stops at the first violation; no profile is built.  When
+    U < speed and no work is negative, it ends at the sooner of
+    :func:`default_horizon` and the L_a bound (George, Rivierre and Spuri
+    1996)
+
+        L = max(largest deadline, N / (speed - U)),
+        N = sum over recurring items of max(0, period - deadline) * work/period
+            + sum over one-shot items of work.
+
+    For t >= 0 a recurring item's dbf is at most t*work/period +
+    max(0, period - deadline)*work/period and a one-shot item's at most
+    its work, so total demand is at most U*t + N, which stays within
+    speed*t from L on: no violation can first appear at or after L.
+    When U == speed, or some work is negative (the bound then fails),
+    the scan runs to :func:`default_horizon`.
     """
     speed = Fraction(speed)
     if speed <= 0:
         raise ValueError(f"speed must be positive, got {speed}")
     items = [_as_item(it) for it in items]
-    utilization = sum(
-        (it.work / it.period for it in items if it.period is not None), Fraction(0)
-    )
+    recurring = [it for it in items if it.period is not None]
+    utilization = sum((it.work / it.period for it in recurring), Fraction(0))
     if utilization > speed:
         return False
-    return all(
-        demand <= speed * t for t, demand in demand_profile(items).breakpoints
-    )
+    horizon = default_horizon(items)
+    # with no recurring item the horizon is the largest deadline, within L
+    if recurring and utilization < speed and all(it.work >= 0 for it in items):
+        offset = sum(
+            (
+                it.work
+                if it.period is None
+                else max(0, it.period - it.deadline) * it.work / it.period
+                for it in items
+            ),
+            Fraction(0),
+        )
+        deadline = max(it.deadline for it in items)
+        horizon = min(horizon, max(deadline, offset / (speed - utilization)))
+    demand = Fraction(0)
+    for t, step in _demand_steps(items, horizon):
+        demand += step
+        if demand > speed * t:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .feasibility import Item, PartitionedAssignment, default_horizon
+from .feasibility import (
+    MAX_DEMAND_STEPS,
+    Item,
+    PartitionedAssignment,
+    default_horizon,
+)
 from .model import DagTask, Platform, TaskSet, _topological_order
+from .rational import format_rational
 
 
 class Interval(NamedTuple):
@@ -156,7 +162,9 @@ def simulate_partitioned_edf(
     just the largest deadline when every task is one-shot).  Requires
     edge-free tasks (the partitioned construction places subtasks as
     independent items) and an assignment covering every subtask within
-    the platform's processors.
+    the platform's processors.  Raises ValueError, before releasing any
+    job, when the horizon admits more than ``MAX_DEMAND_STEPS`` subtask
+    jobs.
     """
     for task in ts:
         if task.edges:
@@ -182,6 +190,21 @@ def simulate_partitioned_edf(
         )
     else:
         horizon = Fraction(horizon)
+    jobs = 0
+    for task in ts:
+        if task.period is None:
+            jobs += len(task.subtasks)
+        elif task.period <= 0:
+            raise ValueError(
+                f"task {task.id}: period must be positive, got {task.period}"
+            )
+        else:
+            jobs += len(task.subtasks) * max(0, horizon // task.period + 1)
+    if jobs > MAX_DEMAND_STEPS:
+        raise ValueError(
+            f"simulation to horizon {format_rational(horizon)} releases {jobs} "
+            f"subtask jobs, more than the limit of {MAX_DEMAND_STEPS}"
+        )
 
     release_table = {task.id: _releases(task, horizon) for task in ts}
     jobs_by_proc: dict[int, list[_Job]] = {}

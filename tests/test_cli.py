@@ -127,7 +127,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_analyze_refuses_a_huge_demand_scan(tmp_path, capsys):
+def write_huge_hyperperiod(tmp_path):
     # coprime periods near 1e9: the scan horizon is about 2e18 and holds
     # about 4e9 step instants, far past the demand engine's step limit
     tasks = tuple(
@@ -136,14 +136,49 @@ def test_analyze_refuses_a_huge_demand_scan(tmp_path, capsys):
     )
     path = tmp_path / "huge.json"
     save_task_set(TaskSet(name="huge", tasks=tasks), path)
+    return str(path)
+
+
+def test_analyze_refuses_a_huge_demand_scan(tmp_path, capsys):
+    # the verdict alone would stop at the L_a bound, but the printed
+    # table is the full-horizon profile
+    path = write_huge_hyperperiod(tmp_path)
     start = time.perf_counter()
-    code = main(["analyze", "-i", str(path), "--speed", "1", "--processors", "1"])
+    code = main(["analyze", "-i", path, "--speed", "1", "--processors", "1"])
     assert code == 2
     assert time.perf_counter() - start < 10
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert "step instants" in captured.err
+
+
+def test_simulate_refuses_a_huge_release_table(tmp_path, capsys):
+    # releasing every job up to the default horizon would take about 4e9 jobs
+    path = write_huge_hyperperiod(tmp_path)
+    start = time.perf_counter()
+    code = main(["simulate", "-i", path, "--speed", "1", "--processors", "1"])
+    assert code == 2
+    assert time.perf_counter() - start < 10
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "jobs, more than the limit" in captured.err
+
+
+def test_federate_decides_a_huge_hyperperiod(tmp_path, capsys):
+    # utilization is far below 1, so each first-fit demand test stops at
+    # the L_a bound instead of scanning to the 2e18 horizon
+    path = write_huge_hyperperiod(tmp_path)
+    start = time.perf_counter()
+    code = main(["federate", "-i", path, "--speed", "1", "--processors", "1"])
+    assert code == 0
+    assert time.perf_counter() - start < 10
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc["verdict"] == "feasible"
+    assert doc["light_partition"] == {"1": 1, "2": 1}
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_malformed_input_names_the_field(tmp_path, capsys):

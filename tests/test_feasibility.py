@@ -5,6 +5,7 @@ import pytest
 
 from fedsched.feasibility import (
     MAX_DEMAND_STEPS,
+    DemandProfile,
     Item,
     dbf,
     default_horizon,
@@ -270,10 +271,67 @@ def test_demand_profile_matches_reference_scan():
         )
         speeds = {Fraction(1, 2), Fraction(1), Fraction(2)}
         if utilization > 0:
-            speeds.add(utilization)  # the U == speed boundary
+            # the U == speed boundary, where the scan runs to the full
+            # horizon, and speeds just above it, where the L_a bound is far out
+            speeds |= {
+                utilization,
+                utilization + Fraction(1, 1000),
+                utilization + Fraction(1, 7),
+            }
         for speed in speeds:
             verdict = reference_edf_feasible(want, utilization, speed)
             assert uniprocessor_edf_feasible(items, speed) == verdict, (items, speed)
+
+
+def test_negative_work_scans_the_full_horizon():
+    # with negative work the L_a bound does not hold: cut at L, this set's
+    # scan would miss its only violation and call it feasible
+    items = [
+        (Fraction(2, 3), Fraction(5, 2), Fraction(7, 2)),
+        (0, 2),
+        (Fraction(-1, 3), 5, 6),
+        (Fraction(3, 2), Fraction(5, 2), 3),
+        (Fraction(2, 3), 9, 10),
+        (Fraction(-2, 3), Fraction(-1, 2), 2),
+    ]
+    speed = Fraction(23263, 63000)
+    utilization = sum(
+        (w / p for w, _, p in map(as_reference_item, items) if p is not None),
+        Fraction(0),
+    )
+    assert utilization < speed
+    assert reference_edf_feasible(reference_profile(items), utilization, speed) is False
+    assert uniprocessor_edf_feasible(items, speed) is False
+
+
+def test_violation_just_below_the_l_a_bound_is_found():
+    # U = 1/2 and N = 1 (the one-shot work), so at speed 3/4 - 1e-9 the
+    # bound L = 1/(1/4 - 1e-9) lies about 1.6e-8 past the only violation,
+    # demand 3 at t = 4
+    items = [(1, 2, 2), (1, 4)]
+    assert uniprocessor_edf_feasible(items, Fraction(3, 4) - Fraction(1, 10**9)) is False
+    assert uniprocessor_edf_feasible(items, Fraction(3, 4)) is True
+
+
+def test_huge_hyperperiod_is_decided_below_the_l_a_bound():
+    # the full horizon is about 2e18 and holds about 4e9 step instants,
+    # but with U < 1 the scan stops at L = max(10, N/(1 - U)), N < 2
+    items = [(1, 10, 1_000_000_007), (1, 10, 1_000_000_009)]
+    with pytest.raises(ValueError, match="step instants"):
+        demand_profile(items)
+    assert uniprocessor_edf_feasible(items, Fraction(1)) is True
+    assert uniprocessor_edf_feasible(items, Fraction(1, 5)) is True
+    assert uniprocessor_edf_feasible(items, Fraction(1, 6)) is False
+
+
+def test_demand_profile_coerces_its_breakpoints():
+    profile = DemandProfile(breakpoints=[(1, "3/2"), ("5/2", Fraction(4))])
+    assert profile.breakpoints == (
+        (Fraction(1), Fraction(3, 2)),
+        (Fraction(5, 2), Fraction(4)),
+    )
+    assert all(type(x) is Fraction for point in profile.breakpoints for x in point)
+    assert demand_profile([(1, 1), (3, 2)]) == DemandProfile(((1, 1), (2, 4)))
 
 
 def test_demand_profile_refuses_too_many_steps(monkeypatch):

@@ -98,6 +98,24 @@ def test_recurring_releases_fill_the_horizon():
     assert check_trace(ts, trace) == []
 
 
+def test_release_table_has_a_budget(monkeypatch):
+    def run(period):
+        ts = TaskSet(name="p", tasks=(seq_task(1, 2, 5, period=period),))
+        return simulate_partitioned_edf(
+            ts, one_processor(ts), Platform(1, Fraction(1)), horizon=Fraction(15)
+        )
+
+    # releases at 0, 5, 10 and 15: four jobs
+    monkeypatch.setattr("fedsched.simulate.MAX_DEMAND_STEPS", 4)
+    assert len(run(Fraction(5)).intervals) == 4
+    monkeypatch.setattr("fedsched.simulate.MAX_DEMAND_STEPS", 3)
+    with pytest.raises(ValueError, match="horizon 15 releases 4 subtask jobs"):
+        run(Fraction(5))
+    for period in (Fraction(0), Fraction(-5)):
+        with pytest.raises(ValueError, match="period must be positive"):
+            run(period)
+
+
 def test_ties_resolved_by_task_then_subtask_id():
     a = seq_task(1, 1, 4)
     b = seq_task(2, 1, 4)
