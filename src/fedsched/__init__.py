@@ -19,7 +19,6 @@ from .feasibility import (
     partition_by_subtask_index,
     partitioned_feasible,
     processor_items,
-    demand_test_points,
     uniprocessor_edf_feasible,
 )
 from .federated import (
@@ -40,7 +39,6 @@ from .model import (
     Platform,
     Subtask,
     TaskSet,
-    scale_to_unit_speed,
     span,
     validate_task_set,
     work,
@@ -102,7 +100,6 @@ __all__ = [
     "random_task_set",
     "read_task_set",
     "save_task_set",
-    "scale_to_unit_speed",
     "shared_processor_items",
     "simulate_list_schedule",
     "simulate_partitioned_edf",
@@ -111,7 +108,6 @@ __all__ = [
     "speedup_sweep",
     "task_set_from_dict",
     "task_set_to_dict",
-    "demand_test_points",
     "total_demand_lower_bound",
     "uniprocessor_edf_feasible",
     "validate_task_set",

@@ -26,7 +26,7 @@ from .federated import (
     total_demand_lower_bound,
 )
 from .generate import CounterexampleParams, build_counterexample
-from .model import DagTask, Platform, TaskSet, work
+from .model import DagTask, Platform, TaskSet
 from .simulate import simulate_list_schedule, simulate_partitioned_edf
 
 
@@ -185,10 +185,7 @@ def brute_force_federated_oracle(ts: TaskSet, plat: Platform) -> bool:
 
     def group_ok(ids: frozenset[int]) -> bool:
         if ids not in group_cache:
-            items = [
-                Item(work(by_id[i]), by_id[i].deadline, by_id[i].period)
-                for i in sorted(ids)
-            ]
+            items = [Item.of_task(by_id[i]) for i in sorted(ids)]
             group_cache[ids] = uniprocessor_edf_feasible(items, speed)
         return group_cache[ids]
 

@@ -21,7 +21,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .model import Platform, TaskSet
+from .model import DagTask, Platform, TaskSet
 from .rational import format_rational
 
 # Most step instants one demand scan may enumerate, and most subtask jobs
@@ -36,6 +36,11 @@ class Item(NamedTuple):
     work: Fraction
     deadline: Fraction
     period: Fraction | None = None
+
+    @classmethod
+    def of_task(cls, task: DagTask) -> Item:
+        """The whole task run sequentially: its work, deadline and period."""
+        return cls(task.work, task.deadline, task.period)
 
 
 def _as_item(spec: Item | Sequence) -> Item:
@@ -141,11 +146,6 @@ def _demand_steps(
                 t += it.period
             steps[t] = steps[t] + it.work if t in steps else it.work
     return sorted(steps.items(), key=itemgetter(0))
-
-
-def demand_test_points(items: Iterable[Item | Sequence]) -> list[Fraction]:
-    """Every instant up to the scan horizon where total demand can step."""
-    return [t for t, _ in demand_profile(items).breakpoints]
 
 
 @dataclass(frozen=True)
@@ -294,15 +294,13 @@ def processor_items(
     Each subtask becomes one item carrying its own wcet and its task's
     deadline and period.  Raises if the assignment misses any subtask.
     """
+    by_proc: dict[int, list[Item]] = {}
     for task in ts:
         for st in task.subtasks:
             if (task.id, st.id) not in pa.mapping:
                 raise ValueError(
                     f"assignment does not cover task {task.id} subtask {st.id}"
                 )
-    by_proc: dict[int, list[Item]] = {}
-    for task in ts:
-        for st in task.subtasks:
             proc = pa.mapping[(task.id, st.id)]
             by_proc.setdefault(proc, []).append(
                 Item(st.wcet, task.deadline, task.period)
@@ -310,15 +308,12 @@ def processor_items(
     return by_proc
 
 
-def partitioned_feasible(
+def _partition_items(
     ts: TaskSet, pa: PartitionedAssignment, plat: Platform
-) -> bool:
-    """Does every processor pass the demand test for its assigned subtasks?
-
-    Subtasks are treated as independent sequential items, which is only
-    faithful when tasks have no precedence edges; tasks with edges are
-    rejected rather than analyzed optimistically.
-    """
+) -> dict[int, list[Item]]:
+    """:func:`processor_items`, after checking that a partitioned analysis
+    or simulation applies: every task edge-free (subtasks are placed as
+    independent items), and every processor within the platform."""
     for task in ts:
         if task.edges:
             raise ValueError(
@@ -332,6 +327,19 @@ def partitioned_feasible(
                 f"assignment uses processor {proc}, "
                 f"platform has 1..{plat.processors}"
             )
+    return by_proc
+
+
+def partitioned_feasible(
+    ts: TaskSet, pa: PartitionedAssignment, plat: Platform
+) -> bool:
+    """Does every processor pass the demand test for its assigned subtasks?
+
+    Subtasks are treated as independent sequential items, which is only
+    faithful when tasks have no precedence edges; tasks with edges are
+    rejected rather than analyzed optimistically.
+    """
     return all(
-        uniprocessor_edf_feasible(items, plat.speed) for items in by_proc.values()
+        uniprocessor_edf_feasible(items, plat.speed)
+        for items in _partition_items(ts, pa, plat).values()
     )

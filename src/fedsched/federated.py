@@ -159,10 +159,7 @@ def shared_processor_items(
     by_id = {task.id: task for task in ts}
     by_proc: dict[int, list[Item]] = {}
     for tid, proc in sorted(alloc.light_partition.items()):
-        task = by_id[tid]
-        by_proc.setdefault(proc, []).append(
-            Item(work(task), task.deadline, task.period)
-        )
+        by_proc.setdefault(proc, []).append(Item.of_task(by_id[tid]))
     return by_proc
 
 
@@ -214,7 +211,7 @@ def allocate_federated(
     shared: list[list[Item]] = []
     placement: dict[int, int] = {}
     for task in sorted(light, key=lambda t: (t.deadline, t.id)):
-        item = Item(work(task), task.deadline, task.period)
+        item = Item.of_task(task)
         placed = False
         for idx, items in enumerate(shared):
             if uniprocessor_edf_feasible(items + [item], speed):

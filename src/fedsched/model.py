@@ -10,10 +10,11 @@ operations are pure functions.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, replace
+from collections import Counter, deque
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Mapping
 
 
 @dataclass(frozen=True)
@@ -76,25 +77,48 @@ class DagTask:
         return sum((st.wcet for st in self.subtasks), Fraction(0))
 
     @cached_property
+    def successors(self) -> Mapping[int, tuple[int, ...]]:
+        """Subtask id -> ids of its successors, over the edges whose
+        endpoints are both known subtasks (a duplicate edge repeats)."""
+        succ: dict[int, list[int]] = {st.id: [] for st in self.subtasks}
+        for a, b in self.edges:
+            if a in succ and b in succ:
+                succ[a].append(b)
+        return {sid: tuple(nxt) for sid, nxt in succ.items()}
+
+    @cached_property
+    def topological_order(self) -> tuple[int, ...] | None:
+        """The distinct subtask ids in a precedence-respecting order (Kahn's
+        algorithm), or None when the known-id edges contain a cycle."""
+        indegree = Counter(b for nexts in self.successors.values() for b in nexts)
+        queue = deque(sid for sid in self.successors if indegree[sid] == 0)
+        order: list[int] = []
+        while queue:
+            node = queue.popleft()
+            order.append(node)
+            for nxt in self.successors[node]:
+                indegree[nxt] -= 1
+                if indegree[nxt] == 0:
+                    queue.append(nxt)
+        return tuple(order) if len(order) == len(self.successors) else None
+
+    @cached_property
     def span(self) -> Fraction:
         """Longest precedence path; raises ValueError (uncached) on a cycle."""
-        ids = [st.id for st in self.subtasks]
-        order = _topological_order(ids, self.edges)
+        order = self.topological_order
         if order is None:
             raise ValueError(f"task {self.id}: dependency cycle among subtasks")
         wcet = {st.id: st.wcet for st in self.subtasks}
-        known = set(ids)
-        preds: dict[int, list[int]] = {i: [] for i in ids}
-        for a, b in self.edges:
-            if a in known and b in known:
-                preds[b].append(a)
-        longest: dict[int, Fraction] = {}
+        # reach[b]: the longest path ending at some predecessor of b
+        reach: dict[int, Fraction] = {}
         best = Fraction(0)
         for sid in order:
-            reach = max((longest[p] for p in preds[sid]), default=Fraction(0))
-            longest[sid] = reach + wcet[sid]
-            if longest[sid] > best:
-                best = longest[sid]
+            end = reach.get(sid, Fraction(0)) + wcet[sid]
+            if end > best:
+                best = end
+            for nxt in self.successors[sid]:
+                if nxt not in reach or end > reach[nxt]:
+                    reach[nxt] = end
         return best
 
 
@@ -130,31 +154,6 @@ class Platform:
             raise ValueError(f"speed must be positive, got {self.speed}")
 
 
-def _topological_order(
-    ids: list[int], edges: tuple[tuple[int, int], ...]
-) -> list[int] | None:
-    """Kahn's algorithm; returns None if the (known-id) edges contain a cycle."""
-    known = set(ids)
-    succ: dict[int, list[int]] = {i: [] for i in ids}
-    indegree: dict[int, int] = {i: 0 for i in ids}
-    for a, b in edges:
-        if a in known and b in known:
-            succ[a].append(b)
-            indegree[b] += 1
-    queue = deque(i for i in ids if indegree[i] == 0)
-    order: list[int] = []
-    while queue:
-        node = queue.popleft()
-        order.append(node)
-        for nxt in succ[node]:
-            indegree[nxt] -= 1
-            if indegree[nxt] == 0:
-                queue.append(nxt)
-    if len(order) != len(ids):
-        return None
-    return order
-
-
 def work(task: DagTask) -> Fraction:
     """Total work of a job: the sum of its subtask wcets."""
     return task.work
@@ -167,27 +166,6 @@ def span(task: DagTask) -> Fraction:
     unit-speed processors.  Raises ValueError if the edges are cyclic.
     """
     return task.span
-
-
-def scale_to_unit_speed(ts: TaskSet, speed: Fraction) -> TaskSet:
-    """Fold a platform speed into the task set.
-
-    Running a task set on speed-``speed`` processors is equivalent to
-    dividing every wcet by ``speed`` and running at unit speed.  Deadlines
-    and periods are unchanged.
-    """
-    speed = Fraction(speed)
-    if speed <= 0:
-        raise ValueError(f"speed must be positive, got {speed}")
-    tasks = tuple(
-        replace(
-            task,
-            wcet_total=task.wcet_total / speed,
-            subtasks=tuple(replace(st, wcet=st.wcet / speed) for st in task.subtasks),
-        )
-        for task in ts.tasks
-    )
-    return replace(ts, tasks=tasks)
 
 
 def validate_task_set(ts: TaskSet) -> list[str]:
@@ -229,10 +207,9 @@ def _validate_task(task: DagTask) -> list[str]:
             v.append(f"{tag}: nonpositive period {task.period}")
         elif task.deadline > task.period:
             v.append(f"{tag}: deadline {task.deadline} exceeds period {task.period}")
-    known = set(sids)
     for a, b in task.edges:
-        if a not in known or b not in known:
+        if a not in task.successors or b not in task.successors:
             v.append(f"{tag}: edge ({a}, {b}) references an unknown subtask")
-    if _topological_order(sids, task.edges) is None:
+    if task.topological_order is None:
         v.append(f"{tag}: dependency cycle among subtasks")
     return v

@@ -11,17 +11,18 @@ identical inputs produce identical traces.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .feasibility import (
     MAX_DEMAND_STEPS,
-    Item,
     PartitionedAssignment,
+    _partition_items,
     default_horizon,
 )
-from .model import DagTask, Platform, TaskSet, _topological_order
+from .model import DagTask, Platform, TaskSet
 from .rational import format_rational
 
 
@@ -75,17 +76,13 @@ class _Job:
     remaining: Fraction
 
 
-def _releases(task: DagTask, horizon: Fraction) -> list[Fraction]:
-    """Release instants of the synchronous pattern: 0 for one-shot tasks,
-    otherwise every multiple of the period up to and including the horizon."""
-    if task.period is None:
-        return [Fraction(0)]
-    out = []
-    r = Fraction(0)
-    while r <= horizon:
-        out.append(r)
-        r += task.period
-    return out
+def _job_count(task: DagTask, horizon: Fraction | None) -> int:
+    """Jobs ``task`` releases up to and including ``horizon`` in the
+    synchronous pattern: one for a one-shot task or a single-job run
+    (horizon None), otherwise one at every multiple of the period."""
+    if task.period is None or horizon is None:
+        return 1
+    return max(0, int(horizon // task.period) + 1)
 
 
 def _merge_contiguous(intervals: list[Interval]) -> list[Interval]:
@@ -162,51 +159,40 @@ def simulate_partitioned_edf(
     just the largest deadline when every task is one-shot).  Requires
     edge-free tasks (the partitioned construction places subtasks as
     independent items) and an assignment covering every subtask within
-    the platform's processors.  Raises ValueError, before releasing any
-    job, when the horizon admits more than ``MAX_DEMAND_STEPS`` subtask
-    jobs.
+    the platform's processors.  Raises ValueError for a negative horizon,
+    and, before releasing any job, when the horizon admits more than
+    ``MAX_DEMAND_STEPS`` subtask jobs.
     """
-    for task in ts:
-        if task.edges:
-            raise ValueError(
-                f"task {task.id} has precedence edges; "
-                "partitioned EDF simulates edge-free tasks only"
-            )
-    for task in ts:
-        for st in task.subtasks:
-            if (task.id, st.id) not in pa.mapping:
-                raise ValueError(
-                    f"assignment does not cover task {task.id} subtask {st.id}"
-                )
-            proc = pa.mapping[(task.id, st.id)]
-            if not 1 <= proc <= plat.processors:
-                raise ValueError(
-                    f"assignment uses processor {proc}, "
-                    f"platform has 1..{plat.processors}"
-                )
+    by_proc = _partition_items(ts, pa, plat)
     if horizon is None:
-        horizon = default_horizon(
-            [Item(st.wcet, t.deadline, t.period) for t in ts for st in t.subtasks]
-        )
+        horizon = default_horizon(it for items in by_proc.values() for it in items)
     else:
         horizon = Fraction(horizon)
+        if horizon < 0:
+            raise ValueError(
+                f"horizon must be nonnegative, got {format_rational(horizon)}"
+            )
     jobs = 0
     for task in ts:
-        if task.period is None:
-            jobs += len(task.subtasks)
-        elif task.period <= 0:
+        if task.period is not None and task.period <= 0:
             raise ValueError(
                 f"task {task.id}: period must be positive, got {task.period}"
             )
-        else:
-            jobs += len(task.subtasks) * max(0, horizon // task.period + 1)
+        jobs += len(task.subtasks) * _job_count(task, horizon)
     if jobs > MAX_DEMAND_STEPS:
         raise ValueError(
             f"simulation to horizon {format_rational(horizon)} releases {jobs} "
             f"subtask jobs, more than the limit of {MAX_DEMAND_STEPS}"
         )
 
-    release_table = {task.id: _releases(task, horizon) for task in ts}
+    # a one-shot task's one job is released at 0
+    release_table = {
+        task.id: [
+            k * (task.period or Fraction(0))
+            for k in range(_job_count(task, horizon))
+        ]
+        for task in ts
+    }
     jobs_by_proc: dict[int, list[_Job]] = {}
     for task in ts:
         for st in task.subtasks:
@@ -264,19 +250,12 @@ def simulate_list_schedule(task: DagTask, m: int, speed: Fraction) -> ScheduleTr
         raise ValueError(f"cluster size must be at least 1, got {m}")
     if speed <= 0:
         raise ValueError(f"speed must be positive, got {speed}")
-    sids = [st.id for st in task.subtasks]
-    if _topological_order(sids, task.edges) is None:
+    if task.topological_order is None:
         raise ValueError(f"task {task.id}: dependency cycle among subtasks")
     wcet = {st.id: st.wcet for st in task.subtasks}
-    known = set(sids)
-    succ: dict[int, list[int]] = {sid: [] for sid in sids}
-    pending: dict[int, int] = {sid: 0 for sid in sids}
-    for a, b in task.edges:
-        if a in known and b in known:
-            succ[a].append(b)
-            pending[b] += 1
-
-    ready = [sid for sid in sorted(sids) if pending[sid] == 0]
+    succ = task.successors
+    pending = Counter(b for nexts in succ.values() for b in nexts)
+    ready = [sid for sid in sorted(succ) if pending[sid] == 0]
     heapq.heapify(ready)
     free = list(range(1, m + 1))
     heapq.heapify(free)
@@ -310,12 +289,6 @@ def simulate_list_schedule(task: DagTask, m: int, speed: Fraction) -> ScheduleTr
     return ScheduleTrace(
         speed=speed, horizon=None, intervals=tuple(intervals), misses=misses
     )
-
-
-def _jobs_within(task: DagTask, trace: ScheduleTrace) -> int:
-    if task.period is None or trace.horizon is None:
-        return 1
-    return int(trace.horizon // task.period) + 1
 
 
 def check_trace(ts: TaskSet, trace: ScheduleTrace) -> list[str]:
@@ -362,7 +335,7 @@ def check_trace(ts: TaskSet, trace: ScheduleTrace) -> list[str]:
         key = (iv.task, iv.subtask)
         duration[key] = duration.get(key, Fraction(0)) + (iv.end - iv.start)
     for task in ts:
-        jobs = _jobs_within(task, trace)
+        jobs = _job_count(task, trace.horizon)
         for st in task.subtasks:
             executed = duration.get((task.id, st.id), Fraction(0)) * trace.speed
             expected = st.wcet * jobs
@@ -381,7 +354,7 @@ def check_trace(ts: TaskSet, trace: ScheduleTrace) -> list[str]:
                 f"is not after deadline {miss.deadline}"
             )
     for task in ts:
-        if _jobs_within(task, trace) != 1:
+        if _job_count(task, trace.horizon) != 1:
             continue
         own = [iv for iv in trace.intervals if iv.task == task.id]
         starts = {st.id: min((iv.start for iv in own if iv.subtask == st.id), default=None) for st in task.subtasks}

@@ -104,6 +104,17 @@ def test_simulate_horizon_flag(tmp_path, capsys):
     assert code == 0
 
 
+def test_simulate_rejects_a_negative_horizon(tmp_path, capsys):
+    path = write_reference(tmp_path, 2, 2, 2)
+    code = main(
+        ["simulate", "-i", path, "--speed", "1", "--processors", "2", "--horizon", "-5"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: horizon must be nonnegative, got -5\n"
+
+
 def test_sweep_csv_shape(capsys):
     code = main(["sweep", "--grid", "10,10,2;4,4,2", "--precision", "1/64"])
     assert code == 0

@@ -13,7 +13,6 @@ from fedsched.feasibility import (
     partition_by_subtask_index,
     partitioned_feasible,
     processor_items,
-    demand_test_points,
     uniprocessor_edf_feasible,
 )
 from fedsched.generate import (
@@ -57,12 +56,12 @@ def test_dbf_monotone_and_linear():
 
 
 def test_test_points_one_shot_items():
-    points = demand_test_points([(1, 1), (1, 2), (2, 4)])
+    points = [t for t, _ in demand_profile([(1, 1), (1, 2), (2, 4)]).breakpoints]
     assert points == [1, 2, 4]
 
 
 def test_test_points_recurring_items():
-    points = demand_test_points([(1, 2, 4)])
+    points = [t for t, _ in demand_profile([(1, 2, 4)]).breakpoints]
     # horizon is 2 + 2*4 = 10: deadlines at 2, 6, 10
     assert points == [2, 6, 10]
 
@@ -194,9 +193,8 @@ def test_partitioned_rejects_out_of_range_processor():
 
 
 def test_item_accepts_pairs_and_triples():
-    assert demand_test_points([Item(Fraction(1), Fraction(2))]) == [2]
-    assert demand_test_points([(1, 2)]) == [2]
-    assert demand_test_points([(1, 2, None)]) == [2]
+    for spec in (Item(Fraction(1), Fraction(2)), (1, 2), (1, 2, None)):
+        assert demand_profile([spec]).breakpoints == ((2, 1),)
 
 
 def as_reference_item(spec):
@@ -264,7 +262,6 @@ def test_demand_profile_matches_reference_scan():
         want = reference_profile(items)
         assert got == want, items
         assert all(type(t) is Fraction and type(d) is Fraction for t, d in got)
-        assert demand_test_points(items) == [t for t, _ in want]
         utilization = sum(
             (w / p for w, _, p in map(as_reference_item, items) if p is not None),
             Fraction(0),
@@ -337,7 +334,7 @@ def test_demand_profile_coerces_its_breakpoints():
 def test_demand_profile_refuses_too_many_steps(monkeypatch):
     # horizon 2 + 2*4 = 10: the item steps at 2, 6 and 10
     monkeypatch.setattr("fedsched.feasibility.MAX_DEMAND_STEPS", 3)
-    assert demand_test_points([(1, 2, 4)]) == [2, 6, 10]
+    assert demand_profile([(1, 2, 4)]).breakpoints == ((2, 1), (6, 2), (10, 3))
     with pytest.raises(ValueError, match="horizon 10 needs 4 step instants"):
         demand_profile([(1, 2, 4), (1, 2)])
 

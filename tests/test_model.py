@@ -11,11 +11,11 @@ from fedsched.model import (
     Platform,
     Subtask,
     TaskSet,
-    scale_to_unit_speed,
     span,
     validate_task_set,
     work,
 )
+from fedsched.simulate import check_trace, simulate_list_schedule
 from fedsched.taskio import task_set_from_dict, task_set_to_dict
 
 
@@ -175,35 +175,128 @@ def test_platform_rejects_bad_values():
         Platform(1, Fraction(-2))
 
 
-def test_scale_halves_wcets():
-    ts = TaskSet(name="s", tasks=(make_task(wcets=(10,), deadline=1),))
-    scaled = scale_to_unit_speed(ts, Fraction(2))
-    assert work(scaled.tasks[0]) == 5
-    assert scaled.tasks[0].wcet_total == 5
-    assert scaled.tasks[0].deadline == 1
+def test_repeated_ids_without_a_cycle_are_not_a_cycle():
+    # ids [1, 1, 3] with edge 3 -> 1 are acyclic over the distinct ids
+    subtasks = (Subtask(1, Fraction(1)), Subtask(1, Fraction(2)), Subtask(3, Fraction(4)))
+    task = DagTask(
+        id=1, wcet_total=7, deadline=9, period=None, subtasks=subtasks, edges=((3, 1),)
+    )
+    assert task.topological_order == (3, 1)
+    span(task)  # does not raise
+    report = validate_task_set(TaskSet(name="dup", tasks=(task,)))
+    assert any("duplicate" in msg for msg in report)
+    assert not any("cycle" in msg for msg in report)
 
 
-def test_scale_by_fraction():
-    ts = TaskSet(name="s", tasks=(make_task(wcets=(20,), deadline=100),))
-    scaled = scale_to_unit_speed(ts, Fraction(1, 3))
-    assert work(scaled.tasks[0]) == 60
+def test_self_loop_among_repeated_ids_is_a_cycle():
+    # ids [1, 3, 3] with edges 1 -> 1 and 3 -> 1: the self-loop is a cycle
+    subtasks = (Subtask(1, Fraction(1)), Subtask(3, Fraction(2)), Subtask(3, Fraction(4)))
+    task = DagTask(
+        id=1,
+        wcet_total=7,
+        deadline=9,
+        period=None,
+        subtasks=subtasks,
+        edges=((1, 1), (3, 1)),
+    )
+    assert task.topological_order is None
+    with pytest.raises(ValueError, match="dependency cycle"):
+        span(task)
+    report = validate_task_set(TaskSet(name="dup", tasks=(task,)))
+    assert any("cycle" in msg for msg in report)
 
 
-def test_scale_identity_at_one():
-    ts = TaskSet(name="s", tasks=(make_task(wcets=(3, 4)),))
-    assert scale_to_unit_speed(ts, Fraction(1)) == ts
+def random_dag(rng):
+    ids = rng.sample(range(1, 10), rng.randint(0, 7))
+    subtasks = tuple(Subtask(i, Fraction(rng.randint(1, 9), rng.randint(1, 3))) for i in ids)
+    edges = []
+    for _ in range(rng.randint(0, 10)):
+        a, b = rng.randint(0, 10), rng.randint(0, 10)  # 0 and 10 are never ids
+        if rng.random() < 0.8 and a > b:
+            a, b = b, a  # mostly forward edges, so most DAGs are acyclic
+        edges.append((a, b))
+        if rng.random() < 0.1:
+            edges.append((a, b))
+    total = sum((st.wcet for st in subtasks), Fraction(0))
+    return DagTask(
+        id=1,
+        wcet_total=total,
+        deadline=rng.randint(1, 30),
+        period=None,
+        subtasks=subtasks,
+        edges=tuple(edges),
+    )
 
 
-def test_scale_round_trip():
-    rng = random.Random(3)
-    for seed in range(20):
-        ts = random_task_set(seed)
-        s = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-        back = scale_to_unit_speed(scale_to_unit_speed(ts, s), 1 / s)
-        assert back == ts
+def brute_force_paths(subtasks, edges):
+    """Every precedence path over the known ids, each as a list of ids
+    (for an acyclic edge set only)."""
+    known = {st.id for st in subtasks}
+    edges = [(a, b) for a, b in edges if a in known and b in known]
+
+    def extend(path):
+        yield path
+        for a, b in edges:
+            if a == path[-1]:
+                yield from extend(path + [b])
+
+    for sid in known:
+        yield from extend([sid])
 
 
-def test_scale_rejects_nonpositive_speed():
-    ts = TaskSet(name="s", tasks=(make_task(),))
-    with pytest.raises(ValueError):
-        scale_to_unit_speed(ts, Fraction(0))
+def has_cycle(subtasks, edges):
+    known = {st.id for st in subtasks}
+    reach = {sid: {b for a, b in edges if a == sid and b in known} for sid in known}
+    for _ in known:  # transitive closure by repeated relaxation
+        for sid in known:
+            reach[sid] = reach[sid].union(*(reach[b] for b in reach[sid]))
+    return any(sid in reach[sid] for sid in known)
+
+
+def test_dag_view_matches_brute_force_on_random_dags():
+    rng = random.Random(404)
+    cycles = 0
+    for _ in range(2000):
+        task = random_dag(rng)
+        subtasks = task.subtasks
+        ts = TaskSet(name="r", tasks=(task,))
+        assert type(task.topological_order) in (tuple, type(None))
+        assert all(type(nexts) is tuple for nexts in task.successors.values())
+        assert set(task.successors) == {st.id for st in subtasks}
+        if has_cycle(subtasks, task.edges):
+            cycles += 1
+            assert task.topological_order is None
+            with pytest.raises(ValueError, match="dependency cycle"):
+                span(task)
+            with pytest.raises(ValueError, match="dependency cycle"):
+                simulate_list_schedule(task, 2, Fraction(1))
+            assert any("cycle" in msg for msg in validate_task_set(ts))
+            continue
+        wcet = {st.id: st.wcet for st in subtasks}
+        want = max(
+            (sum(wcet[s] for s in path) for path in brute_force_paths(subtasks, task.edges)),
+            default=0,
+        )
+        assert span(task) == want
+        assert not any("cycle" in msg for msg in validate_task_set(ts))
+        order = task.topological_order
+        assert sorted(order) == sorted(wcet)
+        position = {sid: k for k, sid in enumerate(order)}
+        assert all(
+            position[a] < position[b] for a, b in task.edges if a in wcet and b in wcet
+        )
+        m, speed = rng.randint(1, 3), Fraction(rng.randint(1, 3), 2)
+        assert check_trace(ts, simulate_list_schedule(task, m, speed)) == []
+    assert 100 < cycles < 1000  # the seeded mix does reach the cycle branch
+
+
+def test_cached_dag_view_follows_replace():
+    task = make_task(wcets=(1, 2, 3), edges=((1, 2), (2, 3), (9, 1)))
+    assert task.successors == {1: (2,), 2: (3,), 3: ()}
+    assert task.topological_order == (1, 2, 3)
+    looped = dataclasses.replace(task, edges=((1, 2), (2, 3), (3, 1)))
+    assert looped.successors == {1: (2,), 2: (3,), 3: (1,)}
+    assert looped.topological_order is None
+    flipped = dataclasses.replace(task, edges=((3, 2), (2, 1)))
+    assert flipped.topological_order == (3, 2, 1)
+    assert task.topological_order == (1, 2, 3)

@@ -116,6 +116,37 @@ def test_release_table_has_a_budget(monkeypatch):
             run(period)
 
 
+def test_negative_horizon_is_an_error():
+    ts = TaskSet(name="p", tasks=(seq_task(1, 2, 5, period=Fraction(5)),))
+    with pytest.raises(ValueError, match="horizon must be nonnegative, got -5"):
+        simulate_partitioned_edf(
+            ts, one_processor(ts), Platform(1, Fraction(1)), horizon=Fraction(-5)
+        )
+    # horizon 0 still releases the job at 0
+    trace = simulate_partitioned_edf(
+        ts, one_processor(ts), Platform(1, Fraction(1)), horizon=Fraction(0)
+    )
+    assert [iv.start for iv in trace.intervals] == [0]
+    assert check_trace(ts, trace) == []
+
+
+def test_check_trace_expects_no_job_before_a_negative_horizon():
+    ts = TaskSet(name="p", tasks=(seq_task(1, 1, 1, period=Fraction(1)),))
+    empty = ScheduleTrace(
+        speed=Fraction(1), horizon=Fraction(-5), intervals=(), misses=()
+    )
+    assert check_trace(ts, empty) == []
+    ran = ScheduleTrace(
+        speed=Fraction(1),
+        horizon=Fraction(-5),
+        intervals=(Interval(1, 1, 1, Fraction(0), Fraction(1)),),
+        misses=(),
+    )
+    assert check_trace(ts, ran) == [
+        "task 1 subtask 1: executed work 1 != expected 0 (0 job(s) of wcet 1)"
+    ]
+
+
 def test_ties_resolved_by_task_then_subtask_id():
     a = seq_task(1, 1, 4)
     b = seq_task(2, 1, 4)
