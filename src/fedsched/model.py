@@ -47,7 +47,10 @@ class DagTask:
             constrained-deadline task), or None for a one-shot task.
         subtasks: the job's subtasks.
         edges: precedence pairs (predecessor subtask id, successor
-            subtask id); must be acyclic for a valid task.
+            subtask id); must be acyclic for a valid task.  A pair
+            listed twice is valid and means the same as once: it repeats
+            in ``successors``, and every reader (span, the topological
+            order, the list scheduler) counts it consistently.
     """
 
     id: int
@@ -207,8 +210,9 @@ def _validate_task(task: DagTask) -> list[str]:
             v.append(f"{tag}: nonpositive period {task.period}")
         elif task.deadline > task.period:
             v.append(f"{tag}: deadline {task.deadline} exceeds period {task.period}")
-    for a, b in task.edges:
-        if a not in task.successors or b not in task.successors:
+    known = task.successors
+    for a, b in dict.fromkeys(task.edges):  # each distinct edge once, in order
+        if a not in known or b not in known:
             v.append(f"{tag}: edge ({a}, {b}) references an unknown subtask")
     if task.topological_order is None:
         v.append(f"{tag}: dependency cycle among subtasks")

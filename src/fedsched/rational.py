@@ -33,7 +33,10 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction | int) -> str:
     """Encode a rational as ``"p"`` or ``"p/q"`` in lowest terms."""
-    value = Fraction(value)
+    # exact type checks: a Fraction or int is already in lowest terms, and
+    # isinstance against the numeric ABCs costs more than the formatting
+    if type(value) is not Fraction and type(value) is not int:
+        value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

@@ -14,6 +14,8 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import itemgetter
 from typing import NamedTuple
 
 from .feasibility import (
@@ -66,16 +68,6 @@ class ScheduleTrace:
         return max((iv.end for iv in self.intervals), default=Fraction(0))
 
 
-@dataclass
-class _Job:
-    # one released subtask instance, mutable while it still has work left
-    deadline: Fraction  # absolute
-    task: int
-    subtask: int
-    release: Fraction
-    remaining: Fraction
-
-
 def _job_count(task: DagTask, horizon: Fraction | None) -> int:
     """Jobs ``task`` releases up to and including ``horizon`` in the
     synchronous pattern: one for a one-shot task or a single-job run
@@ -85,64 +77,70 @@ def _job_count(task: DagTask, horizon: Fraction | None) -> int:
     return max(0, int(horizon // task.period) + 1)
 
 
-def _merge_contiguous(intervals: list[Interval]) -> list[Interval]:
-    # a preemption check that turned out not to preempt splits an interval
-    # in two; stitch back-to-back runs of the same subtask together
-    merged: list[Interval] = []
-    for iv in intervals:
-        if (
-            merged
-            and merged[-1].processor == iv.processor
-            and merged[-1].task == iv.task
-            and merged[-1].subtask == iv.subtask
-            and merged[-1].end == iv.start
-        ):
-            merged[-1] = merged[-1]._replace(end=iv.end)
-        else:
-            merged.append(iv)
-    return merged
-
-
 def _edf_on_one_processor(
-    proc: int, jobs: list[_Job], speed: Fraction
-) -> tuple[list[Interval], dict[tuple[int, Fraction], Fraction]]:
-    """Preemptive EDF of ``jobs`` on processor ``proc`` at rate ``speed``.
+    proc: int,
+    jobs: list[tuple[int, int, int, int, int]],
+    scale: int,
+    late: dict[tuple[int, int], int],
+) -> list[Interval]:
+    """Preemptive EDF of ``jobs`` on processor ``proc``, in integer ticks
+    of ``1/scale``.
 
-    Ties broken by (absolute deadline, task id, subtask id); all jobs run
-    to completion.  Returns the merged intervals and, per (task id,
-    release), the instant its last subtask job finished.
+    Each job is (release, absolute deadline, task id, subtask id, ticks of
+    execution), sorted by release.  Ties are broken by (absolute deadline,
+    task id, subtask id, release, position in ``jobs``); all jobs run to
+    completion.  Returns the intervals, back-to-back runs of one subtask
+    merged, and records in ``late``, per (task id, release), the latest
+    tick at which one of its subtask jobs finished after its deadline.
     """
-    jobs = sorted(jobs, key=lambda j: j.release)
-    heap: list[tuple[Fraction, int, int, Fraction, int]] = []
+    heap: list[tuple[int, int, int, int, int]] = []
+    left = [job[4] for job in jobs]
     out: list[Interval] = []
-    completion: dict[tuple[int, Fraction], Fraction] = {}
-    time = Fraction(0)
+    last_tick, last_end = None, None
+
+    def emit(task: int, subtask: int, start: int, end: int) -> None:
+        # the next run usually starts where the last one ended
+        nonlocal last_tick, last_end
+        begin = last_end if start == last_tick else Fraction(start, scale)
+        last_tick, last_end = end, Fraction(end, scale)
+        out.append(Interval(proc, task, subtask, begin, last_end))
+
+    run = None  # the open run: [task, subtask, start, end]
+    time = 0
     next_idx = 0
-    while next_idx < len(jobs) or heap:
+    n = len(jobs)
+    while next_idx < n or heap:
         if not heap:
             # idle until the next release
-            time = max(time, jobs[next_idx].release)
-        while next_idx < len(jobs) and jobs[next_idx].release <= time:
-            j = jobs[next_idx]
-            heapq.heappush(heap, (j.deadline, j.task, j.subtask, j.release, next_idx))
+            time = max(time, jobs[next_idx][0])
+        while next_idx < n and jobs[next_idx][0] <= time:
+            release, deadline, task, subtask, _ = jobs[next_idx]
+            heapq.heappush(heap, (deadline, task, subtask, release, next_idx))
             next_idx += 1
-        _, _, _, _, idx = heap[0]
-        job = jobs[idx]
-        finish = time + job.remaining / speed
-        run_until = finish
-        if next_idx < len(jobs) and jobs[next_idx].release < finish:
-            run_until = jobs[next_idx].release  # re-evaluate priorities there
+        deadline, task, subtask, release, idx = heap[0]
+        run_until = time + left[idx]
+        if next_idx < n and jobs[next_idx][0] < run_until:
+            run_until = jobs[next_idx][0]  # re-evaluate priorities there
         if run_until > time:
-            out.append(Interval(proc, job.task, job.subtask, time, run_until))
-            job.remaining -= (run_until - time) * speed
+            # a preemption check that turned out not to preempt splits a
+            # run in two; stitch back-to-back runs of one subtask together
+            if run is not None and run[3] == time and run[0] == task and run[1] == subtask:
+                run[3] = run_until
+            else:
+                if run is not None:
+                    emit(*run)
+                run = [task, subtask, time, run_until]
+            left[idx] -= run_until - time
         time = run_until
-        if job.remaining == 0:
+        if left[idx] == 0:
             heapq.heappop(heap)
-            key = (job.task, job.release)
-            prev = completion.get(key)
-            if prev is None or time > prev:
-                completion[key] = time
-    return _merge_contiguous(out), completion
+            if time > deadline:
+                key = (task, release)
+                if time > late.get(key, deadline):
+                    late[key] = time
+    if run is not None:
+        emit(*run)
+    return out
 
 
 def simulate_partitioned_edf(
@@ -162,6 +160,11 @@ def simulate_partitioned_edf(
     the platform's processors.  Raises ValueError for a negative horizon,
     and, before releasing any job, when the horizon admits more than
     ``MAX_DEMAND_STEPS`` subtask jobs.
+
+    Events run on integer ticks of ``1/scale``, where ``scale`` is the lcm
+    of the denominators of every deadline, period and ``wcet / speed``, so
+    every release, deadline and event instant is an exact tick count;
+    only the returned endpoints are built as ``Fraction``.
     """
     by_proc = _partition_items(ts, pa, plat)
     if horizon is None:
@@ -185,50 +188,60 @@ def simulate_partitioned_edf(
             f"subtask jobs, more than the limit of {MAX_DEMAND_STEPS}"
         )
 
-    # a one-shot task's one job is released at 0
+    speed = plat.speed
+    execution = [[st.wcet / speed for st in task.subtasks] for task in ts]
+    scale = lcm(
+        *(task.deadline.denominator for task in ts),
+        *(task.period.denominator for task in ts if task.period is not None),
+        *(e.denominator for times in execution for e in times),
+    )
+
+    def ticks(value: Fraction) -> int:
+        return value.numerator * (scale // value.denominator)
+
+    # release instants in ticks; a one-shot task's one job is released at 0
     release_table = {
         task.id: [
-            k * (task.period or Fraction(0))
+            k * ticks(task.period or Fraction(0))
             for k in range(_job_count(task, horizon))
         ]
         for task in ts
     }
-    jobs_by_proc: dict[int, list[_Job]] = {}
-    for task in ts:
-        for st in task.subtasks:
-            proc = pa.mapping[(task.id, st.id)]
-            for r in release_table[task.id]:
-                jobs_by_proc.setdefault(proc, []).append(
-                    _Job(
-                        deadline=r + task.deadline,
-                        task=task.id,
-                        subtask=st.id,
-                        release=r,
-                        remaining=st.wcet,
-                    )
-                )
+    jobs_by_proc: dict[int, list[tuple[int, int, int, int, int]]] = {}
+    for task, times in zip(ts, execution):
+        deadline = ticks(task.deadline)
+        releases = release_table[task.id]
+        for st, e in zip(task.subtasks, times):
+            proc_jobs = jobs_by_proc.setdefault(pa.mapping[(task.id, st.id)], [])
+            work = ticks(e)
+            proc_jobs.extend((r, r + deadline, task.id, st.id, work) for r in releases)
 
+    # the subtask jobs of one task job share its deadline, so the job is
+    # late exactly when one of them finishes late, and then it completes
+    # at the latest of those
+    late: dict[tuple[int, int], int] = {}
     intervals: list[Interval] = []
-    completion: dict[tuple[int, Fraction], Fraction] = {}
     for proc in sorted(jobs_by_proc):
-        proc_intervals, proc_completion = _edf_on_one_processor(
-            proc, jobs_by_proc[proc], plat.speed
+        intervals.extend(
+            _edf_on_one_processor(
+                proc, sorted(jobs_by_proc.pop(proc), key=itemgetter(0)), scale, late
+            )
         )
-        intervals.extend(proc_intervals)
-        for key, value in proc_completion.items():
-            prev = completion.get(key)
-            if prev is None or value > prev:
-                completion[key] = value
 
-    misses: list[DeadlineMiss] = []
+    missed: list[tuple[int, int, int]] = []  # (deadline, task id, completion)
     for task in ts:
+        deadline = ticks(task.deadline)
         for r in release_table[task.id]:
-            done = completion.get((task.id, r), r)  # a job with no subtasks is done at release
-            if done > r + task.deadline:
-                misses.append(DeadlineMiss(task.id, r + task.deadline, done))
-    misses.sort(key=lambda m: (m.deadline, m.task))
+            done = late.get((task.id, r), r)  # a job with no subtasks is done at release
+            if done > r + deadline:
+                missed.append((r + deadline, task.id, done))
+    missed.sort(key=itemgetter(0, 1))
+    misses = [
+        DeadlineMiss(task, Fraction(deadline, scale), Fraction(done, scale))
+        for deadline, task, done in missed
+    ]
     return ScheduleTrace(
-        speed=plat.speed,
+        speed=speed,
         horizon=horizon,
         intervals=tuple(intervals),
         misses=tuple(misses),
@@ -331,9 +344,11 @@ def check_trace(ts: TaskSet, trace: ScheduleTrace) -> list[str]:
                 )
 
     duration: dict[tuple[int, int], Fraction] = {}
+    by_task: dict[int, list[Interval]] = {}
     for iv in trace.intervals:
         key = (iv.task, iv.subtask)
         duration[key] = duration.get(key, Fraction(0)) + (iv.end - iv.start)
+        by_task.setdefault(iv.task, []).append(iv)
     for task in ts:
         jobs = _job_count(task, trace.horizon)
         for st in task.subtasks:
@@ -356,7 +371,7 @@ def check_trace(ts: TaskSet, trace: ScheduleTrace) -> list[str]:
     for task in ts:
         if _job_count(task, trace.horizon) != 1:
             continue
-        own = [iv for iv in trace.intervals if iv.task == task.id]
+        own = by_task.get(task.id, [])
         starts = {st.id: min((iv.start for iv in own if iv.subtask == st.id), default=None) for st in task.subtasks}
         ends = {st.id: max((iv.end for iv in own if iv.subtask == st.id), default=None) for st in task.subtasks}
         for a, b in task.edges:

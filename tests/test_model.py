@@ -157,6 +157,25 @@ def test_validate_reports_unknown_edge_endpoint():
     assert any("unknown subtask" in msg for msg in report)
 
 
+def test_validate_reports_each_distinct_bad_edge_once():
+    task = make_task(wcets=(1, 1), edges=((5, 4), (1, 2), (5, 4), (1, 9), (5, 4)))
+    assert validate_task_set(TaskSet(name="e", tasks=(task,))) == [
+        "task 1: edge (5, 4) references an unknown subtask",
+        "task 1: edge (1, 9) references an unknown subtask",
+    ]
+
+
+def test_duplicate_edges_between_known_subtasks_are_valid():
+    task = make_task(wcets=(1, 2, 3), edges=((1, 2), (1, 2), (2, 3), (1, 3), (2, 3)))
+    assert validate_task_set(TaskSet(name="e", tasks=(task,))) == []
+    assert task.successors == {1: (2, 2, 3), 2: (3, 3), 3: ()}
+    assert task.topological_order == (1, 2, 3)
+    assert span(task) == 6
+    trace = simulate_list_schedule(task, 2, Fraction(1))
+    assert trace.makespan == 6
+    assert check_trace(TaskSet(name="e", tasks=(task,)), trace) == []
+
+
 def test_validate_reports_duplicate_subtask_ids():
     subtasks = (Subtask(id=1, wcet=Fraction(1)), Subtask(id=1, wcet=Fraction(2)))
     task = DagTask(

@@ -47,6 +47,23 @@ def test_format_integer():
     assert format_rational(7) == "7"
 
 
+def test_format_subclasses_and_other_rationals_as_before():
+    class Loud(int):
+        def __str__(self):
+            return "loud"
+
+    class Tagged(Fraction):
+        def __str__(self):
+            return "tagged"
+
+    assert format_rational(True) == "1"
+    assert format_rational(False) == "0"
+    assert format_rational(Loud(7)) == "7"
+    assert format_rational(Tagged(6, 4)) == "3/2"
+    assert format_rational(Tagged(-4, 2)) == "-2"
+    assert format_rational(0.75) == "3/4"
+
+
 def test_format_lowest_terms():
     assert format_rational(Fraction(10, 4)) == "5/2"
     assert format_rational(Fraction(-2, 6)) == "-1/3"

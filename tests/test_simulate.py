@@ -1,9 +1,17 @@
+import heapq
 import random
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
-from fedsched.feasibility import PartitionedAssignment, partition_by_subtask_index
+from fedsched.feasibility import (
+    PartitionedAssignment,
+    default_horizon,
+    partition_by_subtask_index,
+    processor_items,
+)
 from fedsched.generate import CounterexampleParams, build_counterexample, random_task_set
 from fedsched.model import DagTask, Platform, Subtask, TaskSet, span, work
 from fedsched.simulate import (
@@ -364,3 +372,197 @@ def test_check_trace_accepts_generated_traces():
             trace = simulate_list_schedule(task, 2, Fraction(1))
             single = TaskSet(name="t", tasks=(task,))
             assert check_trace(single, trace) == []
+
+
+# --- reference: the partitioned simulator on Fraction arithmetic ----------
+#
+# The simulator runs on integer ticks; this is the event loop it replaced,
+# which computes every instant as a Fraction.  The differential test below
+# requires identical traces from both.
+
+
+@dataclass
+class _RefJob:
+    deadline: Fraction  # absolute
+    task: int
+    subtask: int
+    release: Fraction
+    remaining: Fraction
+
+
+def _ref_merge_contiguous(intervals):
+    merged = []
+    for iv in intervals:
+        if (
+            merged
+            and merged[-1].processor == iv.processor
+            and merged[-1].task == iv.task
+            and merged[-1].subtask == iv.subtask
+            and merged[-1].end == iv.start
+        ):
+            merged[-1] = merged[-1]._replace(end=iv.end)
+        else:
+            merged.append(iv)
+    return merged
+
+
+def _ref_edf_on_one_processor(proc, jobs, speed):
+    jobs = sorted(jobs, key=lambda j: j.release)
+    heap = []
+    out = []
+    completion = {}
+    time = Fraction(0)
+    next_idx = 0
+    while next_idx < len(jobs) or heap:
+        if not heap:
+            time = max(time, jobs[next_idx].release)
+        while next_idx < len(jobs) and jobs[next_idx].release <= time:
+            j = jobs[next_idx]
+            heapq.heappush(heap, (j.deadline, j.task, j.subtask, j.release, next_idx))
+            next_idx += 1
+        _, _, _, _, idx = heap[0]
+        job = jobs[idx]
+        finish = time + job.remaining / speed
+        run_until = finish
+        if next_idx < len(jobs) and jobs[next_idx].release < finish:
+            run_until = jobs[next_idx].release
+        if run_until > time:
+            out.append(Interval(proc, job.task, job.subtask, time, run_until))
+            job.remaining -= (run_until - time) * speed
+        time = run_until
+        if job.remaining == 0:
+            heapq.heappop(heap)
+            key = (job.task, job.release)
+            prev = completion.get(key)
+            if prev is None or time > prev:
+                completion[key] = time
+    return _ref_merge_contiguous(out), completion
+
+
+def reference_partitioned_edf(ts, pa, plat, horizon=None):
+    if horizon is None:
+        horizon = default_horizon(
+            it for items in processor_items(ts, pa).values() for it in items
+        )
+    horizon = Fraction(horizon)
+
+    def job_count(task):
+        if task.period is None:
+            return 1
+        return max(0, int(horizon // task.period) + 1)
+
+    release_table = {
+        task.id: [k * (task.period or Fraction(0)) for k in range(job_count(task))]
+        for task in ts
+    }
+    jobs_by_proc = {}
+    for task in ts:
+        for st in task.subtasks:
+            proc = pa.mapping[(task.id, st.id)]
+            for r in release_table[task.id]:
+                jobs_by_proc.setdefault(proc, []).append(
+                    _RefJob(r + task.deadline, task.id, st.id, r, st.wcet)
+                )
+    intervals = []
+    completion = {}
+    for proc in sorted(jobs_by_proc):
+        proc_intervals, proc_completion = _ref_edf_on_one_processor(
+            proc, jobs_by_proc[proc], plat.speed
+        )
+        intervals.extend(proc_intervals)
+        for key, value in proc_completion.items():
+            prev = completion.get(key)
+            if prev is None or value > prev:
+                completion[key] = value
+    misses = []
+    for task in ts:
+        for r in release_table[task.id]:
+            done = completion.get((task.id, r), r)
+            if done > r + task.deadline:
+                misses.append(DeadlineMiss(task.id, r + task.deadline, done))
+    misses.sort(key=lambda m: (m.deadline, m.task))
+    return ScheduleTrace(
+        speed=plat.speed,
+        horizon=horizon,
+        intervals=tuple(intervals),
+        misses=tuple(misses),
+    )
+
+
+PERIODS = (Fraction(17, 2), Fraction(7, 3), Fraction(3), Fraction(4), Fraction(5, 2))
+SPEEDS = (Fraction(1), Fraction(999, 1000), Fraction(3, 2), Fraction(7, 3))
+
+
+def random_partitioned_set(rng):
+    """A small edge-free task set, its partition and a platform."""
+    m = rng.randint(1, 3)
+    overloaded = rng.random() < 0.3
+    tasks = []
+    for tid in range(1, rng.randint(1, 5) + 1):
+        period = rng.choice(PERIODS) if rng.random() < 0.6 else None
+        deadline = Fraction(rng.randint(1, 30), rng.choice((1, 2, 3, 5)))
+        if period is not None and rng.random() < 0.6:
+            deadline = min(deadline, period)
+        subtasks = []
+        for sid in range(1, rng.randint(1, 3) + 1):
+            # now and then a zero wcet: a job that completes at its release
+            lowest = 0 if rng.random() < 0.05 else 1
+            wcet = Fraction(rng.randint(lowest, 6), rng.choice((1, 2, 3, 7)))
+            if not overloaded:
+                wcet /= 4
+            subtasks.append(Subtask(sid, wcet))
+        tasks.append(
+            DagTask(
+                id=tid,
+                wcet_total=sum(st.wcet for st in subtasks),
+                deadline=deadline,
+                period=period,
+                subtasks=tuple(subtasks),
+            )
+        )
+    ts = TaskSet(name="random", tasks=tuple(tasks))
+    pa = PartitionedAssignment(
+        {(t.id, st.id): rng.randint(1, m) for t in ts for st in t.subtasks}
+    )
+    return ts, pa, Platform(m, rng.choice(SPEEDS))
+
+
+def random_horizon(rng, ts, pa):
+    # the default runs two hyperperiods past the largest deadline: take it
+    # when that is short enough for the Fraction reference
+    items = [it for items in processor_items(ts, pa).values() for it in items]
+    if default_horizon(items) <= 60 and rng.random() < 0.6:
+        return None
+    choice = rng.random()
+    if choice < 0.15:
+        return Fraction(0)
+    if choice < 0.3:
+        return Fraction(1, 3)
+    periods = [t.period for t in ts if t.period is not None]
+    while True:
+        horizon = Fraction(rng.randint(1, 150), rng.choice((1, 7, 11)))
+        if all(horizon % p != 0 for p in periods):
+            return horizon
+
+
+def test_integer_ticks_match_the_fraction_reference():
+    rng = random.Random(2015)
+    kinds = Counter()
+    for _ in range(1000):
+        ts, pa, plat = random_partitioned_set(rng)
+        horizon = random_horizon(rng, ts, pa)
+        got = simulate_partitioned_edf(ts, pa, plat, horizon=horizon)
+        want = reference_partitioned_edf(ts, pa, plat, horizon=horizon)
+        assert got == want
+        for iv in got.intervals:
+            assert type(iv.start) is Fraction and type(iv.end) is Fraction
+        for miss in got.misses:
+            assert type(miss.deadline) is Fraction and type(miss.completion) is Fraction
+        assert type(got.horizon) is Fraction
+        assert check_trace(ts, got) == []
+        kinds["misses" if got.misses else "on time"] += 1
+        kinds["default horizon" if horizon is None else "explicit horizon"] += 1
+        kinds["recurring" if any(t.period for t in ts) else "one-shot only"] += 1
+        kinds[f"speed {plat.speed}"] += 1
+    # every kind of case the generator aims for turns up often
+    assert min(kinds.values()) >= 100, kinds
