@@ -13,7 +13,6 @@ from .feasibility import (
     DemandProfile,
     Item,
     PartitionedAssignment,
-    dbf,
     default_horizon,
     demand_profile,
     partition_by_subtask_index,
@@ -84,7 +83,6 @@ __all__ = [
     "build_counterexample",
     "check_trace",
     "classify",
-    "dbf",
     "default_horizon",
     "demand_profile",
     "dump_task_set",

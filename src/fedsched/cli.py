@@ -98,12 +98,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(handler=_cmd_simulate)
 
     swp = sub.add_parser(
-        "sweep", help="bracket the allocator's threshold speed across a grid"
+        "sweep", help="compute the allocator's exact threshold speed across a grid"
     )
     swp.add_argument("--grid", required=True,
                      help="semicolon-separated M,N,K triples, e.g. '10,10,2;4,4,2'")
-    swp.add_argument("--precision", default="1/1024",
-                     help="bracket width for the threshold search (default 1/1024)")
     swp.set_defaults(handler=_cmd_sweep)
     return parser
 
@@ -274,9 +272,8 @@ def _parse_grid(spec: str) -> list[CounterexampleParams]:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.grid)
-    precision = parse_rational(args.precision)
-    rows = speedup_sweep(grid, precision)
-    print("M,N,K,theorem_bound,s_star_lo,s_star_hi,optimal_feasible_at_1")
+    rows = speedup_sweep(grid)
+    print("M,N,K,theorem_bound,s_star,optimal_feasible_at_1")
     for row in rows:
         print(
             ",".join(
@@ -285,8 +282,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     str(row.n_tasks),
                     format_rational(row.ratio),
                     format_rational(row.speedup_bound),
-                    format_rational(row.min_speed_lo),
-                    format_rational(row.min_speed_hi),
+                    format_rational(row.min_speed),
                     "true" if row.optimal_feasible_at_1 else "false",
                 ]
             )

@@ -2,14 +2,15 @@
 
 How much faster must the processors be before a federated allocator can
 fit a task set that an unrestricted scheduler handles at unit speed?
-This module searches that threshold for the adversarial family, sweeps it
-across parameter grids against the analytic bound, and provides a
+This module computes that threshold exactly, sweeps it for the
+adversarial family against the analytic bound, and provides a
 brute-force oracle that decides small instances exactly by enumerating
 every federated configuration.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,12 +22,16 @@ from .feasibility import (
 )
 from .federated import (
     Infeasible,
+    TaskClass,
+    _cluster_size,
+    _size_speed,
     allocate_federated,
+    classify,
     speedup_lower_bound,
     total_demand_lower_bound,
 )
 from .generate import CounterexampleParams, build_counterexample
-from .model import DagTask, Platform, TaskSet
+from .model import DagTask, Platform, TaskSet, validate_task_set
 from .simulate import simulate_list_schedule, simulate_partitioned_edf
 
 
@@ -34,87 +39,74 @@ from .simulate import simulate_list_schedule, simulate_partitioned_edf
 class SpeedupRow:
     """One sweep result.
 
-    min_speed_lo / min_speed_hi bracket the federated allocator's
-    threshold speed: the allocator was verified infeasible at a point
-    within the bracket width below min_speed_hi and feasible at
-    min_speed_hi itself.  demand_at_probe is the processor demand lower
-    bound sampled at 999/1000 of the analytic bound (every task is heavy
-    there).  optimal_feasible_at_1 records that the instance really is
-    schedulable on its platform at unit speed, by analysis and by
-    simulation.
+    min_speed is the federated allocator's exact threshold: the least
+    speed at which it fits the instance on its platform.
+    demand_at_probe is the processor demand lower bound sampled at
+    999/1000 of the analytic bound (every task is heavy there).
+    optimal_feasible_at_1 records that the instance really is schedulable
+    on its platform at unit speed, by analysis and by simulation.
     """
 
     processors: int
     n_tasks: int
     ratio: Fraction
     speedup_bound: Fraction
-    min_speed_lo: Fraction
-    min_speed_hi: Fraction
+    min_speed: Fraction
     demand_at_probe: int
     optimal_feasible_at_1: bool
 
-    @property
-    def min_feasible_speed(self) -> Fraction:
-        """The certified-feasible end of the bracket."""
-        return self.min_speed_hi
 
+def min_feasible_speed_federated(ts: TaskSet, processors: int) -> Fraction:
+    """The least speed at which the federated allocator fits ``ts`` on
+    ``processors`` processors, exactly.
 
-def _federated_feasible(ts: TaskSet, processors: int, speed: Fraction) -> bool:
-    return not isinstance(
-        allocate_federated(ts, Platform(processors, speed)), Infeasible
-    )
-
-
-def min_feasible_speed_federated(
-    ts: TaskSet,
-    processors: int,
-    lo: Fraction,
-    hi: Fraction,
-    precision: Fraction,
-) -> Fraction:
-    """Binary-search the least speed at which the federated allocator fits
-    ``ts`` on ``processors`` processors.
-
-    Requires a valid bracket: infeasible at ``lo``, feasible at ``hi``
-    (both are checked).  Halves the interval until it is no wider than
-    ``precision`` and returns the feasible end; the returned value is
-    certified feasible, and some speed less than ``precision`` below it
-    is certified infeasible.
+    The allocator is not monotone in speed (first-fit can fail above a
+    speed where it fits), but each Infeasible verdict certifies that no
+    speed from the tried one up to its retry_speed fits.  The walk starts
+    at the least speed at which the heavy clusters alone fit (their summed
+    sizes only fall as the speed rises) and follows retry_speed until a
+    call succeeds.  Raises ValueError for an empty or invalid task set.
     """
-    lo, hi, precision = Fraction(lo), Fraction(hi), Fraction(precision)
-    if precision <= 0:
-        raise ValueError(f"precision must be positive, got {precision}")
-    if lo >= hi:
-        raise ValueError(f"bracket is empty: lo={lo} >= hi={hi}")
-    if _federated_feasible(ts, processors, lo):
-        raise ValueError(f"bracket invalid: allocation already feasible at lo={lo}")
-    if not _federated_feasible(ts, processors, hi):
-        raise ValueError(f"bracket invalid: allocation still infeasible at hi={hi}")
-    while hi - lo > precision:
-        mid = (lo + hi) / 2
-        if _federated_feasible(ts, processors, mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    if not ts.tasks or processors < 1 or validate_task_set(ts):
+        raise ValueError("needs a valid, nonempty task set and a processor")
+
+    def clusters_fit(speed: Fraction) -> bool:
+        sizes = [
+            _cluster_size(task, speed)
+            for task in ts
+            if classify(task, speed) is TaskClass.HEAVY
+        ]
+        return None not in sizes and sum(sizes) <= processors
+
+    # below `low` some task alone overfills the platform; above it a cluster
+    # drops to k at _size_speed(task, k), to none at k = 1 (work/deadline)
+    low = max(_size_speed(task, processors) for task in ts)
+    drops = {low}
+    for task in ts:
+        if classify(task, low) is TaskClass.HEAVY:
+            size = _cluster_size(task, low)
+            drops.update(_size_speed(task, k) for k in range(1, size))
+    drops = sorted(drops)
+    speed = drops[bisect_left(drops, True, key=clusters_fit)]
+    while True:
+        result = allocate_federated(ts, Platform(processors, speed))
+        if not isinstance(result, Infeasible):
+            return speed
+        if result.retry_speed is None:
+            raise ValueError(f"no speed from {speed} on fits: {result.reason}")
+        speed = result.retry_speed
 
 
-def speedup_sweep(
-    grid: list[CounterexampleParams], precision: Fraction
-) -> list[SpeedupRow]:
+def speedup_sweep(grid: list[CounterexampleParams]) -> list[SpeedupRow]:
     """Evaluate the adversarial family across a parameter grid.
 
     For each instance: confirm unit-speed feasibility on its own platform
     (demand analysis plus a simulated schedule with zero misses), compute
-    the analytic bound, and bracket the allocator's threshold speed by
-    binary search between 1 (always infeasible: the first task's critical
-    path fills its whole deadline) and the platform size (always feasible:
-    every task is light and they pack onto one shared processor).
+    the analytic bound, and find the allocator's exact threshold speed.
 
-    Raises RuntimeError if any bracket lands below the analytic bound:
+    Raises RuntimeError if a threshold lies below the analytic bound:
     the bound is proven, so that would mean a bug in this package.
     """
-    precision = Fraction(precision)
     rows: list[SpeedupRow] = []
     for params in grid:
         ts = build_counterexample(params)
@@ -128,10 +120,8 @@ def speedup_sweep(
         bound = speedup_lower_bound(m, params.n_tasks, params.ratio)
         probe = bound * Fraction(999, 1000)
         demand = total_demand_lower_bound(ts, probe)
-        threshold = min_feasible_speed_federated(
-            ts, m, Fraction(1), Fraction(m), precision
-        )
-        if threshold < bound - precision:
+        threshold = min_feasible_speed_federated(ts, m)
+        if threshold < bound:
             raise RuntimeError(
                 f"sweep self-check failed on (M={m}, N={params.n_tasks}, "
                 f"K={params.ratio}): threshold {threshold} fell below the "
@@ -143,8 +133,7 @@ def speedup_sweep(
                 n_tasks=params.n_tasks,
                 ratio=params.ratio,
                 speedup_bound=bound,
-                min_speed_lo=threshold - precision,
-                min_speed_hi=threshold,
+                min_speed=threshold,
                 demand_at_probe=demand,
                 optimal_feasible_at_1=feasible_at_1,
             )

@@ -56,30 +56,6 @@ def _as_item(spec: Item | Sequence) -> Item:
     )
 
 
-def dbf(
-    work: Fraction,
-    deadline: Fraction,
-    period: Fraction | None,
-    t: Fraction,
-) -> Fraction:
-    """Maximum demand one item can place on the window [0, t].
-
-    Counts the work of every job with both release and deadline inside
-    the window, under the densest legal release pattern.  A one-shot item
-    (period None) is a single step of height ``work`` at t = deadline; a
-    recurring item steps every ``period`` from its deadline on:
-    max(0, floor((t - deadline)/period) + 1) * work.  This is the
-    per-item reference that :func:`demand_profile` sums in one sweep.
-    """
-    work, deadline, t = Fraction(work), Fraction(deadline), Fraction(t)
-    if period is None:
-        return work if t >= deadline else Fraction(0)
-    jobs = (t - deadline) // Fraction(period) + 1
-    if jobs <= 0:
-        return Fraction(0)
-    return jobs * work
-
-
 def _rational_lcm(values: Iterable[Fraction]) -> Fraction:
     """Least positive rational that is an integer multiple of every input."""
     num, den = 1, 0
@@ -159,20 +135,16 @@ class DemandProfile:
     breakpoints: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "breakpoints",
-            tuple((Fraction(t), Fraction(d)) for t, d in self.breakpoints),
-        )
-
-    @classmethod
-    def _of_fractions(
-        cls, breakpoints: tuple[tuple[Fraction, Fraction], ...]
-    ) -> DemandProfile:
-        # the engine's breakpoints are Fractions already: skip the coercion
-        profile = object.__new__(cls)
-        object.__setattr__(profile, "breakpoints", breakpoints)
-        return profile
+        # exact type checks, as in format_rational: keep the engine's tuple
+        if type(self.breakpoints) is not tuple or any(
+            type(t) is not Fraction or type(d) is not Fraction
+            for t, d in self.breakpoints
+        ):
+            object.__setattr__(
+                self,
+                "breakpoints",
+                tuple((Fraction(t), Fraction(d)) for t, d in self.breakpoints),
+            )
 
 
 def demand_profile(items: Iterable[Item | Sequence]) -> DemandProfile:
@@ -187,7 +159,7 @@ def demand_profile(items: Iterable[Item | Sequence]) -> DemandProfile:
     for t, step in _demand_steps(items, default_horizon(items)):
         total += step
         breakpoints.append((t, total))
-    return DemandProfile._of_fractions(tuple(breakpoints))
+    return DemandProfile(tuple(breakpoints))
 
 
 def uniprocessor_edf_feasible(
@@ -222,11 +194,19 @@ def uniprocessor_edf_feasible(
     speed = Fraction(speed)
     if speed <= 0:
         raise ValueError(f"speed must be positive, got {speed}")
-    items = [_as_item(it) for it in items]
+    return _first_violation([_as_item(it) for it in items], speed) is None
+
+
+def _first_violation(
+    items: list[Item], speed: Fraction
+) -> tuple[Fraction, Fraction] | None:
+    """The scan of :func:`uniprocessor_edf_feasible` on Items: None if the
+    test passes, else (demand, t) at the first instant where demand >
+    speed*t, or (U, 1) when U > speed; it fails at every speed < demand/t."""
     recurring = [it for it in items if it.period is not None]
     utilization = sum((it.work / it.period for it in recurring), Fraction(0))
     if utilization > speed:
-        return False
+        return utilization, Fraction(1)
     horizon = default_horizon(items)
     # with no recurring item the horizon is the largest deadline, within L
     if recurring and utilization < speed and all(it.work >= 0 for it in items):
@@ -245,8 +225,8 @@ def uniprocessor_edf_feasible(
     for t, step in _demand_steps(items, horizon):
         demand += step
         if demand > speed * t:
-            return False
-    return True
+            return demand, t
+    return None
 
 
 @dataclass(frozen=True)

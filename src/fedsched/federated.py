@@ -17,7 +17,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
 
-from .feasibility import Item, uniprocessor_edf_feasible
+from .feasibility import Item, _first_violation
 from .model import DagTask, Platform, TaskSet, span, work
 
 
@@ -53,7 +53,12 @@ def heavy_demand_lower_bound(task: DagTask, speed: Fraction) -> int:
             f"task {task.id} is light at speed {speed}; "
             "the demand bound applies to heavy tasks only"
         )
-    return math.ceil(work(task) / (task.deadline * speed))
+    return _demand_bound(task, speed)
+
+
+def _demand_bound(task: DagTask, speed: Fraction) -> int:
+    # heavy_demand_lower_bound for a task already classified heavy
+    return math.ceil(task.work / (task.deadline * speed))
 
 
 def total_demand_lower_bound(ts: TaskSet, speed: Fraction) -> int:
@@ -104,12 +109,22 @@ def heavy_processor_allocation(task: DagTask, speed: Fraction) -> int | None:
         raise ValueError(
             f"task {task.id} is light at speed {speed}; clusters are for heavy tasks"
         )
-    total = work(task)
-    path = span(task)
+    return _cluster_size(task, speed)
+
+
+def _cluster_size(task: DagTask, speed: Fraction) -> int | None:
+    # heavy_processor_allocation for a task already classified heavy
     budget = speed * task.deadline
-    if budget <= path:
+    if budget <= task.span:
         return None
-    return max(1, math.ceil((total - path) / (budget - path)))
+    return max(1, math.ceil((task.work - task.span) / (budget - task.span)))
+
+
+def _size_speed(task: DagTask, k: int) -> Fraction:
+    """The inverse of :func:`heavy_processor_allocation`: the least speed
+    at which a heavy task's cluster size is at most ``k``, where
+    span + (work - span)/k fits in speed * deadline."""
+    return (task.span + (task.work - task.span) / k) / task.deadline
 
 
 @dataclass(frozen=True)
@@ -143,12 +158,15 @@ class Infeasible:
     demand_lower_bound is the summed heavy-task demand bound (None when
     no task is heavy); processors_needed is how many processors the
     allocator would have required to continue (None when no finite count
-    helps).
+    helps).  retry_speed is a certificate: the allocator is infeasible at
+    every speed in [platform speed, retry_speed), or at every higher
+    speed when it is None.
     """
 
     reason: str
     processors_needed: int | None = None
     demand_lower_bound: int | None = None
+    retry_speed: Fraction | None = None
 
 
 def shared_processor_items(
@@ -175,18 +193,25 @@ def allocate_federated(
     is admitted to a shared processor only if the processor's item set,
     with the newcomer added, still passes the exact demand test at the
     platform speed.  Infeasible is a verdict, not an error.
+
+    Each decision holds from some speed r up: light iff speed >=
+    work/deadline, a cluster of at most k iff speed >= _size_speed(task, k),
+    a demand test passes iff speed >= demand/t at each instant t.  So the
+    run stays the same up to the least r of the decisions that failed,
+    which Infeasible reports as retry_speed.
     """
     speed = plat.speed
-    heavy = [t for t in ts if classify(t, speed) is TaskClass.HEAVY]
-    light = [t for t in ts if classify(t, speed) is TaskClass.LIGHT]
-    demand = (
-        sum(heavy_demand_lower_bound(t, speed) for t in heavy) if heavy else None
-    )
+    classes = [classify(task, speed) for task in ts]
+    heavy = [t for t, c in zip(ts, classes) if c is TaskClass.HEAVY]
+    light = [t for t, c in zip(ts, classes) if c is TaskClass.LIGHT]
+    demand = sum(_demand_bound(t, speed) for t in heavy) if heavy else None
+    flips: list[Fraction] = []
 
     grants: dict[int, int] = {}
     for task in heavy:
-        size = heavy_processor_allocation(task, speed)
+        size = _cluster_size(task, speed)
         if size is None:
+            # below this retry speed the task alone needs the whole platform
             return Infeasible(
                 reason=(
                     f"task {task.id}: critical path {span(task)} needs more than "
@@ -195,8 +220,13 @@ def allocate_federated(
                 ),
                 processors_needed=None,
                 demand_lower_bound=demand,
+                retry_speed=(
+                    _size_speed(task, plat.processors) if task.deadline > 0 else None
+                ),
             )
         grants[task.id] = size
+        # the cluster (size >= 2) first shrinks here, by work/deadline at latest
+        flips.append(_size_speed(task, size - 1))
     used = sum(grants.values())
     if used > plat.processors:
         return Infeasible(
@@ -206,20 +236,22 @@ def allocate_federated(
             ),
             processors_needed=used,
             demand_lower_bound=demand,
+            retry_speed=min(flips),
         )
 
     shared: list[list[Item]] = []
     placement: dict[int, int] = {}
     for task in sorted(light, key=lambda t: (t.deadline, t.id)):
         item = Item.of_task(task)
-        placed = False
         for idx, items in enumerate(shared):
-            if uniprocessor_edf_feasible(items + [item], speed):
+            violation = _first_violation(items + [item], speed)
+            if violation is None:
                 items.append(item)
                 placement[task.id] = idx + 1
-                placed = True
                 break
-        if not placed:
+            if violation[1] > 0:
+                flips.append(violation[0] / violation[1])
+        else:
             if used + len(shared) + 1 > plat.processors:
                 return Infeasible(
                     reason=(
@@ -229,6 +261,7 @@ def allocate_federated(
                     ),
                     processors_needed=used + len(shared) + 1,
                     demand_lower_bound=demand,
+                    retry_speed=min(flips, default=None),
                 )
             shared.append([item])
             placement[task.id] = len(shared)

@@ -158,7 +158,8 @@ def simulate_partitioned_edf(
     edge-free tasks (the partitioned construction places subtasks as
     independent items) and an assignment covering every subtask within
     the platform's processors.  Raises ValueError for a negative horizon,
-    and, before releasing any job, when the horizon admits more than
+    and, before releasing any job, for a negative wcet (its job would
+    never finish) or when the horizon admits more than
     ``MAX_DEMAND_STEPS`` subtask jobs.
 
     Events run on integer ticks of ``1/scale``, where ``scale`` is the lcm
@@ -181,6 +182,8 @@ def simulate_partitioned_edf(
             raise ValueError(
                 f"task {task.id}: period must be positive, got {task.period}"
             )
+        if any(st.wcet < 0 for st in task.subtasks):
+            raise ValueError(f"task {task.id}: a negative wcet never finishes")
         jobs += len(task.subtasks) * _job_count(task, horizon)
     if jobs > MAX_DEMAND_STEPS:
         raise ValueError(

@@ -1,7 +1,7 @@
 """End-to-end acceptance checks: one test (and one pass/fail line) per criterion.
 
-All comparisons are exact rational arithmetic; the only tolerance anywhere
-is the stated precision of the binary-search bracket in criterion 10.
+All comparisons are exact rational arithmetic, with no tolerance anywhere:
+criterion 10 checks the allocator's exact threshold speed.
 """
 
 import math
@@ -236,14 +236,15 @@ def test_criterion_09_allocator_feasible_implies_oracle_feasible():
     )
 
 
-def test_criterion_10_threshold_bracket_sits_above_five():
+def test_criterion_10_threshold_sits_above_five():
     ts = reference_set()
-    precision = Fraction(1, 1024)
-    upper = min_feasible_speed_federated(ts, 10, Fraction(1), Fraction(10), precision)
-    lower = upper - precision
-    assert lower >= 5
+    s_star = min_feasible_speed_federated(ts, 10)
+    assert s_star == Fraction(645, 128) > 5
+    plat = Platform(10, s_star)
+    assert isinstance(allocate_federated(ts, plat), FederatedAllocation)
+    below = Platform(10, s_star - Fraction(1, 2**200))
+    assert isinstance(allocate_federated(ts, below), Infeasible)
     print(
-        f"criterion 10: PASS - threshold bracket [{lower}, {upper}] "
-        f"~ [{float(lower):.4f}, {float(upper):.4f}]; lower end >= 5, "
-        "upper end reported, not asserted"
+        f"criterion 10: PASS - exact threshold {s_star} ~ {float(s_star):.4f} >= 5; "
+        "the allocator fits there and not 2**-200 below it"
     )

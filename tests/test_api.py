@@ -8,7 +8,7 @@ EXPECTED = {
     "PartitionedAssignment", "Platform", "ScheduleTrace", "SpeedupRow",
     "Subtask", "TaskClass", "TaskSet", "allocate_federated",
     "brute_force_federated_oracle", "build_counterexample", "check_trace",
-    "classify", "dbf", "default_horizon", "demand_profile", "dump_task_set",
+    "classify", "default_horizon", "demand_profile", "dump_task_set",
     "format_rational", "heavy_demand_lower_bound",
     "heavy_processor_allocation", "load_task_set",
     "min_feasible_speed_federated", "parse_rational",
@@ -47,7 +47,7 @@ TRACED = (
 def test_all_is_sorted_unique_and_exactly_the_expected_names():
     names = fedsched.__all__
     assert names == sorted(names)
-    assert len(set(names)) == len(names) == 48
+    assert len(set(names)) == len(names) == 47
     assert set(names) == EXPECTED
     for name in names:
         assert getattr(fedsched, name) is not None

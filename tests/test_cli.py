@@ -1,6 +1,9 @@
 import json
+import re
+import shlex
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from fedsched.cli import main
 from fedsched.generate import CounterexampleParams, build_counterexample
@@ -116,16 +119,31 @@ def test_simulate_rejects_a_negative_horizon(tmp_path, capsys):
 
 
 def test_sweep_csv_shape(capsys):
-    code = main(["sweep", "--grid", "10,10,2;4,4,2", "--precision", "1/64"])
+    code = main(["sweep", "--grid", "10,10,2;4,4,2"])
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "M,N,K,theorem_bound,s_star_lo,s_star_hi,optimal_feasible_at_1"
-    assert len(lines) == 3
-    first = lines[1].split(",")
-    assert first[:4] == ["10", "10", "2", "5"]
-    assert first[6] == "true"
-    second = lines[2].split(",")
-    assert second[:4] == ["4", "4", "2", "2"]
+    assert lines == [
+        "M,N,K,theorem_bound,s_star,optimal_feasible_at_1",
+        "10,10,2,5,645/128,true",
+        "4,4,2,2,5/2,true",
+    ]
+
+
+def test_sweep_has_no_precision_option(capsys):
+    assert main(["sweep", "--grid", "10,10,2", "--precision", "1/64"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_readme_sweep_example_is_current(capsys):
+    # README's sweep section shows one command block and then its output
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### sweep", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```[a-z]*\n(.*?)```", section, re.S)
+    command, output = blocks[0].strip(), blocks[1]
+    argv = shlex.split(command)
+    assert argv[0] == "fedsched"
+    assert main(argv[1:]) == 0
+    assert capsys.readouterr().out == output
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):

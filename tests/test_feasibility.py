@@ -7,7 +7,6 @@ from fedsched.feasibility import (
     MAX_DEMAND_STEPS,
     DemandProfile,
     Item,
-    dbf,
     default_horizon,
     demand_profile,
     partition_by_subtask_index,
@@ -25,6 +24,23 @@ from fedsched.model import DagTask, Platform, Subtask, TaskSet, work
 
 def reference_set():
     return build_counterexample(CounterexampleParams(10, 10, Fraction(2)))
+
+
+def dbf(work, deadline, period, t):
+    """Maximum demand one item can place on the window [0, t]: the per-item
+    reference that demand_profile sums in one sweep.
+
+    A one-shot item (period None) is a single step of height ``work`` at
+    t = deadline; a recurring item steps every ``period`` from its
+    deadline on: max(0, floor((t - deadline)/period) + 1) * work.
+    """
+    work, deadline, t = Fraction(work), Fraction(deadline), Fraction(t)
+    if period is None:
+        return work if t >= deadline else Fraction(0)
+    jobs = (t - deadline) // Fraction(period) + 1
+    if jobs <= 0:
+        return Fraction(0)
+    return jobs * work
 
 
 def test_dbf_one_shot_before_deadline():

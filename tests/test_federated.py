@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+import fedsched.federated
 from fedsched.federated import (
     FederatedAllocation,
     Infeasible,
     TaskClass,
+    _size_speed,
     allocate_federated,
     classify,
     heavy_demand_lower_bound,
@@ -241,3 +243,71 @@ def test_light_first_fit_shares_processors():
         assert isinstance(result, FederatedAllocation)
         assert result.total_processors_used == 1
         assert set(result.light_partition.values()) == {1}
+
+
+def test_size_speed_inverts_the_cluster_size():
+    checked = 0
+    for seed in range(60):
+        for task in random_task_set(seed):
+            for k in range(1, 6):
+                speed = _size_speed(task, k)
+                if k == 1 or task.span == work(task):
+                    # a chain's steps all sit at work/deadline, where it turns light
+                    assert speed == work(task) / task.deadline
+                    assert classify(task, speed) is TaskClass.LIGHT
+                    continue
+                assert heavy_processor_allocation(task, speed) <= k
+                below = heavy_processor_allocation(task, speed - Fraction(1, 10**12))
+                assert below is None or below > k
+                checked += 1
+    assert checked > 500
+
+
+def test_allocator_classifies_each_task_once(monkeypatch):
+    calls = []
+
+    def counting(task, speed):
+        calls.append(task.id)
+        return classify(task, speed)
+
+    monkeypatch.setattr(fedsched.federated, "classify", counting)
+    ts = reference_set()
+    for speed in (4, 6, 10):
+        calls.clear()
+        allocate_federated(ts, Platform(10, Fraction(speed)))
+        assert sorted(calls) == [task.id for task in ts]
+
+
+def test_retry_speed_of_each_infeasible_kind():
+    # heavy clusters alone: tasks 2..10 turn light at work/deadline = 5
+    ts = reference_set()
+    assert allocate_federated(ts, Platform(10, Fraction(4))).retry_speed == 5
+    below = allocate_federated(ts, Platform(10, 5 - Fraction(1, 10**9)))
+    assert isinstance(below, Infeasible) and below.retry_speed == 5
+    # a light task that does not fit: demand 5 by t = 3 fits from speed 5/3 on
+    pair = TaskSet(name="two", tasks=(seq_task(1, 2, 2), seq_task(2, 3, 3)))
+    assert allocate_federated(pair, Platform(1, Fraction(1))).retry_speed == Fraction(5, 3)
+    assert isinstance(
+        allocate_federated(pair, Platform(1, Fraction(5, 3))), FederatedAllocation
+    )
+    # utilization 1 of two recurring tasks fits from speed 1 on
+    busy = TaskSet(name="u", tasks=(seq_task(1, 1, 2, 2), seq_task(2, 1, 2, 2)))
+    assert allocate_federated(busy, Platform(1, Fraction(3, 4))).retry_speed == 1
+    assert isinstance(allocate_federated(busy, Platform(1, Fraction(1))), FederatedAllocation)
+    # no cluster size suffices: span 4, work 6, deadline 3 on 2 processors
+    # fits from (4 + (6 - 4)/2)/3 = 5/3 on
+    chain = DagTask(
+        id=1,
+        wcet_total=6,
+        deadline=3,
+        period=None,
+        subtasks=tuple(Subtask(i, Fraction(2)) for i in (1, 2, 3)),
+        edges=((1, 2),),
+    )
+    one = TaskSet(name="c", tasks=(chain,))
+    result = allocate_federated(one, Platform(2, Fraction(1)))
+    assert result.processors_needed is None and result.retry_speed == Fraction(5, 3)
+    assert isinstance(allocate_federated(one, Platform(2, Fraction(5, 3))), FederatedAllocation)
+    # a negative deadline fits at no speed
+    late = TaskSet(name="z", tasks=(seq_task(1, 1, -1),))
+    assert allocate_federated(late, Platform(1, Fraction(1))).retry_speed is None

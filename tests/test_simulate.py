@@ -124,6 +124,17 @@ def test_release_table_has_a_budget(monkeypatch):
             run(period)
 
 
+def test_negative_wcet_is_an_error_not_a_hang():
+    # a job with negative work never finishes: refused before any release
+    ts = TaskSet(name="n", tasks=(seq_task(1, -1, 5),))
+    with pytest.raises(ValueError, match="task 1: a negative wcet never finishes"):
+        simulate_partitioned_edf(ts, one_processor(ts), Platform(1, Fraction(1)))
+    # a zero wcet is still simulated
+    ts = TaskSet(name="z", tasks=(seq_task(1, 0, 5),))
+    trace = simulate_partitioned_edf(ts, one_processor(ts), Platform(1, Fraction(1)))
+    assert trace.misses == () and check_trace(ts, trace) == []
+
+
 def test_negative_horizon_is_an_error():
     ts = TaskSet(name="p", tasks=(seq_task(1, 2, 5, period=Fraction(5)),))
     with pytest.raises(ValueError, match="horizon must be nonnegative, got -5"):
