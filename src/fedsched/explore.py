@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .feasibility import (
-    Item,
+    _first_violation,
     partition_by_subtask_index,
     partitioned_feasible,
-    uniprocessor_edf_feasible,
 )
 from .federated import (
     Infeasible,
@@ -31,8 +30,8 @@ from .federated import (
     total_demand_lower_bound,
 )
 from .generate import CounterexampleParams, build_counterexample
-from .model import DagTask, Platform, TaskSet, validate_task_set
-from .simulate import simulate_list_schedule, simulate_partitioned_edf
+from .model import Platform, TaskSet, validate_task_set
+from .simulate import _unit_makespan, simulate_partitioned_edf
 
 
 @dataclass(frozen=True)
@@ -70,10 +69,16 @@ def min_feasible_speed_federated(ts: TaskSet, processors: int) -> Fraction:
     if not ts.tasks or processors < 1 or validate_task_set(ts):
         raise ValueError("needs a valid, nonempty task set and a processor")
 
+    ticks = ts._ticks
+
+    def cluster_size(i: int, speed: Fraction) -> int | None:
+        p, q = speed.numerator, speed.denominator
+        return _cluster_size(ticks.work[i], ticks.span[i], ticks.deadline[i], p, q)
+
     def clusters_fit(speed: Fraction) -> bool:
         sizes = [
-            _cluster_size(task, speed)
-            for task in ts
+            cluster_size(i, speed)
+            for i, task in enumerate(ts)
             if classify(task, speed) is TaskClass.HEAVY
         ]
         return None not in sizes and sum(sizes) <= processors
@@ -82,10 +87,9 @@ def min_feasible_speed_federated(ts: TaskSet, processors: int) -> Fraction:
     # drops to k at _size_speed(task, k), to none at k = 1 (work/deadline)
     low = max(_size_speed(task, processors) for task in ts)
     drops = {low}
-    for task in ts:
+    for i, task in enumerate(ts):
         if classify(task, low) is TaskClass.HEAVY:
-            size = _cluster_size(task, low)
-            drops.update(_size_speed(task, k) for k in range(1, size))
+            drops.update(_size_speed(task, k) for k in range(1, cluster_size(i, low)))
     drops = sorted(drops)
     speed = drops[bisect_left(drops, True, key=clusters_fit)]
     while True:
@@ -156,26 +160,21 @@ def brute_force_federated_oracle(ts: TaskSet, plat: Platform) -> bool:
         raise ValueError(f"oracle is capped at 5 tasks, got {len(ts)}")
     if plat.processors > 4:
         raise ValueError(f"oracle is capped at 4 processors, got {plat.processors}")
-    speed = plat.speed
-    tasks = list(ts.tasks)
+    p, q = plat.speed.numerator, plat.speed.denominator
+    ticks = ts._ticks
     total = plat.processors
-    by_id = {t.id: t for t in tasks}
 
-    cluster_cache: dict[tuple[int, int], bool] = {}
-
-    def cluster_ok(task: DagTask, size: int) -> bool:
-        key = (task.id, size)
-        if key not in cluster_cache:
-            trace = simulate_list_schedule(task, size, speed)
-            cluster_cache[key] = trace.makespan <= task.deadline
-        return cluster_cache[key]
+    def cluster_ok(index: int, size: int) -> bool:
+        # the list schedule at speed p/q is the unit-speed one with every
+        # instant times q/p
+        return q * _unit_makespan(ts, index, size) <= p * ticks.deadline[index]
 
     group_cache: dict[frozenset[int], bool] = {}
 
     def group_ok(ids: frozenset[int]) -> bool:
         if ids not in group_cache:
-            items = [Item.of_task(by_id[i]) for i in sorted(ids)]
-            group_cache[ids] = uniprocessor_edf_feasible(items, speed)
+            items = [ticks.items[i] for i in sorted(ids)]
+            group_cache[ids] = _first_violation(items, p, q, ticks.scale) is None
         return group_cache[ids]
 
     def pack(shared: list[int], groups: list[set[int]], budget: int) -> bool:
@@ -198,15 +197,14 @@ def brute_force_federated_oracle(ts: TaskSet, plat: Platform) -> bool:
         return False
 
     def choose(idx: int, used: int, shared: list[int]) -> bool:
-        if idx == len(tasks):
+        if idx == len(ts):
             if not shared:
                 return True
             return pack(shared, [], total - used)
-        task = tasks[idx]
-        if choose(idx + 1, used, shared + [task.id]):
+        if choose(idx + 1, used, shared + [idx]):
             return True
         for size in range(1, total - used + 1):
-            if cluster_ok(task, size):
+            if cluster_ok(idx, size):
                 if choose(idx + 1, used + size, shared):
                     return True
                 # a larger cluster only spends more budget on the same task,

@@ -9,19 +9,21 @@ speed s meets all deadlines iff cumulative demand never outruns supply:
     for every t:  sum over items of dbf(item, t)  <=  s * t
 
 and because each item's demand is a right-continuous step function, only
-the finitely many step instants need checking.
+the finitely many step instants need checking.  The scan runs on int
+ticks (see :class:`fedsched.model._Ticks`), with a speed p/q entering as
+``q * demand <= p * t``; the public functions take rationals and scale
+them per call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from math import lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .model import DagTask, Platform, TaskSet
+from .model import DagTask, Platform, TaskSet, _in_ticks, _tick
 from .rational import format_rational
 
 # Most step instants one demand scan may enumerate, and most subtask jobs
@@ -56,14 +58,24 @@ def _as_item(spec: Item | Sequence) -> Item:
     )
 
 
-def _rational_lcm(values: Iterable[Fraction]) -> Fraction:
-    """Least positive rational that is an integer multiple of every input."""
-    num, den = 1, 0
-    for v in values:
-        v = Fraction(v)
-        num = math.lcm(num, v.numerator)
-        den = math.gcd(den, v.denominator)
-    return Fraction(num, den)
+def _scaled(
+    specs: Iterable[Item | Sequence],
+) -> tuple[int, list[tuple[int, int, int | None]]]:
+    """The tick of some items and each as (work, deadline, period) in ints
+    of that tick: how the public demand functions enter the engine."""
+    items = [_as_item(spec) for spec in specs]
+    scale = _tick(v for it in items for v in it)
+    return scale, [tuple(_in_ticks(v, scale) for v in it) for it in items]
+
+
+def _horizon(items: list[tuple[int, int, int | None]]) -> int:
+    """:func:`default_horizon` of int items, in their ticks: the lcm of
+    ticks is the tick count of the rationals' lcm."""
+    horizon = max([d for _, d, _ in items], default=0)
+    periods = [per for _, _, per in items if per is not None]
+    if periods:
+        horizon += 2 * lcm(*periods)
+    return horizon
 
 
 def default_horizon(items: Iterable[Item | Sequence]) -> Fraction:
@@ -79,49 +91,47 @@ def default_horizon(items: Iterable[Item | Sequence]) -> Fraction:
     utilization stays below the speed it stops at the sooner of this
     horizon and the L_a bound.
     """
-    items = [_as_item(it) for it in items]
-    if not items:
-        return Fraction(0)
-    horizon = max(it.deadline for it in items)
-    periods = [it.period for it in items if it.period is not None]
-    if periods:
-        horizon += 2 * _rational_lcm(periods)
-    return horizon
+    scale, ticks = _scaled(items)
+    return Fraction(_horizon(ticks), scale)
 
 
 def _demand_steps(
-    items: list[Item], horizon: Fraction
-) -> list[tuple[Fraction, Fraction]]:
+    items: list[tuple[int, int, int | None]], horizon: int | Fraction, scale: int
+) -> list[tuple[int, int]]:
     """Every instant up to ``horizon`` where the summed dbf of ``items``
     steps, with the height of the step there, in increasing time order.
 
+    Items are (work, deadline, period) and every value, the horizon too,
+    is in ticks of ``1/scale``; ``scale`` is read only for messages.
     Each item's step instants (its deadline, then every ``period`` after
     it while within the horizon) are enumerated once and its work is
     added to the step at each.  Raises ValueError, before enumerating,
     when that takes more than ``MAX_DEMAND_STEPS`` step instants.
     """
-    counts = []
-    for it in items:
-        if it.period is None:
-            counts.append(1)
-        elif it.period <= 0:
-            raise ValueError(f"period must be positive, got {it.period}")
+    last = horizon // 1  # the last whole tick within the horizon
+    total = 0
+    for _, deadline, period in items:
+        if period is None:
+            total += 1
+        elif period <= 0:
+            raise ValueError(f"period must be positive, got {Fraction(period, scale)}")
         else:
-            counts.append((horizon - it.deadline) // it.period + 1)
-    if sum(counts) > MAX_DEMAND_STEPS:
+            total += (last - deadline) // period + 1
+    if total > MAX_DEMAND_STEPS:
         raise ValueError(
-            f"demand scan to horizon {format_rational(horizon)} needs "
-            f"{sum(counts)} step instants, more than the limit of "
+            f"demand scan to horizon {format_rational(Fraction(horizon) / scale)} "
+            f"needs {total} step instants, more than the limit of "
             f"{MAX_DEMAND_STEPS}"
         )
-    steps: dict[Fraction, Fraction] = {}
-    for it, count in zip(items, counts):
-        t = it.deadline
-        for k in range(count):
-            if k:
-                t += it.period
-            steps[t] = steps[t] + it.work if t in steps else it.work
-    return sorted(steps.items(), key=itemgetter(0))
+    steps: dict[int, int] = {}
+    get = steps.get
+    for work, deadline, period in items:
+        if period is None:
+            steps[deadline] = get(deadline, 0) + work
+        else:
+            for t in range(deadline, last + 1, period):
+                steps[t] = get(t, 0) + work
+    return sorted(steps.items())
 
 
 @dataclass(frozen=True)
@@ -153,12 +163,12 @@ def demand_profile(items: Iterable[Item | Sequence]) -> DemandProfile:
     steps is the total demand at each instant.  Raises ValueError when
     the scan needs more than ``MAX_DEMAND_STEPS`` step instants.
     """
-    items = [_as_item(it) for it in items]
+    scale, ticks = _scaled(items)
     breakpoints = []
-    total = Fraction(0)
-    for t, step in _demand_steps(items, default_horizon(items)):
+    total = 0
+    for t, step in _demand_steps(ticks, _horizon(ticks), scale):
         total += step
-        breakpoints.append((t, total))
+        breakpoints.append((Fraction(t, scale), Fraction(total, scale)))
     return DemandProfile(tuple(breakpoints))
 
 
@@ -194,37 +204,40 @@ def uniprocessor_edf_feasible(
     speed = Fraction(speed)
     if speed <= 0:
         raise ValueError(f"speed must be positive, got {speed}")
-    return _first_violation([_as_item(it) for it in items], speed) is None
+    scale, ticks = _scaled(items)
+    return _first_violation(ticks, speed.numerator, speed.denominator, scale) is None
 
 
 def _first_violation(
-    items: list[Item], speed: Fraction
-) -> tuple[Fraction, Fraction] | None:
-    """The scan of :func:`uniprocessor_edf_feasible` on Items: None if the
-    test passes, else (demand, t) at the first instant where demand >
-    speed*t, or (U, 1) when U > speed; it fails at every speed < demand/t."""
-    recurring = [it for it in items if it.period is not None]
-    utilization = sum((it.work / it.period for it in recurring), Fraction(0))
-    if utilization > speed:
-        return utilization, Fraction(1)
-    horizon = default_horizon(items)
-    # with no recurring item the horizon is the largest deadline, within L
-    if recurring and utilization < speed and all(it.work >= 0 for it in items):
-        offset = sum(
-            (
-                it.work
-                if it.period is None
-                else max(0, it.period - it.deadline) * it.work / it.period
-                for it in items
-            ),
-            Fraction(0),
-        )
-        deadline = max(it.deadline for it in items)
-        horizon = min(horizon, max(deadline, offset / (speed - utilization)))
-    demand = Fraction(0)
-    for t, step in _demand_steps(items, horizon):
+    items: list[tuple[int, int, int | None]], p: int, q: int, scale: int
+) -> tuple[int, int] | None:
+    """The scan of :func:`uniprocessor_edf_feasible` on int items in ticks
+    of ``1/scale`` at speed ``p/q``: None if the test passes, else a pair
+    (a, b) such that it fails at every speed below a/b.  That is (demand,
+    t) at the first instant where q*demand > p*t, or U as a pair when
+    U > p/q (U is a ratio of ticks, so the scale cancels in both)."""
+    # with no recurring item this is the largest deadline, within L
+    horizon = _horizon(items)
+    periods = [per for _, _, per in items if per is not None]
+    if periods:
+        hyper = lcm(*periods)
+        # U = used / hyper: each recurring item's work per hyperperiod
+        used = sum(w * (hyper // per) for w, _, per in items if per is not None)
+        if q * used > p * hyper:
+            return used, hyper
+        slack = p * hyper - q * used  # (speed - U) * q * hyper
+        if slack > 0 and all(w >= 0 for w, _, _ in items):
+            offset = sum(  # N * hyper
+                w * hyper if per is None else max(0, per - d) * w * (hyper // per)
+                for w, d, per in items
+            )
+            bound = Fraction(offset * q, slack)  # L, in ticks
+            if bound < horizon:
+                horizon = max(max(d for _, d, _ in items), bound)
+    demand = 0
+    for t, step in _demand_steps(items, horizon, scale):
         demand += step
-        if demand > speed * t:
+        if q * demand > p * t:
             return demand, t
     return None
 

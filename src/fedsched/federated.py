@@ -10,7 +10,6 @@ the whole approach on the adversarial family, and a concrete allocator.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -18,7 +17,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .feasibility import Item, _first_violation
-from .model import DagTask, Platform, TaskSet, span, work
+from .model import DagTask, Platform, TaskSet
 
 
 class TaskClass(Enum):
@@ -33,8 +32,14 @@ def classify(task: DagTask, speed: Fraction) -> TaskClass:
     time on one processor).  The strictness matters: several identities in
     this package sit exactly on it.
     """
-    speed = Fraction(speed)
-    if work(task) > speed * task.deadline:
+    if type(speed) is not Fraction:  # the allocator calls this per task
+        speed = Fraction(speed)
+    w, d = task.work, task.deadline
+    # in ints: both sides times speed.denominator * w.denominator * d.denominator
+    if (
+        speed.denominator * w.numerator * d.denominator
+        > speed.numerator * d.numerator * w.denominator
+    ):
         return TaskClass.HEAVY
     return TaskClass.LIGHT
 
@@ -53,12 +58,18 @@ def heavy_demand_lower_bound(task: DagTask, speed: Fraction) -> int:
             f"task {task.id} is light at speed {speed}; "
             "the demand bound applies to heavy tasks only"
         )
-    return _demand_bound(task, speed)
+    return _demand_bound(task.work, task.deadline, speed.numerator, speed.denominator)
 
 
-def _demand_bound(task: DagTask, speed: Fraction) -> int:
-    # heavy_demand_lower_bound for a task already classified heavy
-    return math.ceil(task.work / (task.deadline * speed))
+# The rules below take a task's times as numbers on one scale (ints in
+# ticks from the allocator, rationals from the public forms) and a speed
+# p/q as two ints; they only multiply and floor-divide, so ints stay ints.
+
+
+def _demand_bound(work, deadline, p: int, q: int) -> int:
+    """ceil(work / (deadline * speed)): heavy_demand_lower_bound for a
+    task already classified heavy."""
+    return -(-q * work // (p * deadline))
 
 
 def total_demand_lower_bound(ts: TaskSet, speed: Fraction) -> int:
@@ -109,22 +120,31 @@ def heavy_processor_allocation(task: DagTask, speed: Fraction) -> int | None:
         raise ValueError(
             f"task {task.id} is light at speed {speed}; clusters are for heavy tasks"
         )
-    return _cluster_size(task, speed)
+    return _cluster_size(
+        task.work, task.span, task.deadline, speed.numerator, speed.denominator
+    )
 
 
-def _cluster_size(task: DagTask, speed: Fraction) -> int | None:
-    # heavy_processor_allocation for a task already classified heavy
-    budget = speed * task.deadline
-    if budget <= task.span:
+def _cluster_size(work, span, deadline, p: int, q: int) -> int | None:
+    """ceil((work - span) / (speed * deadline - span)), at least 1, or None
+    when speed * deadline <= span: heavy_processor_allocation for a task
+    already classified heavy."""
+    budget = p * deadline - q * span  # (speed * deadline - span) * q
+    if budget <= 0:
         return None
-    return max(1, math.ceil((task.work - task.span) / (budget - task.span)))
+    return max(1, -(-q * (work - span) // budget))
+
+
+def _size_ratio(work, span, deadline, k: int) -> tuple:
+    """The inverse of :func:`_cluster_size` as a pair (a, b): the least
+    speed a/b at which a heavy task's cluster size is at most ``k``, where
+    span + (work - span)/k fits in speed * deadline."""
+    return k * span + work - span, k * deadline
 
 
 def _size_speed(task: DagTask, k: int) -> Fraction:
-    """The inverse of :func:`heavy_processor_allocation`: the least speed
-    at which a heavy task's cluster size is at most ``k``, where
-    span + (work - span)/k fits in speed * deadline."""
-    return (task.span + (task.work - task.span) / k) / task.deadline
+    """:func:`_size_ratio` of ``task`` as a speed."""
+    return Fraction(*_size_ratio(task.work, task.span, task.deadline, k))
 
 
 @dataclass(frozen=True)
@@ -156,11 +176,12 @@ class Infeasible:
     """A negative allocation verdict and the certificate behind it.
 
     demand_lower_bound is the summed heavy-task demand bound (None when
-    no task is heavy); processors_needed is how many processors the
-    allocator would have required to continue (None when no finite count
-    helps).  retry_speed is a certificate: the allocator is infeasible at
-    every speed in [platform speed, retry_speed), or at every higher
-    speed when it is None.
+    no task is heavy, or when a heavy task's deadline is not positive and
+    no count of processors suffices); processors_needed is how many
+    processors the allocator would have required to continue (None when
+    no finite count helps).  retry_speed is a certificate: the allocator
+    is infeasible at every speed in [platform speed, retry_speed), or at
+    every higher speed when it is None.
     """
 
     reason: str
@@ -200,33 +221,48 @@ def allocate_federated(
     run stays the same up to the least r of the decisions that failed,
     which Infeasible reports as retry_speed.
     """
-    speed = plat.speed
+    speed, ticks = plat.speed, ts._ticks
+    p, q = speed.numerator, speed.denominator
     classes = [classify(task, speed) for task in ts]
-    heavy = [t for t, c in zip(ts, classes) if c is TaskClass.HEAVY]
-    light = [t for t, c in zip(ts, classes) if c is TaskClass.LIGHT]
-    demand = sum(_demand_bound(t, speed) for t in heavy) if heavy else None
-    flips: list[Fraction] = []
+    heavy = [i for i, c in enumerate(classes) if c is TaskClass.HEAVY]
+    light = [i for i, c in enumerate(classes) if c is TaskClass.LIGHT]
+    demand = None
+    # a heavy task with a nonpositive deadline fits on no count of processors
+    if heavy and all(ticks.deadline[i] > 0 for i in heavy):
+        demand = sum(_demand_bound(ticks.work[i], ticks.deadline[i], p, q) for i in heavy)
+    # each decision that failed, as the pair (a, b) of the speed a/b from
+    # which it holds; retry_speed is the least of them
+    flips: list[tuple[int, int]] = []
+
+    def retry_speed() -> Fraction | None:
+        return min((Fraction(a, b) for a, b in flips), default=None)
 
     grants: dict[int, int] = {}
-    for task in heavy:
-        size = _cluster_size(task, speed)
+    for i in heavy:
+        task, work, deadline = ts.tasks[i], ticks.work[i], ticks.deadline[i]
+        span_ticks = ticks.span[i]
+        if span_ticks is None:
+            task.span  # raises: the task has a dependency cycle
+        size = _cluster_size(work, span_ticks, deadline, p, q)
         if size is None:
             # below this retry speed the task alone needs the whole platform
             return Infeasible(
                 reason=(
-                    f"task {task.id}: critical path {span(task)} needs more than "
+                    f"task {task.id}: critical path {task.span} needs more than "
                     f"the deadline budget {speed * task.deadline}; "
                     "no cluster size suffices"
                 ),
                 processors_needed=None,
                 demand_lower_bound=demand,
                 retry_speed=(
-                    _size_speed(task, plat.processors) if task.deadline > 0 else None
+                    Fraction(*_size_ratio(work, span_ticks, deadline, plat.processors))
+                    if deadline > 0
+                    else None
                 ),
             )
         grants[task.id] = size
         # the cluster (size >= 2) first shrinks here, by work/deadline at latest
-        flips.append(_size_speed(task, size - 1))
+        flips.append(_size_ratio(work, span_ticks, deadline, size - 1))
     used = sum(grants.values())
     if used > plat.processors:
         return Infeasible(
@@ -236,21 +272,21 @@ def allocate_federated(
             ),
             processors_needed=used,
             demand_lower_bound=demand,
-            retry_speed=min(flips),
+            retry_speed=retry_speed(),
         )
 
-    shared: list[list[Item]] = []
+    shared: list[list[tuple[int, int, int | None]]] = []
     placement: dict[int, int] = {}
-    for task in sorted(light, key=lambda t: (t.deadline, t.id)):
-        item = Item.of_task(task)
+    for i in sorted(light, key=lambda i: (ticks.deadline[i], ts.tasks[i].id)):
+        task, item = ts.tasks[i], ticks.items[i]
         for idx, items in enumerate(shared):
-            violation = _first_violation(items + [item], speed)
+            violation = _first_violation(items + [item], p, q, ticks.scale)
             if violation is None:
                 items.append(item)
                 placement[task.id] = idx + 1
                 break
             if violation[1] > 0:
-                flips.append(violation[0] / violation[1])
+                flips.append(violation)
         else:
             if used + len(shared) + 1 > plat.processors:
                 return Infeasible(
@@ -261,7 +297,7 @@ def allocate_federated(
                     ),
                     processors_needed=used + len(shared) + 1,
                     demand_lower_bound=demand,
-                    retry_speed=min(flips, default=None),
+                    retry_speed=retry_speed(),
                 )
             shared.append([item])
             placement[task.id] = len(shared)

@@ -5,7 +5,9 @@ subtasks.  A ``None`` period marks a one-shot task (a single job, released
 at time 0).  Construction is deliberately permissive: structural problems
 are data, reported by :func:`validate_task_set`, not construction errors.
 All quantities are exact rationals; all types are immutable values and all
-operations are pure functions.
+operations are pure functions.  Inside, the decision layers read a task
+set's times as ints on one tick (see :class:`_Ticks`); ``Fraction`` is
+built only where values enter and leave the package.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping
+from math import lcm
+from typing import Iterable, Mapping, NamedTuple
 
 
 @dataclass(frozen=True)
@@ -140,6 +143,68 @@ class TaskSet:
 
     def __len__(self) -> int:
         return len(self.tasks)
+
+    @cached_property
+    def _ticks(self) -> _Ticks:
+        """The set's times in ticks, built on first use and kept like
+        ``DagTask``'s derived values."""
+        return _Ticks.of(self.tasks)
+
+
+def _tick(values: Iterable[Fraction | int | None]) -> int:
+    """The tick of a set of rationals: the lcm of their denominators (None
+    skipped), so that each is a whole number of ticks of 1/tick."""
+    return lcm(*(v.denominator for v in values if v is not None))
+
+
+def _in_ticks(value: Fraction | int | None, scale: int) -> int | None:
+    """``value * scale`` for a ``scale`` that ``value``'s denominator
+    divides; None stays None."""
+    return None if value is None else value.numerator * (scale // value.denominator)
+
+
+class _Ticks(NamedTuple):
+    """Every time of some tasks as an int count of ticks of ``1/scale``.
+
+    ``scale`` is the :func:`_tick` of every subtask wcet, deadline and
+    period, so work, span, deadlines, periods and wcets are all ints; the
+    tuples run in task order, ``wcets`` in each task's subtask order, and
+    ``span`` is None for a task with a dependency cycle.  A speed ``p/q``
+    enters the decisions only as ``q * x <= p * y`` between tick counts.
+    ``makespans`` caches the unit-speed list-schedule makespan, in ticks,
+    of each (task index, cluster size) pair that has been asked for.
+    """
+
+    scale: int
+    work: tuple[int, ...]
+    span: tuple[int | None, ...]
+    deadline: tuple[int, ...]
+    period: tuple[int | None, ...]
+    wcets: tuple[tuple[int, ...], ...]
+    items: tuple[tuple[int, int, int | None], ...]  # (work, deadline, period)
+    makespans: dict[tuple[int, int], int]
+
+    @classmethod
+    def of(cls, tasks: Iterable[DagTask]) -> _Ticks:
+        tasks = tuple(tasks)
+        scale = _tick(
+            v
+            for task in tasks
+            for v in (task.deadline, task.period, *(st.wcet for st in task.subtasks))
+        )
+
+        def each(values):
+            return tuple(_in_ticks(v, scale) for v in values)
+
+        work = each(task.work for task in tasks)
+        deadline = each(task.deadline for task in tasks)
+        period = each(task.period for task in tasks)
+        span = each(
+            None if task.topological_order is None else task.span for task in tasks
+        )
+        wcets = tuple(each(st.wcet for st in task.subtasks) for task in tasks)
+        items = tuple(zip(work, deadline, period))
+        return cls(scale, work, span, deadline, period, wcets, items, {})
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Exact rational values and their text encoding.
 
-All times, demands and processor speeds in this package are
-arbitrary-precision rationals (``fractions.Fraction``), so comparisons that
-sit exactly on ceiling-function discontinuities are decided without
-rounding.  Files and CLI streams encode rationals with the grammar:
+All times, demands and processor speeds that enter or leave this package
+are arbitrary-precision rationals (``fractions.Fraction``); inside, the
+decision layers compare them as exact ints on one tick per task set.  So
+comparisons that sit exactly on ceiling-function discontinuities are
+decided without rounding.  Files and CLI streams encode rationals with the grammar:
 optional sign, digits, optionally "/" followed by digits.
 """
 

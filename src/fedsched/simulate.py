@@ -3,9 +3,10 @@
 Two engines: preemptive earliest-deadline-first independently on each
 processor of a static partition, and non-preemptive greedy execution of
 one DAG job on a dedicated cluster.  Both advance from event to event on
-rational timestamps, so a completion that analytically lands exactly on a
-deadline lands exactly on it in the trace too.  Both are deterministic:
-identical inputs produce identical traces.
+exact int ticks of the task set (see :class:`fedsched.model._Ticks`) and
+build ``Fraction`` timestamps only for the trace, so a completion that
+analytically lands exactly on a deadline lands exactly on it in the trace
+too.  Both are deterministic: identical inputs produce identical traces.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -24,7 +24,7 @@ from .feasibility import (
     _partition_items,
     default_horizon,
 )
-from .model import DagTask, Platform, TaskSet
+from .model import DagTask, Platform, TaskSet, _Ticks
 from .rational import format_rational
 
 
@@ -162,10 +162,11 @@ def simulate_partitioned_edf(
     never finish) or when the horizon admits more than
     ``MAX_DEMAND_STEPS`` subtask jobs.
 
-    Events run on integer ticks of ``1/scale``, where ``scale`` is the lcm
-    of the denominators of every deadline, period and ``wcet / speed``, so
-    every release, deadline and event instant is an exact tick count;
-    only the returned endpoints are built as ``Fraction``.
+    Events run on integer ticks of ``1/(S*p)``, where ``S`` is the task
+    set's tick (the lcm of the denominators of every wcet, deadline and
+    period) and ``p/q`` the speed, so every release, deadline and event
+    instant is an exact tick count; only the returned endpoints are
+    built as ``Fraction``.
     """
     by_proc = _partition_items(ts, pa, plat)
     if horizon is None:
@@ -191,32 +192,24 @@ def simulate_partitioned_edf(
             f"subtask jobs, more than the limit of {MAX_DEMAND_STEPS}"
         )
 
-    speed = plat.speed
-    execution = [[st.wcet / speed for st in task.subtasks] for task in ts]
-    scale = lcm(
-        *(task.deadline.denominator for task in ts),
-        *(task.period.denominator for task in ts if task.period is not None),
-        *(e.denominator for times in execution for e in times),
-    )
-
-    def ticks(value: Fraction) -> int:
-        return value.numerator * (scale // value.denominator)
-
-    # release instants in ticks; a one-shot task's one job is released at 0
-    release_table = {
-        task.id: [
-            k * ticks(task.period or Fraction(0))
-            for k in range(_job_count(task, horizon))
-        ]
-        for task in ts
-    }
+    # ticks of 1/(S*p) for the set's tick S and speed p/q: a time of x
+    # ticks of 1/S is x*p of them, and wcet w runs for w*q of them
+    speed, ticks = plat.speed, ts._ticks
+    p, q = speed.numerator, speed.denominator
+    scale = ticks.scale * p
+    # release instants; a one-shot task's one job is released at 0
+    release_table = [
+        [k * (period or 0) * p for k in range(_job_count(task, horizon))]
+        for task, period in zip(ts, ticks.period)
+    ]
     jobs_by_proc: dict[int, list[tuple[int, int, int, int, int]]] = {}
-    for task, times in zip(ts, execution):
-        deadline = ticks(task.deadline)
-        releases = release_table[task.id]
-        for st, e in zip(task.subtasks, times):
+    for task, releases, deadline, wcets in zip(
+        ts, release_table, ticks.deadline, ticks.wcets
+    ):
+        deadline *= p
+        for st, wcet in zip(task.subtasks, wcets):
             proc_jobs = jobs_by_proc.setdefault(pa.mapping[(task.id, st.id)], [])
-            work = ticks(e)
+            work = wcet * q
             proc_jobs.extend((r, r + deadline, task.id, st.id, work) for r in releases)
 
     # the subtask jobs of one task job share its deadline, so the job is
@@ -232,9 +225,9 @@ def simulate_partitioned_edf(
         )
 
     missed: list[tuple[int, int, int]] = []  # (deadline, task id, completion)
-    for task in ts:
-        deadline = ticks(task.deadline)
-        for r in release_table[task.id]:
+    for task, releases, deadline in zip(ts, release_table, ticks.deadline):
+        deadline *= p
+        for r in releases:
             done = late.get((task.id, r), r)  # a job with no subtasks is done at release
             if done > r + deadline:
                 missed.append((r + deadline, task.id, done))
@@ -251,41 +244,35 @@ def simulate_partitioned_edf(
     )
 
 
-def simulate_list_schedule(task: DagTask, m: int, speed: Fraction) -> ScheduleTrace:
-    """Run one job of ``task`` on a dedicated cluster of ``m`` processors,
-    greedily and non-preemptively.
+def _list_schedule(
+    task: DagTask, wcets: tuple[int, ...], m: int
+) -> list[tuple[int, int, int, int]]:
+    """Greedy list schedule of one job of ``task`` on ``m`` unit-speed
+    processors, on int times: ``wcets`` are its subtask wcets in ticks, in
+    subtask order.  Returns (start, processor, subtask, end) for every
+    run of positive length, sorted by (start, processor).
 
-    Whenever a processor is free and some subtask is ready (all its
-    predecessors completed), the ready subtask with the lowest id starts
-    on the free processor with the lowest index and runs to completion.
-    Completions at the same instant are all processed before anything new
-    starts.  The trace's horizon is None (single job, released at 0).
+    At speed p/q the same schedule runs with every instant times q/p:
+    each choice compares instants only, and scaling keeps their order.
     """
-    speed = Fraction(speed)
-    if m < 1:
-        raise ValueError(f"cluster size must be at least 1, got {m}")
-    if speed <= 0:
-        raise ValueError(f"speed must be positive, got {speed}")
     if task.topological_order is None:
         raise ValueError(f"task {task.id}: dependency cycle among subtasks")
-    wcet = {st.id: st.wcet for st in task.subtasks}
+    wcet = dict(zip((st.id for st in task.subtasks), wcets))
     succ = task.successors
     pending = Counter(b for nexts in succ.values() for b in nexts)
-    ready = [sid for sid in sorted(succ) if pending[sid] == 0]
-    heapq.heapify(ready)
+    ready = [sid for sid in sorted(succ) if pending[sid] == 0]  # sorted: a heap
     free = list(range(1, m + 1))
-    heapq.heapify(free)
-    running: list[tuple[Fraction, int, int]] = []  # (end, processor, subtask)
-    intervals: list[Interval] = []
-    time = Fraction(0)
+    running: list[tuple[int, int, int]] = []  # (end, processor, subtask)
+    runs: list[tuple[int, int, int, int]] = []
+    time = 0
     while ready or running:
         while ready and free:
             sid = heapq.heappop(ready)
             proc = heapq.heappop(free)
-            end = time + wcet[sid] / speed
+            end = time + wcet[sid]
             heapq.heappush(running, (end, proc, sid))
             if end > time:
-                intervals.append(Interval(proc, task.id, sid, time, end))
+                runs.append((time, proc, sid, end))
         if not running:
             break
         time = running[0][0]
@@ -296,15 +283,52 @@ def simulate_list_schedule(task: DagTask, m: int, speed: Fraction) -> ScheduleTr
                 pending[nxt] -= 1
                 if pending[nxt] == 0:
                     heapq.heappush(ready, nxt)
+    runs.sort(key=itemgetter(0, 1))
+    return runs
 
-    intervals.sort(key=lambda iv: (iv.start, iv.processor))
-    makespan = max((iv.end for iv in intervals), default=Fraction(0))
+
+def _unit_makespan(ts: TaskSet, index: int, m: int) -> int:
+    """Makespan of :func:`_list_schedule` for task ``index`` of ``ts`` on
+    ``m`` processors, in the set's ticks, kept in its tick view."""
+    ticks = ts._ticks
+    key = (index, m)
+    if key not in ticks.makespans:
+        runs = _list_schedule(ts.tasks[index], ticks.wcets[index], m)
+        ticks.makespans[key] = max((run[3] for run in runs), default=0)
+    return ticks.makespans[key]
+
+
+def simulate_list_schedule(task: DagTask, m: int, speed: Fraction) -> ScheduleTrace:
+    """Run one job of ``task`` on a dedicated cluster of ``m`` processors,
+    greedily and non-preemptively.
+
+    Whenever a processor is free and some subtask is ready (all its
+    predecessors completed), the ready subtask with the lowest id starts
+    on the free processor with the lowest index and runs to completion.
+    Completions at the same instant are all processed before anything new
+    starts.  The trace's horizon is None (single job, released at 0).
+
+    The schedule runs at unit speed on the task's ticks (see
+    :class:`fedsched.model._Ticks`); at speed ``p/q`` an instant of x
+    ticks of 1/S is ``Fraction(x*q, S*p)``.
+    """
+    speed = Fraction(speed)
+    if m < 1:
+        raise ValueError(f"cluster size must be at least 1, got {m}")
+    if speed <= 0:
+        raise ValueError(f"speed must be positive, got {speed}")
+    ticks = _Ticks.of((task,))
+    q, scale = speed.denominator, ticks.scale * speed.numerator
+    runs = _list_schedule(task, ticks.wcets[0], m)
+    intervals = tuple(
+        Interval(proc, task.id, sid, Fraction(start * q, scale), Fraction(end * q, scale))
+        for start, proc, sid, end in runs
+    )
+    makespan = Fraction(max((run[3] for run in runs), default=0) * q, scale)
     misses: tuple[DeadlineMiss, ...] = ()
     if makespan > task.deadline:
         misses = (DeadlineMiss(task.id, task.deadline, makespan),)
-    return ScheduleTrace(
-        speed=speed, horizon=None, intervals=tuple(intervals), misses=misses
-    )
+    return ScheduleTrace(speed=speed, horizon=None, intervals=intervals, misses=misses)
 
 
 def check_trace(ts: TaskSet, trace: ScheduleTrace) -> list[str]:

@@ -311,3 +311,13 @@ def test_retry_speed_of_each_infeasible_kind():
     # a negative deadline fits at no speed
     late = TaskSet(name="z", tasks=(seq_task(1, 1, -1),))
     assert allocate_federated(late, Platform(1, Fraction(1))).retry_speed is None
+
+
+def test_nonpositive_deadline_fits_on_no_cluster():
+    # a heavy task due at or before its release: no demand bound, no retry
+    for deadline in (0, -1):
+        ts = TaskSet(name="d", tasks=(seq_task(1, 2, deadline),))
+        result = allocate_federated(ts, Platform(2, Fraction(1)))
+        assert isinstance(result, Infeasible)
+        assert result.processors_needed is None
+        assert result.demand_lower_bound is None and result.retry_speed is None
