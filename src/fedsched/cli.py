@@ -18,16 +18,17 @@ import sys
 
 from .explore import speedup_sweep
 from .feasibility import (
-    demand_profile,
+    _assigned,
+    _demand_table,
+    _tick_items,
     partition_by_subtask_index,
     partitioned_feasible,
-    processor_items,
 )
 from .federated import Infeasible, allocate_federated
 from .generate import CounterexampleParams, build_counterexample
 from .model import Platform, TaskSet, validate_task_set
-from .rational import format_rational, parse_rational
-from .simulate import simulate_partitioned_edf
+from .rational import format_rational, format_ticks, parse_rational
+from .simulate import _simulate_ticks
 from .taskio import dump_task_set, read_task_set
 
 
@@ -126,6 +127,28 @@ def _emit(doc: dict) -> None:
     sys.stdout.write("\n")
 
 
+# analyze's document as _emit lays it out.  Its shape is fixed and it holds
+# only ints and rational-strings, which need no escaping, so it is written
+# from these templates without the JSON encoder walking every point.
+_ANALYZE_DOC = (
+    '{{\n  "verdict": "{}",\n  "speed": "{}",\n  "processors": {},\n'
+    '  "per_processor_demand": {}\n}}\n'
+)
+_TABLE = '    {{\n      "processor": {},\n      "points": {}\n    }}'
+_POINT = (
+    '        {{\n          "t": "{}",\n          "demand": "{}",\n'
+    '          "capacity": "{}"\n        }}'
+)
+
+
+def _json_list(entries: list[str], indent: str) -> str:
+    """A JSON list of already encoded ``entries`` as ``json.dump(indent=2)``
+    lays it out, closing at ``indent``."""
+    if not entries:
+        return "[]"
+    return "[\n" + ",\n".join(entries) + f"\n{indent}]"
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
     params = CounterexampleParams(args.m, args.n, parse_rational(args.k))
     ts = build_counterexample(params)
@@ -160,28 +183,27 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     plat = Platform(args.processors, parse_rational(args.speed))
     pa = partition_by_subtask_index(ts, plat.processors)
     feasible = partitioned_feasible(ts, pa, plat)
-    table = []
-    for proc, items in sorted(processor_items(ts, pa).items()):
+    verdict = "feasible" if feasible else "infeasible"
+    speed = format_rational(plat.speed)
+    # t and demand in ticks of 1/S; the capacity (p/q)*t as p*t ticks of 1/(q*S)
+    scale = ts._ticks.scale
+    p, wide = plat.speed.numerator, scale * plat.speed.denominator
+    tables = []
+    for proc, placed in sorted(_assigned(ts, pa).items()):
         points = [
-            {
-                "t": format_rational(t),
-                "demand": format_rational(demand),
-                "capacity": format_rational(plat.speed * t),
-            }
-            for t, demand in demand_profile(items).breakpoints
+            _POINT.format(
+                format_ticks(t, scale),
+                format_ticks(demand, scale),
+                format_ticks(p * t, wide),
+            )
+            for t, demand in _demand_table(_tick_items(ts, placed), scale)
         ]
-        table.append({"processor": proc, "points": points})
-    _emit(
-        {
-            "verdict": "feasible" if feasible else "infeasible",
-            "speed": format_rational(plat.speed),
-            "processors": plat.processors,
-            "per_processor_demand": table,
-        }
+        tables.append(_TABLE.format(proc, _json_list(points, "      ")))
+    sys.stdout.write(
+        _ANALYZE_DOC.format(verdict, speed, plat.processors, _json_list(tables, "  "))
     )
     print(
-        f"{ts.name}: {'feasible' if feasible else 'infeasible'} at speed "
-        f"{format_rational(plat.speed)} on {plat.processors} processor(s)",
+        f"{ts.name}: {verdict} at speed {speed} on {plat.processors} processor(s)",
         file=sys.stderr,
     )
     return 0 if feasible else 1
@@ -230,25 +252,26 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     plat = Platform(args.processors, parse_rational(args.speed))
     horizon = None if args.horizon is None else parse_rational(args.horizon)
     pa = partition_by_subtask_index(ts, plat.processors)
-    trace = simulate_partitioned_edf(ts, pa, plat, horizon=horizon)
-    print("processor,task,subtask,start,end")
-    for iv in trace.intervals:
-        print(
-            f"{iv.processor},{iv.task},{iv.subtask},"
-            f"{format_rational(iv.start)},{format_rational(iv.end)}"
-        )
-    print(f"# misses={len(trace.misses)}")
-    for miss in trace.misses:
-        completion = (
-            "unfinished" if miss.completion is None else format_rational(miss.completion)
-        )
-        print(f"# miss,{miss.task},{format_rational(miss.deadline)},{completion}")
+    scale, _, runs, missed = _simulate_ticks(ts, pa, plat, horizon)
+    lines = ["processor,task,subtask,start,end"]
+    lines += [
+        f"{proc},{task},{subtask},"
+        f"{format_ticks(start, scale)},{format_ticks(end, scale)}"
+        for proc, task, subtask, start, end in runs
+    ]
+    lines.append(f"# misses={len(missed)}")
+    lines += [
+        f"# miss,{task},{format_ticks(deadline, scale)},{format_ticks(done, scale)}"
+        for deadline, task, done in missed
+    ]
+    sys.stdout.write("\n".join(lines) + "\n")
+    makespan = max((run[4] for run in runs), default=0)
     print(
-        f"{ts.name}: {len(trace.intervals)} interval(s), "
-        f"{len(trace.misses)} miss(es), makespan {format_rational(trace.makespan)}",
+        f"{ts.name}: {len(runs)} interval(s), "
+        f"{len(missed)} miss(es), makespan {format_ticks(makespan, scale)}",
         file=sys.stderr,
     )
-    return 0 if not trace.misses else 1
+    return 0 if not missed else 1
 
 
 def _parse_grid(spec: str) -> list[CounterexampleParams]:

@@ -31,7 +31,7 @@ from .federated import (
 )
 from .generate import CounterexampleParams, build_counterexample
 from .model import Platform, TaskSet, validate_task_set
-from .simulate import _unit_makespan, simulate_partitioned_edf
+from .simulate import _simulate_ticks, _unit_makespan
 
 
 @dataclass(frozen=True)
@@ -119,8 +119,8 @@ def speedup_sweep(grid: list[CounterexampleParams]) -> list[SpeedupRow]:
         unit = Platform(m, Fraction(1))
         feasible_at_1 = partitioned_feasible(ts, pa, unit)
         if feasible_at_1:
-            trace = simulate_partitioned_edf(ts, pa, unit)
-            feasible_at_1 = not trace.misses
+            _, _, _, missed = _simulate_ticks(ts, pa, unit, None)
+            feasible_at_1 = not missed
         bound = speedup_lower_bound(m, params.n_tasks, params.ratio)
         probe = bound * Fraction(999, 1000)
         demand = total_demand_lower_bound(ts, probe)

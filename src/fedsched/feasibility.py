@@ -157,6 +157,20 @@ class DemandProfile:
             )
 
 
+def _demand_table(
+    items: list[tuple[int, int, int | None]], scale: int
+) -> list[tuple[int, int]]:
+    """The (t, demand) pairs of :func:`demand_profile` for int items in
+    ticks of ``1/scale``, as ints of the same ticks: the running sum of
+    the steps out to the items' default horizon."""
+    table = []
+    total = 0
+    for t, step in _demand_steps(items, _horizon(items), scale):
+        total += step
+        table.append((t, total))
+    return table
+
+
 def demand_profile(items: Iterable[Item | Sequence]) -> DemandProfile:
     """Tabulate the summed dbf of ``items`` at every step instant up to
     :func:`default_horizon`, in one sorted sweep: the running sum of the
@@ -164,12 +178,12 @@ def demand_profile(items: Iterable[Item | Sequence]) -> DemandProfile:
     the scan needs more than ``MAX_DEMAND_STEPS`` step instants.
     """
     scale, ticks = _scaled(items)
-    breakpoints = []
-    total = 0
-    for t, step in _demand_steps(ticks, _horizon(ticks), scale):
-        total += step
-        breakpoints.append((Fraction(t, scale), Fraction(total, scale)))
-    return DemandProfile(tuple(breakpoints))
+    return DemandProfile(
+        tuple(
+            (Fraction(t, scale), Fraction(demand, scale))
+            for t, demand in _demand_table(ticks, scale)
+        )
+    )
 
 
 def uniprocessor_edf_feasible(
@@ -219,6 +233,9 @@ def _first_violation(
     # with no recurring item this is the largest deadline, within L
     horizon = _horizon(items)
     periods = [per for _, _, per in items if per is not None]
+    for per in periods:
+        if per <= 0:
+            raise ValueError(f"period must be positive, got {Fraction(per, scale)}")
     if periods:
         hyper = lcm(*periods)
         # U = used / hyper: each recurring item's work per hyperperiod
@@ -279,6 +296,24 @@ def partition_by_subtask_index(ts: TaskSet, processors: int) -> PartitionedAssig
     return PartitionedAssignment(mapping)
 
 
+def _assigned(
+    ts: TaskSet, pa: PartitionedAssignment
+) -> dict[int, list[tuple[int, int]]]:
+    """Per processor, (task index, subtask index) of each subtask assigned
+    to it, in task order and then subtask order.  Raises if the assignment
+    misses any subtask."""
+    by_proc: dict[int, list[tuple[int, int]]] = {}
+    for i, task in enumerate(ts):
+        for k, st in enumerate(task.subtasks):
+            proc = pa.mapping.get((task.id, st.id))
+            if proc is None:
+                raise ValueError(
+                    f"assignment does not cover task {task.id} subtask {st.id}"
+                )
+            by_proc.setdefault(proc, []).append((i, k))
+    return by_proc
+
+
 def processor_items(
     ts: TaskSet, pa: PartitionedAssignment
 ) -> dict[int, list[Item]]:
@@ -287,25 +322,21 @@ def processor_items(
     Each subtask becomes one item carrying its own wcet and its task's
     deadline and period.  Raises if the assignment misses any subtask.
     """
-    by_proc: dict[int, list[Item]] = {}
-    for task in ts:
-        for st in task.subtasks:
-            if (task.id, st.id) not in pa.mapping:
-                raise ValueError(
-                    f"assignment does not cover task {task.id} subtask {st.id}"
-                )
-            proc = pa.mapping[(task.id, st.id)]
-            by_proc.setdefault(proc, []).append(
-                Item(st.wcet, task.deadline, task.period)
-            )
-    return by_proc
+    tasks = ts.tasks
+    return {
+        proc: [
+            Item(tasks[i].subtasks[k].wcet, tasks[i].deadline, tasks[i].period)
+            for i, k in placed
+        ]
+        for proc, placed in _assigned(ts, pa).items()
+    }
 
 
-def _partition_items(
+def _partition(
     ts: TaskSet, pa: PartitionedAssignment, plat: Platform
-) -> dict[int, list[Item]]:
-    """:func:`processor_items`, after checking that a partitioned analysis
-    or simulation applies: every task edge-free (subtasks are placed as
+) -> dict[int, list[tuple[int, int]]]:
+    """:func:`_assigned`, after checking that a partitioned analysis or
+    simulation applies: every task edge-free (subtasks are placed as
     independent items), and every processor within the platform."""
     for task in ts:
         if task.edges:
@@ -313,7 +344,7 @@ def _partition_items(
                 f"task {task.id} has precedence edges; "
                 "the partitioned test handles edge-free tasks only"
             )
-    by_proc = processor_items(ts, pa)
+    by_proc = _assigned(ts, pa)
     for proc in by_proc:
         if not 1 <= proc <= plat.processors:
             raise ValueError(
@@ -323,6 +354,15 @@ def _partition_items(
     return by_proc
 
 
+def _tick_items(
+    ts: TaskSet, placed: list[tuple[int, int]]
+) -> list[tuple[int, int, int | None]]:
+    """The items of the subtasks ``placed`` (from :func:`_assigned`) as
+    (wcet, deadline, period) in ints of the set's tick."""
+    ticks = ts._ticks
+    return [(ticks.wcets[i][k], ticks.deadline[i], ticks.period[i]) for i, k in placed]
+
+
 def partitioned_feasible(
     ts: TaskSet, pa: PartitionedAssignment, plat: Platform
 ) -> bool:
@@ -330,9 +370,11 @@ def partitioned_feasible(
 
     Subtasks are treated as independent sequential items, which is only
     faithful when tasks have no precedence edges; tasks with edges are
-    rejected rather than analyzed optimistically.
+    rejected rather than analyzed optimistically.  Each processor runs the
+    scan of :func:`uniprocessor_edf_feasible` on the set's ticks.
     """
+    p, q = plat.speed.numerator, plat.speed.denominator
     return all(
-        uniprocessor_edf_feasible(items, plat.speed)
-        for items in _partition_items(ts, pa, plat).values()
+        _first_violation(_tick_items(ts, placed), p, q, ts._ticks.scale) is None
+        for placed in _partition(ts, pa, plat).values()
     )

@@ -80,7 +80,8 @@ class DagTask:
     @cached_property
     def work(self) -> Fraction:
         """Total work of a job: the sum of its subtask wcets."""
-        return sum((st.wcet for st in self.subtasks), Fraction(0))
+        scale, wcets = self._own_ticks()
+        return Fraction(sum(wcets), scale)
 
     @cached_property
     def successors(self) -> Mapping[int, tuple[int, ...]]:
@@ -111,15 +112,26 @@ class DagTask:
     @cached_property
     def span(self) -> Fraction:
         """Longest precedence path; raises ValueError (uncached) on a cycle."""
+        scale, wcets = self._own_ticks()
+        return Fraction(self._span_in(wcets), scale)
+
+    def _own_ticks(self) -> tuple[int, list[int]]:
+        """The task's own tick and its subtask wcets in it, in subtask order."""
+        scale = _tick(st.wcet for st in self.subtasks)
+        return scale, [_in_ticks(st.wcet, scale) for st in self.subtasks]
+
+    def _span_in(self, wcets: Iterable[int]) -> int:
+        """The longest precedence path over ``wcets``, the subtask wcets as
+        ints of one tick in subtask order; raises ValueError on a cycle."""
         order = self.topological_order
         if order is None:
             raise ValueError(f"task {self.id}: dependency cycle among subtasks")
-        wcet = {st.id: st.wcet for st in self.subtasks}
+        wcet = dict(zip((st.id for st in self.subtasks), wcets))
         # reach[b]: the longest path ending at some predecessor of b
-        reach: dict[int, Fraction] = {}
-        best = Fraction(0)
+        reach: dict[int, int] = {}
+        best = 0
         for sid in order:
-            end = reach.get(sid, Fraction(0)) + wcet[sid]
+            end = reach.get(sid, 0) + wcet[sid]
             if end > best:
                 best = end
             for nxt in self.successors[sid]:
@@ -196,13 +208,14 @@ class _Ticks(NamedTuple):
         def each(values):
             return tuple(_in_ticks(v, scale) for v in values)
 
-        work = each(task.work for task in tasks)
+        wcets = tuple(each(st.wcet for st in task.subtasks) for task in tasks)
+        work = tuple(map(sum, wcets))
         deadline = each(task.deadline for task in tasks)
         period = each(task.period for task in tasks)
-        span = each(
-            None if task.topological_order is None else task.span for task in tasks
+        span = tuple(
+            None if task.topological_order is None else task._span_in(w)
+            for task, w in zip(tasks, wcets)
         )
-        wcets = tuple(each(st.wcet for st in task.subtasks) for task in tasks)
         items = tuple(zip(work, deadline, period))
         return cls(scale, work, span, deadline, period, wcets, items, {})
 

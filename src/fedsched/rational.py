@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
 
@@ -41,3 +42,13 @@ def format_rational(value: Fraction | int) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def format_ticks(ticks: int, scale: int) -> str:
+    """``format_rational(Fraction(ticks, scale))`` for ``scale > 0``,
+    without building the ``Fraction``: machine output is written from
+    the int tick counts of the engines."""
+    g = gcd(ticks, scale)
+    if g == scale:
+        return str(ticks // scale)
+    return f"{ticks // g}/{scale // g}"

@@ -21,8 +21,9 @@ from typing import NamedTuple
 from .feasibility import (
     MAX_DEMAND_STEPS,
     PartitionedAssignment,
-    _partition_items,
-    default_horizon,
+    _horizon,
+    _partition,
+    _tick_items,
 )
 from .model import DagTask, Platform, TaskSet, _Ticks
 from .rational import format_rational
@@ -80,32 +81,22 @@ def _job_count(task: DagTask, horizon: Fraction | None) -> int:
 def _edf_on_one_processor(
     proc: int,
     jobs: list[tuple[int, int, int, int, int]],
-    scale: int,
     late: dict[tuple[int, int], int],
-) -> list[Interval]:
-    """Preemptive EDF of ``jobs`` on processor ``proc``, in integer ticks
-    of ``1/scale``.
+) -> list[tuple[int, int, int, int, int]]:
+    """Preemptive EDF of ``jobs`` on processor ``proc``, in integer ticks.
 
     Each job is (release, absolute deadline, task id, subtask id, ticks of
     execution), sorted by release.  Ties are broken by (absolute deadline,
     task id, subtask id, release, position in ``jobs``); all jobs run to
-    completion.  Returns the intervals, back-to-back runs of one subtask
-    merged, and records in ``late``, per (task id, release), the latest
-    tick at which one of its subtask jobs finished after its deadline.
+    completion.  Returns the runs as (proc, task id, subtask id, start,
+    end), back-to-back runs of one subtask merged, and records in
+    ``late``, per (task id, release), the latest tick at which one of its
+    subtask jobs finished after its deadline.
     """
     heap: list[tuple[int, int, int, int, int]] = []
     left = [job[4] for job in jobs]
-    out: list[Interval] = []
-    last_tick, last_end = None, None
-
-    def emit(task: int, subtask: int, start: int, end: int) -> None:
-        # the next run usually starts where the last one ended
-        nonlocal last_tick, last_end
-        begin = last_end if start == last_tick else Fraction(start, scale)
-        last_tick, last_end = end, Fraction(end, scale)
-        out.append(Interval(proc, task, subtask, begin, last_end))
-
-    run = None  # the open run: [task, subtask, start, end]
+    out: list[tuple[int, int, int, int, int]] = []
+    run = None  # the open run: [proc, task, subtask, start, end]
     time = 0
     next_idx = 0
     n = len(jobs)
@@ -124,12 +115,12 @@ def _edf_on_one_processor(
         if run_until > time:
             # a preemption check that turned out not to preempt splits a
             # run in two; stitch back-to-back runs of one subtask together
-            if run is not None and run[3] == time and run[0] == task and run[1] == subtask:
-                run[3] = run_until
+            if run is not None and run[4] == time and run[1] == task and run[2] == subtask:
+                run[4] = run_until
             else:
                 if run is not None:
-                    emit(*run)
-                run = [task, subtask, time, run_until]
+                    out.append(tuple(run))
+                run = [proc, task, subtask, time, run_until]
             left[idx] -= run_until - time
         time = run_until
         if left[idx] == 0:
@@ -139,8 +130,86 @@ def _edf_on_one_processor(
                 if time > late.get(key, deadline):
                     late[key] = time
     if run is not None:
-        emit(*run)
+        out.append(tuple(run))
     return out
+
+
+def _simulate_ticks(
+    ts: TaskSet,
+    pa: PartitionedAssignment,
+    plat: Platform,
+    horizon: Fraction | None,
+) -> tuple[
+    int,
+    Fraction,
+    list[tuple[int, int, int, int, int]],
+    list[tuple[int, int, int]],
+]:
+    """:func:`simulate_partitioned_edf` on int ticks: the tick scale, the
+    horizon in effect, the runs as (processor, task id, subtask id, start,
+    end) in processor order and the misses as (deadline, task id,
+    completion) in (deadline, task id) order, every time in ticks of
+    ``1/scale``."""
+    by_proc = _partition(ts, pa, plat)
+    ticks = ts._ticks
+    if horizon is None:
+        items = [it for placed in by_proc.values() for it in _tick_items(ts, placed)]
+        horizon = Fraction(_horizon(items), ticks.scale)
+    else:
+        horizon = Fraction(horizon)
+        if horizon < 0:
+            raise ValueError(
+                f"horizon must be nonnegative, got {format_rational(horizon)}"
+            )
+    jobs = 0
+    for task in ts:
+        if task.period is not None and task.period <= 0:
+            raise ValueError(
+                f"task {task.id}: period must be positive, got {task.period}"
+            )
+        if any(st.wcet < 0 for st in task.subtasks):
+            raise ValueError(f"task {task.id}: a negative wcet never finishes")
+        jobs += len(task.subtasks) * _job_count(task, horizon)
+    if jobs > MAX_DEMAND_STEPS:
+        raise ValueError(
+            f"simulation to horizon {format_rational(horizon)} releases {jobs} "
+            f"subtask jobs, more than the limit of {MAX_DEMAND_STEPS}"
+        )
+
+    # ticks of 1/(S*p) for the set's tick S and speed p/q: a time of x
+    # ticks of 1/S is x*p of them, and wcet w runs for w*q of them
+    p, q = plat.speed.numerator, plat.speed.denominator
+    # release instants; a one-shot task's one job is released at 0
+    release_table = [
+        [k * (period or 0) * p for k in range(_job_count(task, horizon))]
+        for task, period in zip(ts, ticks.period)
+    ]
+    deadlines = [deadline * p for deadline in ticks.deadline]
+
+    # the subtask jobs of one task job share its deadline, so the job is
+    # late exactly when one of them finishes late, and then it completes
+    # at the latest of those
+    late: dict[tuple[int, int], int] = {}
+    runs: list[tuple[int, int, int, int, int]] = []
+    for proc in sorted(by_proc):
+        proc_jobs = []
+        for i, k in by_proc[proc]:
+            tid, deadline = ts.tasks[i].id, deadlines[i]
+            sid, work = ts.tasks[i].subtasks[k].id, ticks.wcets[i][k] * q
+            proc_jobs.extend(
+                (r, r + deadline, tid, sid, work) for r in release_table[i]
+            )
+        proc_jobs.sort(key=itemgetter(0))
+        runs.extend(_edf_on_one_processor(proc, proc_jobs, late))
+
+    missed: list[tuple[int, int, int]] = []
+    for task, releases, deadline in zip(ts, release_table, deadlines):
+        for r in releases:
+            done = late.get((task.id, r), r)  # a job with no subtasks is done at release
+            if done > r + deadline:
+                missed.append((r + deadline, task.id, done))
+    missed.sort(key=itemgetter(0, 1))
+    return ticks.scale * p, horizon, runs, missed
 
 
 def simulate_partitioned_edf(
@@ -168,79 +237,20 @@ def simulate_partitioned_edf(
     instant is an exact tick count; only the returned endpoints are
     built as ``Fraction``.
     """
-    by_proc = _partition_items(ts, pa, plat)
-    if horizon is None:
-        horizon = default_horizon(it for items in by_proc.values() for it in items)
-    else:
-        horizon = Fraction(horizon)
-        if horizon < 0:
-            raise ValueError(
-                f"horizon must be nonnegative, got {format_rational(horizon)}"
-            )
-    jobs = 0
-    for task in ts:
-        if task.period is not None and task.period <= 0:
-            raise ValueError(
-                f"task {task.id}: period must be positive, got {task.period}"
-            )
-        if any(st.wcet < 0 for st in task.subtasks):
-            raise ValueError(f"task {task.id}: a negative wcet never finishes")
-        jobs += len(task.subtasks) * _job_count(task, horizon)
-    if jobs > MAX_DEMAND_STEPS:
-        raise ValueError(
-            f"simulation to horizon {format_rational(horizon)} releases {jobs} "
-            f"subtask jobs, more than the limit of {MAX_DEMAND_STEPS}"
-        )
-
-    # ticks of 1/(S*p) for the set's tick S and speed p/q: a time of x
-    # ticks of 1/S is x*p of them, and wcet w runs for w*q of them
-    speed, ticks = plat.speed, ts._ticks
-    p, q = speed.numerator, speed.denominator
-    scale = ticks.scale * p
-    # release instants; a one-shot task's one job is released at 0
-    release_table = [
-        [k * (period or 0) * p for k in range(_job_count(task, horizon))]
-        for task, period in zip(ts, ticks.period)
-    ]
-    jobs_by_proc: dict[int, list[tuple[int, int, int, int, int]]] = {}
-    for task, releases, deadline, wcets in zip(
-        ts, release_table, ticks.deadline, ticks.wcets
-    ):
-        deadline *= p
-        for st, wcet in zip(task.subtasks, wcets):
-            proc_jobs = jobs_by_proc.setdefault(pa.mapping[(task.id, st.id)], [])
-            work = wcet * q
-            proc_jobs.extend((r, r + deadline, task.id, st.id, work) for r in releases)
-
-    # the subtask jobs of one task job share its deadline, so the job is
-    # late exactly when one of them finishes late, and then it completes
-    # at the latest of those
-    late: dict[tuple[int, int], int] = {}
-    intervals: list[Interval] = []
-    for proc in sorted(jobs_by_proc):
-        intervals.extend(
-            _edf_on_one_processor(
-                proc, sorted(jobs_by_proc.pop(proc), key=itemgetter(0)), scale, late
-            )
-        )
-
-    missed: list[tuple[int, int, int]] = []  # (deadline, task id, completion)
-    for task, releases, deadline in zip(ts, release_table, ticks.deadline):
-        deadline *= p
-        for r in releases:
-            done = late.get((task.id, r), r)  # a job with no subtasks is done at release
-            if done > r + deadline:
-                missed.append((r + deadline, task.id, done))
-    missed.sort(key=itemgetter(0, 1))
-    misses = [
+    scale, horizon, runs, missed = _simulate_ticks(ts, pa, plat, horizon)
+    intervals = []
+    last_tick, last_end = None, None
+    for proc, task, subtask, start, end in runs:
+        # the next run usually starts where the last one ended
+        begin = last_end if start == last_tick else Fraction(start, scale)
+        last_tick, last_end = end, Fraction(end, scale)
+        intervals.append(Interval(proc, task, subtask, begin, last_end))
+    misses = tuple(
         DeadlineMiss(task, Fraction(deadline, scale), Fraction(done, scale))
         for deadline, task, done in missed
-    ]
+    )
     return ScheduleTrace(
-        speed=speed,
-        horizon=horizon,
-        intervals=tuple(intervals),
-        misses=tuple(misses),
+        speed=plat.speed, horizon=horizon, intervals=tuple(intervals), misses=misses
     )
 
 

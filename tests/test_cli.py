@@ -1,13 +1,27 @@
+import contextlib
+import io
 import json
+import random
 import re
 import shlex
+import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+from fedsched import cli
 from fedsched.cli import main
+from fedsched.feasibility import (
+    demand_profile,
+    partition_by_subtask_index,
+    processor_items,
+    uniprocessor_edf_feasible,
+)
 from fedsched.generate import CounterexampleParams, build_counterexample
-from fedsched.model import DagTask, Subtask, TaskSet
+from fedsched.model import DagTask, Platform, Subtask, TaskSet
+from fedsched.rational import format_rational, parse_rational
+from fedsched.simulate import simulate_partitioned_edf
 from fedsched.taskio import read_task_set, save_task_set
 
 
@@ -134,16 +148,31 @@ def test_sweep_has_no_precision_option(capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_readme_sweep_example_is_current(capsys):
-    # README's sweep section shows one command block and then its output
+def readme_example(heading, capsys):
+    """Run the command block of README's ``### heading`` section, one
+    command a line, and return the last command's stdout and the block
+    that follows it, the output README shows."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("### sweep", 1)[1].split("\n## ", 1)[0]
+    section = readme.split(f"### {heading}\n", 1)[1].split("\n## ", 1)[0]
     blocks = re.findall(r"```[a-z]*\n(.*?)```", section, re.S)
-    command, output = blocks[0].strip(), blocks[1]
-    argv = shlex.split(command)
-    assert argv[0] == "fedsched"
-    assert main(argv[1:]) == 0
-    assert capsys.readouterr().out == output
+    for command in blocks[0].strip().splitlines():
+        capsys.readouterr()
+        argv = shlex.split(command)
+        assert argv[0] == "fedsched"
+        assert main(argv[1:]) == 0
+    return capsys.readouterr().out, blocks[1]
+
+
+def test_readme_sweep_example_is_current(capsys):
+    got, shown = readme_example("sweep", capsys)
+    assert got == shown
+
+
+def test_readme_analyze_example_is_current(tmp_path, monkeypatch, capsys):
+    # also the layout analyze writes: json.dump's, each key on its own line
+    monkeypatch.chdir(tmp_path)
+    got, shown = readme_example("analyze", capsys)
+    assert got == shown
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):
@@ -222,3 +251,142 @@ def test_malformed_input_names_the_field(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+# --- analyze and simulate against their Fraction formatting ------------------
+#
+# analyze and simulate write their output from the engines' int ticks.  The
+# two functions below are those commands as they were when they formatted
+# the library's Fraction results: demand_profile and json.dump for the
+# demand table, format_rational per interval and miss, trace.makespan.
+
+def ref_analyze(path, speed, processors):
+    ts = read_task_set(path)
+    cli._require_valid(ts)
+    plat = Platform(processors, parse_rational(speed))
+    pa = partition_by_subtask_index(ts, plat.processors)
+    by_proc = processor_items(ts, pa)
+    feasible = all(uniprocessor_edf_feasible(items, plat.speed) for items in by_proc.values())
+    table = []
+    for proc, items in sorted(by_proc.items()):
+        points = [
+            {
+                "t": format_rational(t),
+                "demand": format_rational(demand),
+                "capacity": format_rational(plat.speed * t),
+            }
+            for t, demand in demand_profile(items).breakpoints
+        ]
+        table.append({"processor": proc, "points": points})
+    json.dump(
+        {
+            "verdict": "feasible" if feasible else "infeasible",
+            "speed": format_rational(plat.speed),
+            "processors": plat.processors,
+            "per_processor_demand": table,
+        },
+        sys.stdout,
+        indent=2,
+    )
+    sys.stdout.write("\n")
+    print(
+        f"{ts.name}: {'feasible' if feasible else 'infeasible'} at speed "
+        f"{format_rational(plat.speed)} on {plat.processors} processor(s)",
+        file=sys.stderr,
+    )
+    return 0 if feasible else 1
+
+
+def ref_simulate(path, speed, processors, horizon):
+    ts = read_task_set(path)
+    cli._require_valid(ts)
+    plat = Platform(processors, parse_rational(speed))
+    horizon = None if horizon is None else parse_rational(horizon)
+    pa = partition_by_subtask_index(ts, plat.processors)
+    trace = simulate_partitioned_edf(ts, pa, plat, horizon=horizon)
+    print("processor,task,subtask,start,end")
+    for iv in trace.intervals:
+        print(
+            f"{iv.processor},{iv.task},{iv.subtask},"
+            f"{format_rational(iv.start)},{format_rational(iv.end)}"
+        )
+    print(f"# misses={len(trace.misses)}")
+    for miss in trace.misses:
+        completion = (
+            "unfinished" if miss.completion is None else format_rational(miss.completion)
+        )
+        print(f"# miss,{miss.task},{format_rational(miss.deadline)},{completion}")
+    print(
+        f"{ts.name}: {len(trace.intervals)} interval(s), "
+        f"{len(trace.misses)} miss(es), makespan {format_rational(trace.makespan)}",
+        file=sys.stderr,
+    )
+    return 0 if not trace.misses else 1
+
+
+def captured(run):
+    """(exit code, stdout, stderr) of ``run()``, with main's error handling."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run()
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+    return code, out.getvalue(), err.getvalue()
+
+
+# periods with a small lcm (60) keep the default horizon short
+CLI_PERIODS = (Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3), Fraction(4))
+CLI_SPEEDS = ("1", "1/2", "999/1000", "7/3")
+CLI_HORIZONS = (None, "0", "77/3")
+
+
+def random_cli_set(rng, m):
+    """A valid edge-free set whose every task has ``m`` subtasks, as
+    partition_by_subtask_index requires."""
+    tasks = []
+    recurring = rng.random() < 0.5
+    for tid in range(1, rng.randint(1, 4) + 1):
+        deadline = Fraction(rng.randint(1, 30), rng.choice((1, 2, 3, 5)))
+        period = None
+        if recurring and rng.random() < 0.8:
+            period = rng.choice(CLI_PERIODS)
+            deadline = min(deadline, period)
+        subtasks = tuple(
+            Subtask(sid, Fraction(rng.randint(1, 6), rng.choice((1, 2, 3, 7))) / 4)
+            for sid in rng.sample(range(1, 9), m)
+        )
+        tasks.append(DagTask(tid, sum(st.wcet for st in subtasks), deadline, period, subtasks))
+    return TaskSet(name="random", tasks=tuple(tasks))
+
+
+def test_tick_output_matches_the_fraction_formatting(tmp_path, monkeypatch):
+    rng = random.Random(909)
+    kinds = Counter()
+    path = str(tmp_path / "set.json")
+    for n in range(320):
+        # now and then a step limit low enough that tables and runs are
+        # refused, so that the limit messages are compared too
+        limit = 8 if rng.random() < 0.25 else 10**6
+        monkeypatch.setattr("fedsched.feasibility.MAX_DEMAND_STEPS", limit)
+        monkeypatch.setattr("fedsched.simulate.MAX_DEMAND_STEPS", limit)
+        m = rng.randint(1, 3)
+        ts = random_cli_set(rng, m)
+        save_task_set(ts, path)
+        at = ["-i", path, "--processors", str(m)]
+        speed = rng.choice(CLI_SPEEDS)
+        got = captured(lambda: main(["analyze", *at, "--speed", speed]))
+        assert got == captured(lambda: ref_analyze(path, speed, m)), (n, "analyze", speed)
+        kinds[{0: "feasible", 1: "infeasible", 2: "analyze refused"}[got[0]]] += 1
+        kinds[f"speed {speed}"] += 1
+        speed, horizon = rng.choice(CLI_SPEEDS), rng.choice(CLI_HORIZONS)
+        extra = [] if horizon is None else ["--horizon", horizon]
+        got = captured(lambda: main(["simulate", *at, "--speed", speed, *extra]))
+        assert got == captured(lambda: ref_simulate(path, speed, m, horizon)), (n, "simulate", speed, horizon)
+        kinds[{0: "no misses", 1: "misses", 2: "simulate refused"}[got[0]]] += 1
+        kinds[f"speed {speed}"] += 1
+        kinds[f"horizon {horizon}"] += 1
+        kinds["recurring" if any(t.period for t in ts) else "one-shot"] += 1
+        kinds["tick > 1"] += ts._ticks.scale > 1
+    assert min(kinds.values()) >= 15, kinds

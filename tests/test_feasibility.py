@@ -374,3 +374,13 @@ def test_nonpositive_period_is_an_error_not_a_hang():
         demand_profile([(1, 2, 0)])
     with pytest.raises(ValueError, match="period must be positive"):
         demand_profile([(1, 2, -3)])
+    # the verdict checks the periods before it sums the utilization, so a
+    # period of 0 is the same error, alone or beside other items, and
+    # whatever the speed (5/7 alone would exceed speed 1/2)
+    mixed = [(1, 5, None), (5, 6, 7), (Fraction(1, 3), 2, 0), (1, 4, -3)]
+    for items in ([(1, 2, 0)], mixed, [(1, 2, -3)]):
+        for speed in (Fraction(1, 2), Fraction(1), Fraction(7, 3)):
+            with pytest.raises(ValueError, match="period must be positive, got (0|-3)$"):
+                uniprocessor_edf_feasible(items, speed)
+    with pytest.raises(ValueError, match="period must be positive, got 0$"):
+        uniprocessor_edf_feasible(mixed, 1)

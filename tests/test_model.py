@@ -282,11 +282,16 @@ def test_dag_view_matches_brute_force_on_random_dags():
         assert type(task.topological_order) in (tuple, type(None))
         assert all(type(nexts) is tuple for nexts in task.successors.values())
         assert set(task.successors) == {st.id for st in subtasks}
+        assert work(task) == sum((st.wcet for st in subtasks), Fraction(0))
+        assert type(work(task)) is Fraction
+        assert ts._ticks.work[0] == work(task) * ts._ticks.scale
         if has_cycle(subtasks, task.edges):
             cycles += 1
             assert task.topological_order is None
-            with pytest.raises(ValueError, match="dependency cycle"):
-                span(task)
+            assert ts._ticks.span[0] is None
+            for _ in range(2):  # a cycle is not cached: every call raises
+                with pytest.raises(ValueError, match="dependency cycle"):
+                    span(task)
             with pytest.raises(ValueError, match="dependency cycle"):
                 simulate_list_schedule(task, 2, Fraction(1))
             assert any("cycle" in msg for msg in validate_task_set(ts))
@@ -297,6 +302,8 @@ def test_dag_view_matches_brute_force_on_random_dags():
             default=0,
         )
         assert span(task) == want
+        assert type(span(task)) is Fraction
+        assert ts._ticks.span[0] == want * ts._ticks.scale
         assert not any("cycle" in msg for msg in validate_task_set(ts))
         order = task.topological_order
         assert sorted(order) == sorted(wcet)
