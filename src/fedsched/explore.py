@@ -162,54 +162,60 @@ def brute_force_federated_oracle(ts: TaskSet, plat: Platform) -> bool:
         raise ValueError(f"oracle is capped at 4 processors, got {plat.processors}")
     p, q = plat.speed.numerator, plat.speed.denominator
     ticks = ts._ticks
-    total = plat.processors
+    n, total = len(ts.tasks), plat.processors
 
     def cluster_ok(index: int, size: int) -> bool:
         # the list schedule at speed p/q is the unit-speed one with every
         # instant times q/p
         return q * _unit_makespan(ts, index, size) <= p * ticks.deadline[index]
 
-    group_cache: dict[frozenset[int], bool] = {}
+    # a group of shared tasks is a bitmask of their indices; its items are
+    # listed in index order
+    group_cache: dict[int, bool] = {}
 
-    def group_ok(ids: frozenset[int]) -> bool:
-        if ids not in group_cache:
-            items = [ticks.items[i] for i in sorted(ids)]
-            group_cache[ids] = _first_violation(items, p, q, ticks.scale) is None
-        return group_cache[ids]
+    def group_ok(mask: int) -> bool:
+        ok = group_cache.get(mask)
+        if ok is None:
+            items = [item for i, item in enumerate(ticks.items) if mask >> i & 1]
+            ok = group_cache[mask] = _first_violation(items, p, q, ticks.scale) is None
+        return ok
 
-    def pack(shared: list[int], groups: list[set[int]], budget: int) -> bool:
+    shared: list[int] = []  # indices of the tasks choose puts on shared processors
+    groups: list[int] = []  # the groups pack has opened, in creation order
+
+    def pack(k: int, budget: int) -> bool:
         # place each shared task into an existing group or open a new one;
         # this walks every partition of the shared tasks into <= budget parts
-        if not shared:
+        if k == len(shared):
             return True
-        head, rest = shared[0], shared[1:]
-        for group in groups:
-            if group_ok(frozenset(group | {head})):
-                group.add(head)
-                if pack(rest, groups, budget):
+        bit = 1 << shared[k]
+        for g, mask in enumerate(groups):
+            if group_ok(mask | bit):
+                groups[g] = mask | bit
+                if pack(k + 1, budget):
                     return True
-                group.discard(head)
-        if len(groups) < budget and group_ok(frozenset({head})):
-            groups.append({head})
-            if pack(rest, groups, budget):
+                groups[g] = mask
+        if len(groups) < budget and group_ok(bit):
+            groups.append(bit)
+            if pack(k + 1, budget):
                 return True
             groups.pop()
         return False
 
-    def choose(idx: int, used: int, shared: list[int]) -> bool:
-        if idx == len(ts):
-            if not shared:
-                return True
-            return pack(shared, [], total - used)
-        if choose(idx + 1, used, shared + [idx]):
+    def choose(idx: int, used: int) -> bool:
+        if idx == n:
+            return pack(0, total - used)
+        shared.append(idx)
+        if choose(idx + 1, used):
             return True
+        shared.pop()
         for size in range(1, total - used + 1):
             if cluster_ok(idx, size):
-                if choose(idx + 1, used + size, shared):
+                if choose(idx + 1, used + size):
                     return True
                 # a larger cluster only spends more budget on the same task,
                 # so once the smallest workable size fails downstream, stop
                 break
         return False
 
-    return choose(0, 0, [])
+    return choose(0, 0)

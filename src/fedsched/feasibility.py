@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -95,6 +96,18 @@ def default_horizon(items: Iterable[Item | Sequence]) -> Fraction:
     return Fraction(_horizon(ticks), scale)
 
 
+def _check_step_count(total: int, horizon: int | Fraction, scale: int) -> None:
+    """Raise ValueError when a scan to ``horizon`` (in ticks of
+    ``1/scale``) would enumerate ``total`` step instants, more than
+    ``MAX_DEMAND_STEPS``."""
+    if total > MAX_DEMAND_STEPS:
+        raise ValueError(
+            f"demand scan to horizon {format_rational(Fraction(horizon) / scale)} "
+            f"needs {total} step instants, more than the limit of "
+            f"{MAX_DEMAND_STEPS}"
+        )
+
+
 def _demand_steps(
     items: list[tuple[int, int, int | None]], horizon: int | Fraction, scale: int
 ) -> list[tuple[int, int]]:
@@ -117,12 +130,7 @@ def _demand_steps(
             raise ValueError(f"period must be positive, got {Fraction(period, scale)}")
         else:
             total += (last - deadline) // period + 1
-    if total > MAX_DEMAND_STEPS:
-        raise ValueError(
-            f"demand scan to horizon {format_rational(Fraction(horizon) / scale)} "
-            f"needs {total} step instants, more than the limit of "
-            f"{MAX_DEMAND_STEPS}"
-        )
+    _check_step_count(total, horizon, scale)
     steps: dict[int, int] = {}
     get = steps.get
     for work, deadline, period in items:
@@ -229,10 +237,22 @@ def _first_violation(
     of ``1/scale`` at speed ``p/q``: None if the test passes, else a pair
     (a, b) such that it fails at every speed below a/b.  That is (demand,
     t) at the first instant where q*demand > p*t, or U as a pair when
-    U > p/q (U is a ratio of ticks, so the scale cancels in both)."""
-    # with no recurring item this is the largest deadline, within L
-    horizon = _horizon(items)
+    U > p/q (U is a ratio of ticks, so the scale cancels in both).
+
+    One-shot items step once each, at their deadlines, so with no
+    recurring item the scan is a running sum over the items in deadline
+    order, compared once every item due at an instant is summed."""
     periods = [per for _, _, per in items if per is not None]
+    if not periods:
+        ordered = sorted(items, key=itemgetter(1))
+        _check_step_count(len(ordered), ordered[-1][1] if ordered else 0, scale)
+        demand = 0
+        for k, (work, t, _) in enumerate(ordered, 1):
+            demand += work
+            if (k == len(ordered) or ordered[k][1] != t) and q * demand > p * t:
+                return demand, t
+        return None
+    horizon = _horizon(items)
     for per in periods:
         if per <= 0:
             raise ValueError(f"period must be positive, got {Fraction(per, scale)}")

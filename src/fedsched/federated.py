@@ -215,6 +215,15 @@ def allocate_federated(
     with the newcomer added, still passes the exact demand test at the
     platform speed.  Infeasible is a verdict, not an error.
 
+    Every shared processor's items pass that test (a light one-shot item
+    passes alone, and each later one was admitted by it), and newcomers
+    arrive in nondecreasing deadline order.  So while a processor and its
+    newcomer are all one-shot, the newcomer adds only the step at its own
+    deadline, where the demand is the processor's summed work plus its
+    own: admission is one comparison, and a failure is that (demand,
+    deadline) pair, as the full scan would report it.  A recurring item,
+    on the processor or arriving, takes the full scan.
+
     Each decision holds from some speed r up: light iff speed >=
     work/deadline, a cluster of at most k iff speed >= _size_speed(task, k),
     a demand test passes iff speed >= demand/t at each instant t.  So the
@@ -276,13 +285,24 @@ def allocate_federated(
         )
 
     shared: list[list[tuple[int, int, int | None]]] = []
+    # each shared processor's summed work while all its items are one-shot,
+    # None once a recurring item lands on it
+    loads: list[int | None] = []
     placement: dict[int, int] = {}
     for i in sorted(light, key=lambda i: (ticks.deadline[i], ts.tasks[i].id)):
         task, item = ts.tasks[i], ticks.items[i]
+        work, deadline, period = item
         for idx, items in enumerate(shared):
-            violation = _first_violation(items + [item], p, q, ticks.scale)
+            load = loads[idx]
+            if load is not None and period is None:
+                load += work
+                violation = (load, deadline) if q * load > p * deadline else None
+            else:
+                load = None
+                violation = _first_violation(items + [item], p, q, ticks.scale)
             if violation is None:
                 items.append(item)
+                loads[idx] = load
                 placement[task.id] = idx + 1
                 break
             if violation[1] > 0:
@@ -300,6 +320,7 @@ def allocate_federated(
                     retry_speed=retry_speed(),
                 )
             shared.append([item])
+            loads.append(work if period is None else None)
             placement[task.id] = len(shared)
     return FederatedAllocation(
         heavy_grants=grants,

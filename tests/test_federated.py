@@ -321,3 +321,23 @@ def test_nonpositive_deadline_fits_on_no_cluster():
         assert isinstance(result, Infeasible)
         assert result.processors_needed is None
         assert result.demand_lower_bound is None and result.retry_speed is None
+
+
+def test_one_comparison_admission_needs_one_shot_items_on_both_sides():
+    # A recurs, so at t = 2 its second job joins B's: demand 3 > 2, found only
+    # by the full scan; summed work 1 + 1 against speed * deadline 2 would admit B
+    a, b = seq_task(1, 1, 1, period=Fraction(1)), seq_task(2, 1, 2)
+    ts = TaskSet(name="ab", tasks=(a, b))
+    result = allocate_federated(ts, Platform(1, Fraction(1)))
+    assert isinstance(result, Infeasible)
+    assert result.retry_speed == Fraction(3, 2) and result.processors_needed == 2
+    assert allocate_federated(ts, Platform(2, Fraction(1))).light_partition == {1: 1, 2: 2}
+    # the reverse: a one-shot processor and a recurring newcomer whose
+    # deadline exceeds its period (outside what validate accepts), so its
+    # utilization 2 overruns speed 1 though 1 + 2 fits in speed * deadline 3
+    c, d = seq_task(1, 1, 1), seq_task(2, 2, 3, period=Fraction(1))
+    ts = TaskSet(name="cd", tasks=(c, d))
+    result = allocate_federated(ts, Platform(1, Fraction(1)))
+    assert isinstance(result, Infeasible)
+    assert result.retry_speed == 2 and result.processors_needed == 2
+    assert allocate_federated(ts, Platform(2, Fraction(1))).light_partition == {1: 1, 2: 2}

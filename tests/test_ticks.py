@@ -347,12 +347,56 @@ def test_list_schedule_matches_the_fraction_reference():
     assert min(kinds.values()) >= 100, kinds
 
 
+def one_shot_ties(rng):
+    """One-shot items sharing a few deadlines, zero works among them."""
+    deadlines = [Fraction(rng.randint(1, 12), rng.choice((1, 2, 3))) for _ in range(2)]
+    return [
+        (Fraction(rng.choice((0, rng.randint(0, 8))), rng.choice(WCET_DENOMINATORS)),
+         rng.choice(deadlines), None)
+        for _ in range(rng.randint(2, 6))
+    ]
+
+
 def test_demand_test_matches_the_fraction_reference(monkeypatch):
     # a small step limit keeps the Fraction reference quick and makes the
     # limit's message, horizon included, part of the comparison
     monkeypatch.setattr("fedsched.feasibility.MAX_DEMAND_STEPS", 100)
-    rng = random.Random(7)
     kinds = Counter()
+
+    def check(items, speed, used):
+        got = outcome(uniprocessor_edf_feasible, items, speed)
+        want = outcome(lambda: ref_first_violation(items, speed) is None)
+        assert got == want, (items, speed)
+        # the engine's pair on ticks, scaled back: (demand, t) at the first
+        # violation, or the utilization U as a ratio when U > speed
+        scale, ticks = fedsched.feasibility._scaled(items)
+        pair = outcome(
+            fedsched.feasibility._first_violation,
+            ticks, speed.numerator, speed.denominator, scale,
+        )
+        want_pair = outcome(ref_first_violation, items, speed)
+        if pair is None or type(pair[0]) is not int:  # passed, or refused
+            assert pair == want_pair, (items, speed)
+        elif used > speed:
+            assert want_pair == (used, 1) and Fraction(*pair) == used
+        else:
+            assert (Fraction(pair[0], scale), Fraction(pair[1], scale)) == want_pair
+        profile = outcome(demand_profile, items)
+        want_profile = outcome(ref_demand_profile, items)
+        if isinstance(profile, tuple):
+            assert profile == want_profile
+            kinds["profile refused"] += 1
+        else:
+            assert profile.breakpoints == want_profile
+            kinds["profile"] += 1
+        kinds[{True: "feasible", False: "infeasible"}.get(got, "verdict refused")] += 1
+        kinds["recurring" if any(p for _, _, p in items) else "one-shot"] += 1
+        if not any(p for _, _, p in items):
+            deadlines = [d for _, d, _ in items]
+            kinds["one-shot tie"] += len(set(deadlines)) < len(deadlines)
+            kinds["one-shot violation"] += got is False
+
+    rng = random.Random(7)
     for n in range(3000):
         items = []
         for _ in range(rng.randint(0, 5)):
@@ -366,19 +410,10 @@ def test_demand_test_matches_the_fraction_reference(monkeypatch):
             # utilization at the speed: the scan runs to the full horizon;
             # just below it: the L_a bound lies far out
             speed = used + rng.choice((0, used / 97))
-        got = outcome(uniprocessor_edf_feasible, items, speed)
-        want = outcome(lambda: ref_first_violation(items, speed) is None)
-        assert got == want, (n, items, speed)
-        profile = outcome(demand_profile, items)
-        want_profile = outcome(ref_demand_profile, items)
-        if isinstance(profile, tuple):
-            assert profile == want_profile
-            kinds["profile refused"] += 1
-        else:
-            assert profile.breakpoints == want_profile
-            kinds["profile"] += 1
-        kinds[{True: "feasible", False: "infeasible"}.get(got, "verdict refused")] += 1
-        kinds["recurring" if any(p for _, _, p in items) else "one-shot"] += 1
+        check(items, speed, used)
+    rng = random.Random(8)
+    for _ in range(600):
+        check(one_shot_ties(rng), rng.choice(SPEEDS), 0)
     assert min(kinds.values()) >= 100, kinds
 
 
