@@ -28,7 +28,6 @@ from .federated import (
     classify,
     heavy_demand_lower_bound,
     heavy_processor_allocation,
-    shared_processor_items,
     speedup_lower_bound,
     total_demand_lower_bound,
 )
@@ -38,9 +37,7 @@ from .model import (
     Platform,
     Subtask,
     TaskSet,
-    span,
     validate_task_set,
-    work,
 )
 from .rational import format_rational, parse_rational
 from .simulate import (
@@ -56,8 +53,6 @@ from .taskio import (
     load_task_set,
     read_task_set,
     save_task_set,
-    task_set_from_dict,
-    task_set_to_dict,
 )
 
 __version__ = "0.1.0"
@@ -98,16 +93,11 @@ __all__ = [
     "random_task_set",
     "read_task_set",
     "save_task_set",
-    "shared_processor_items",
     "simulate_list_schedule",
     "simulate_partitioned_edf",
-    "span",
     "speedup_lower_bound",
     "speedup_sweep",
-    "task_set_from_dict",
-    "task_set_to_dict",
     "total_demand_lower_bound",
     "uniprocessor_edf_feasible",
     "validate_task_set",
-    "work",
 ]

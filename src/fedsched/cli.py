@@ -29,7 +29,7 @@ from .generate import CounterexampleParams, build_counterexample
 from .model import Platform, TaskSet, validate_task_set
 from .rational import format_rational, format_ticks, parse_rational
 from .simulate import _simulate_ticks
-from .taskio import dump_task_set, read_task_set
+from .taskio import dump_task_set, read_task_set, save_task_set
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -155,8 +155,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if args.output is None:
         dump_task_set(ts, sys.stdout)
     else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            dump_task_set(ts, fh)
+        save_task_set(ts, args.output)
     print(f"{ts.name}: wrote {len(ts)} tasks", file=sys.stderr)
     return 0
 

@@ -21,11 +21,9 @@ from .feasibility import (
 )
 from .federated import (
     Infeasible,
-    TaskClass,
     _cluster_size,
-    _size_speed,
+    _size_ratio,
     allocate_federated,
-    classify,
     speedup_lower_bound,
     total_demand_lower_bound,
 )
@@ -69,27 +67,26 @@ def min_feasible_speed_federated(ts: TaskSet, processors: int) -> Fraction:
     if not ts.tasks or processors < 1 or validate_task_set(ts):
         raise ValueError("needs a valid, nonempty task set and a processor")
 
-    ticks = ts._ticks
-
-    def cluster_size(i: int, speed: Fraction) -> int | None:
-        p, q = speed.numerator, speed.denominator
-        return _cluster_size(ticks.work[i], ticks.span[i], ticks.deadline[i], p, q)
+    # (work, span, deadline) of each task in ticks; heavy at p/q iff q*w > p*d
+    times = list(zip(ts._ticks.work, ts._ticks.span, ts._ticks.deadline))
 
     def clusters_fit(speed: Fraction) -> bool:
-        sizes = [
-            cluster_size(i, speed)
-            for i, task in enumerate(ts)
-            if classify(task, speed) is TaskClass.HEAVY
-        ]
+        p, q = speed.numerator, speed.denominator
+        sizes = [_cluster_size(w, s, d, p, q) for w, s, d in times if q * w > p * d]
         return None not in sizes and sum(sizes) <= processors
 
     # below `low` some task alone overfills the platform; above it a cluster
-    # drops to k at _size_speed(task, k), to none at k = 1 (work/deadline)
-    low = max(_size_speed(task, processors) for task in ts)
+    # drops to k at the ratio _size_ratio gives for k, to none at k = 1
+    # (work/deadline)
+    low = max(Fraction(*_size_ratio(w, s, d, processors)) for w, s, d in times)
+    p, q = low.numerator, low.denominator
     drops = {low}
-    for i, task in enumerate(ts):
-        if classify(task, low) is TaskClass.HEAVY:
-            drops.update(_size_speed(task, k) for k in range(1, cluster_size(i, low)))
+    drops.update(
+        Fraction(*_size_ratio(w, s, d, k))
+        for w, s, d in times
+        if q * w > p * d
+        for k in range(1, _cluster_size(w, s, d, p, q))
+    )
     drops = sorted(drops)
     speed = drops[bisect_left(drops, True, key=clusters_fit)]
     while True:

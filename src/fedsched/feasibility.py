@@ -24,7 +24,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .model import DagTask, Platform, TaskSet, _in_ticks, _tick
+from .model import Platform, TaskSet, _in_ticks, _tick
 from .rational import format_rational
 
 # Most step instants one demand scan may enumerate, and most subtask jobs
@@ -39,11 +39,6 @@ class Item(NamedTuple):
     work: Fraction
     deadline: Fraction
     period: Fraction | None = None
-
-    @classmethod
-    def of_task(cls, task: DagTask) -> Item:
-        """The whole task run sequentially: its work, deadline and period."""
-        return cls(task.work, task.deadline, task.period)
 
 
 def _as_item(spec: Item | Sequence) -> Item:
@@ -256,21 +251,20 @@ def _first_violation(
     for per in periods:
         if per <= 0:
             raise ValueError(f"period must be positive, got {Fraction(per, scale)}")
-    if periods:
-        hyper = lcm(*periods)
-        # U = used / hyper: each recurring item's work per hyperperiod
-        used = sum(w * (hyper // per) for w, _, per in items if per is not None)
-        if q * used > p * hyper:
-            return used, hyper
-        slack = p * hyper - q * used  # (speed - U) * q * hyper
-        if slack > 0 and all(w >= 0 for w, _, _ in items):
-            offset = sum(  # N * hyper
-                w * hyper if per is None else max(0, per - d) * w * (hyper // per)
-                for w, d, per in items
-            )
-            bound = Fraction(offset * q, slack)  # L, in ticks
-            if bound < horizon:
-                horizon = max(max(d for _, d, _ in items), bound)
+    hyper = lcm(*periods)
+    # U = used / hyper: each recurring item's work per hyperperiod
+    used = sum(w * (hyper // per) for w, _, per in items if per is not None)
+    if q * used > p * hyper:
+        return used, hyper
+    slack = p * hyper - q * used  # (speed - U) * q * hyper
+    if slack > 0 and all(w >= 0 for w, _, _ in items):
+        offset = sum(  # N * hyper
+            w * hyper if per is None else max(0, per - d) * w * (hyper // per)
+            for w, d, per in items
+        )
+        bound = Fraction(offset * q, slack)  # L, in ticks
+        if bound < horizon:
+            horizon = max(max(d for _, d, _ in items), bound)
     demand = 0
     for t, step in _demand_steps(items, horizon, scale):
         demand += step

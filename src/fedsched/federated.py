@@ -16,7 +16,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
 
-from .feasibility import Item, _first_violation
+from .feasibility import _first_violation
 from .model import DagTask, Platform, TaskSet
 
 
@@ -142,11 +142,6 @@ def _size_ratio(work, span, deadline, k: int) -> tuple:
     return k * span + work - span, k * deadline
 
 
-def _size_speed(task: DagTask, k: int) -> Fraction:
-    """:func:`_size_ratio` of ``task`` as a speed."""
-    return Fraction(*_size_ratio(task.work, task.span, task.deadline, k))
-
-
 @dataclass(frozen=True)
 class FederatedAllocation:
     """A successful allocation.
@@ -190,18 +185,6 @@ class Infeasible:
     retry_speed: Fraction | None = None
 
 
-def shared_processor_items(
-    ts: TaskSet, alloc: FederatedAllocation
-) -> dict[int, list[Item]]:
-    """Rebuild each shared processor's item list from an allocation, so the
-    demand test can be re-run independently of the allocator."""
-    by_id = {task.id: task for task in ts}
-    by_proc: dict[int, list[Item]] = {}
-    for tid, proc in sorted(alloc.light_partition.items()):
-        by_proc.setdefault(proc, []).append(Item.of_task(by_id[tid]))
-    return by_proc
-
-
 def allocate_federated(
     ts: TaskSet, plat: Platform
 ) -> FederatedAllocation | Infeasible:
@@ -225,10 +208,11 @@ def allocate_federated(
     on the processor or arriving, takes the full scan.
 
     Each decision holds from some speed r up: light iff speed >=
-    work/deadline, a cluster of at most k iff speed >= _size_speed(task, k),
-    a demand test passes iff speed >= demand/t at each instant t.  So the
-    run stays the same up to the least r of the decisions that failed,
-    which Infeasible reports as retry_speed.
+    work/deadline, a cluster of at most k iff speed >= the ratio
+    :func:`_size_ratio` gives for k, a demand test passes iff speed >=
+    demand/t at each instant t.  So the run stays the same up to the
+    least r of the decisions that failed, which Infeasible reports as
+    retry_speed.
     """
     speed, ticks = plat.speed, ts._ticks
     p, q = speed.numerator, speed.denominator

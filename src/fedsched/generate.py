@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import DagTask, Subtask, TaskSet, span
+from .model import DagTask, Subtask, TaskSet
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def random_task_set(
             edges=tuple(edges),
         )
         # deadline must cover the critical path or no schedule can exist
-        deadline = span(task) + Fraction(rng.randint(1, 10))
+        deadline = task.span + Fraction(rng.randint(1, 10))
         period = None
         if rng.random() < 0.5:
             period = deadline + Fraction(rng.randint(0, 10))

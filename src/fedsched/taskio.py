@@ -27,48 +27,6 @@ from .model import DagTask, Subtask, TaskSet
 from .rational import format_rational, parse_rational
 
 
-def task_set_to_dict(ts: TaskSet) -> dict[str, Any]:
-    """Encode a task set as JSON-ready primitives."""
-    return {
-        "name": ts.name,
-        "tasks": [
-            {
-                "id": task.id,
-                "wcet": format_rational(task.wcet_total),
-                "deadline": format_rational(task.deadline),
-                "period": None if task.period is None else format_rational(task.period),
-                "subtasks": [
-                    {"id": st.id, "wcet": format_rational(st.wcet)}
-                    for st in task.subtasks
-                ],
-                "edges": [[a, b] for a, b in task.edges],
-            }
-            for task in ts.tasks
-        ],
-    }
-
-
-def task_set_from_dict(doc: Any) -> TaskSet:
-    """Decode the document produced by :func:`task_set_to_dict`.
-
-    Raises ValueError naming the first malformed field.  Semantic
-    invariants (acyclic edges, work totals, ...) are not checked here;
-    run :func:`fedsched.model.validate_task_set` on the result.
-    """
-    if not isinstance(doc, dict):
-        raise ValueError("document: expected a JSON object")
-    name = doc.get("name")
-    if not isinstance(name, str):
-        raise ValueError("name: expected a string")
-    raw_tasks = doc.get("tasks")
-    if not isinstance(raw_tasks, list):
-        raise ValueError("tasks: expected a list")
-    tasks = tuple(
-        _task_from_dict(raw, f"tasks[{i}]") for i, raw in enumerate(raw_tasks)
-    )
-    return TaskSet(name=name, tasks=tasks)
-
-
 def _task_from_dict(raw: Any, where: str) -> DagTask:
     if not isinstance(raw, dict):
         raise ValueError(f"{where}: expected an object")
@@ -136,13 +94,50 @@ def _rational_field(raw: dict, key: str, where: str) -> Fraction:
 
 def dump_task_set(ts: TaskSet, stream: TextIO) -> None:
     """Write a task set to an open text stream as indented JSON."""
-    json.dump(task_set_to_dict(ts), stream, indent=2)
+    doc = {
+        "name": ts.name,
+        "tasks": [
+            {
+                "id": task.id,
+                "wcet": format_rational(task.wcet_total),
+                "deadline": format_rational(task.deadline),
+                "period": None if task.period is None else format_rational(task.period),
+                "subtasks": [
+                    {"id": st.id, "wcet": format_rational(st.wcet)}
+                    for st in task.subtasks
+                ],
+                "edges": [[a, b] for a, b in task.edges],
+            }
+            for task in ts.tasks
+        ],
+    }
+    json.dump(doc, stream, indent=2)
     stream.write("\n")
 
 
 def load_task_set(stream: TextIO) -> TaskSet:
-    """Read a task set from an open text stream."""
-    return task_set_from_dict(json.load(stream))
+    """Read a task set from an open text stream.
+
+    Raises ValueError naming the first malformed field.  Semantic
+    invariants (acyclic edges, work totals, ...) are not checked here;
+    run :func:`fedsched.model.validate_task_set` on the result.
+    """
+    try:
+        doc = json.load(stream)
+    except RecursionError:
+        raise ValueError("document: nested too deeply") from None
+    if not isinstance(doc, dict):
+        raise ValueError("document: expected a JSON object")
+    name = doc.get("name")
+    if not isinstance(name, str):
+        raise ValueError("name: expected a string")
+    raw_tasks = doc.get("tasks")
+    if not isinstance(raw_tasks, list):
+        raise ValueError("tasks: expected a list")
+    tasks = tuple(
+        _task_from_dict(raw, f"tasks[{i}]") for i, raw in enumerate(raw_tasks)
+    )
+    return TaskSet(name=name, tasks=tasks)
 
 
 def save_task_set(ts: TaskSet, path: str) -> None:

@@ -31,10 +31,7 @@ from fedsched.federated import (
 from fedsched.generate import CounterexampleParams, build_counterexample, random_task_set
 from fedsched.model import DagTask, Platform, Subtask, TaskSet, span, work
 from fedsched.simulate import simulate_list_schedule, simulate_partitioned_edf
-
-
-def reference_set():
-    return build_counterexample(CounterexampleParams(10, 10, Fraction(2)))
+from reference import reference_set
 
 
 def full_grid():

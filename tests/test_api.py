@@ -1,4 +1,6 @@
 import importlib
+import re
+from pathlib import Path
 
 import fedsched
 
@@ -14,11 +16,9 @@ EXPECTED = {
     "min_feasible_speed_federated", "parse_rational",
     "partition_by_subtask_index", "partitioned_feasible", "processor_items",
     "random_task_set", "read_task_set", "save_task_set",
-    "shared_processor_items", "simulate_list_schedule",
-    "simulate_partitioned_edf", "span", "speedup_lower_bound",
-    "speedup_sweep", "task_set_from_dict", "task_set_to_dict",
-    "total_demand_lower_bound", "uniprocessor_edf_feasible",
-    "validate_task_set", "work",
+    "simulate_list_schedule", "simulate_partitioned_edf",
+    "speedup_lower_bound", "speedup_sweep", "total_demand_lower_bound",
+    "uniprocessor_edf_feasible", "validate_task_set",
 }
 
 # (module, function) pairs the benchmark's tracer looks up by name
@@ -47,7 +47,7 @@ TRACED = (
 def test_all_is_sorted_unique_and_exactly_the_expected_names():
     names = fedsched.__all__
     assert names == sorted(names)
-    assert len(set(names)) == len(names) == 47
+    assert len(set(names)) == len(names) == 42
     assert set(names) == EXPECTED
     for name in names:
         assert getattr(fedsched, name) is not None
@@ -64,3 +64,18 @@ def test_package_exports_no_private_name():
         name for name in vars(fedsched)
         if name.startswith("_") and not name.startswith("__")
     ]
+
+
+def test_readme_library_table_lists_exactly_the_exported_names():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    listed = []
+    for row in section.splitlines():
+        if row.startswith("| `fedsched."):
+            _, module, contents, _ = row.split("|")
+            module = importlib.import_module(module.strip().strip("`"))
+            for name in re.findall(r"`(\w+)`", contents):
+                assert name in fedsched.__all__, name
+                assert getattr(module, name) is getattr(fedsched, name), name
+                listed.append(name)
+    assert sorted(listed) == fedsched.__all__

@@ -10,19 +10,11 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-from fedsched import cli
 from fedsched.cli import main
-from fedsched.feasibility import (
-    demand_profile,
-    partition_by_subtask_index,
-    processor_items,
-    uniprocessor_edf_feasible,
-)
 from fedsched.generate import CounterexampleParams, build_counterexample
-from fedsched.model import DagTask, Platform, Subtask, TaskSet
-from fedsched.rational import format_rational, parse_rational
-from fedsched.simulate import simulate_partitioned_edf
+from fedsched.model import DagTask, Subtask, TaskSet
 from fedsched.taskio import read_task_set, save_task_set
+from reference import ref_analyze, ref_simulate
 
 
 def write_reference(tmp_path, m=10, n=10, k=2):
@@ -248,80 +240,27 @@ def test_malformed_input_names_the_field(tmp_path, capsys):
     assert "tasks[0]" in err
 
 
+def test_deeply_nested_input_is_an_input_error(tmp_path, capsys):
+    # json's decoder recurses once per bracket and runs out of stack here
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    for command in (["validate"], ["analyze", "--speed", "1", "--processors", "1"]):
+        assert main([command[0], "-i", str(deep), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: document: nested too deeply\n"
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
 
 
-# --- analyze and simulate against their Fraction formatting ------------------
+# --- analyze and simulate against ref_analyze and ref_simulate -------------
 #
-# analyze and simulate write their output from the engines' int ticks.  The
-# two functions below are those commands as they were when they formatted
-# the library's Fraction results: demand_profile and json.dump for the
-# demand table, format_rational per interval and miss, trace.makespan.
-
-def ref_analyze(path, speed, processors):
-    ts = read_task_set(path)
-    cli._require_valid(ts)
-    plat = Platform(processors, parse_rational(speed))
-    pa = partition_by_subtask_index(ts, plat.processors)
-    by_proc = processor_items(ts, pa)
-    feasible = all(uniprocessor_edf_feasible(items, plat.speed) for items in by_proc.values())
-    table = []
-    for proc, items in sorted(by_proc.items()):
-        points = [
-            {
-                "t": format_rational(t),
-                "demand": format_rational(demand),
-                "capacity": format_rational(plat.speed * t),
-            }
-            for t, demand in demand_profile(items).breakpoints
-        ]
-        table.append({"processor": proc, "points": points})
-    json.dump(
-        {
-            "verdict": "feasible" if feasible else "infeasible",
-            "speed": format_rational(plat.speed),
-            "processors": plat.processors,
-            "per_processor_demand": table,
-        },
-        sys.stdout,
-        indent=2,
-    )
-    sys.stdout.write("\n")
-    print(
-        f"{ts.name}: {'feasible' if feasible else 'infeasible'} at speed "
-        f"{format_rational(plat.speed)} on {plat.processors} processor(s)",
-        file=sys.stderr,
-    )
-    return 0 if feasible else 1
-
-
-def ref_simulate(path, speed, processors, horizon):
-    ts = read_task_set(path)
-    cli._require_valid(ts)
-    plat = Platform(processors, parse_rational(speed))
-    horizon = None if horizon is None else parse_rational(horizon)
-    pa = partition_by_subtask_index(ts, plat.processors)
-    trace = simulate_partitioned_edf(ts, pa, plat, horizon=horizon)
-    print("processor,task,subtask,start,end")
-    for iv in trace.intervals:
-        print(
-            f"{iv.processor},{iv.task},{iv.subtask},"
-            f"{format_rational(iv.start)},{format_rational(iv.end)}"
-        )
-    print(f"# misses={len(trace.misses)}")
-    for miss in trace.misses:
-        completion = (
-            "unfinished" if miss.completion is None else format_rational(miss.completion)
-        )
-        print(f"# miss,{miss.task},{format_rational(miss.deadline)},{completion}")
-    print(
-        f"{ts.name}: {len(trace.intervals)} interval(s), "
-        f"{len(trace.misses)} miss(es), makespan {format_rational(trace.makespan)}",
-        file=sys.stderr,
-    )
-    return 0 if not trace.misses else 1
+# The two commands write their output from the engines' int ticks; the
+# references are those commands as they were when they formatted the
+# library's Fraction results.  Both must give identical bytes and exit codes.
 
 
 def captured(run):

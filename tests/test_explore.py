@@ -12,23 +12,13 @@ from fedsched.explore import (
 )
 from fedsched.federated import (
     Infeasible,
-    _size_speed,
+    _size_ratio,
     allocate_federated,
     speedup_lower_bound,
 )
 from fedsched.generate import CounterexampleParams, build_counterexample, random_task_set
 from fedsched.model import DagTask, Platform, Subtask, TaskSet
-
-
-def seq_task(tid, wcet, deadline, period=None):
-    return DagTask(
-        id=tid,
-        wcet_total=Fraction(wcet),
-        deadline=Fraction(deadline),
-        period=period,
-        subtasks=(Subtask(1, Fraction(wcet)),),
-        edges=(),
-    )
+from reference import seq_task
 
 
 def one_shot_set(seed):
@@ -40,11 +30,15 @@ def one_shot_set(seed):
 def candidate_speeds(ts, m, ratios=None):
     """Every speed at which a decision of the allocator can flip on a
     one-shot set on m processors, sorted: each work/deadline (heavy or
-    light), each cluster-size step _size_speed(task, k) for k <= m, and
+    light), each cluster-size step _size_ratio(..., k) for k <= m, and
     the ``prefix_ratios`` of the set, computed here unless given."""
     speeds = set(prefix_ratios(ts) if ratios is None else ratios)
     speeds.update(task.work / task.deadline for task in ts)
-    speeds.update(_size_speed(task, k) for task in ts for k in range(1, m + 1))
+    speeds.update(
+        Fraction(*_size_ratio(task.work, task.span, task.deadline, k))
+        for task in ts
+        for k in range(1, m + 1)
+    )
     return sorted(speeds)
 
 

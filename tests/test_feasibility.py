@@ -20,10 +20,7 @@ from fedsched.generate import (
     random_task_set,
 )
 from fedsched.model import DagTask, Platform, Subtask, TaskSet, work
-
-
-def reference_set():
-    return build_counterexample(CounterexampleParams(10, 10, Fraction(2)))
+from reference import reference_set
 
 
 def dbf(work, deadline, period, t):

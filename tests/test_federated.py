@@ -8,34 +8,19 @@ from fedsched.federated import (
     FederatedAllocation,
     Infeasible,
     TaskClass,
-    _size_speed,
+    _size_ratio,
     allocate_federated,
     classify,
     heavy_demand_lower_bound,
     heavy_processor_allocation,
-    shared_processor_items,
     speedup_lower_bound,
     total_demand_lower_bound,
 )
-from fedsched.feasibility import uniprocessor_edf_feasible
+from fedsched.feasibility import Item, uniprocessor_edf_feasible
 from fedsched.generate import CounterexampleParams, build_counterexample, random_task_set
 from fedsched.model import DagTask, Platform, Subtask, TaskSet, work
 from fedsched.simulate import simulate_list_schedule
-
-
-def reference_set():
-    return build_counterexample(CounterexampleParams(10, 10, Fraction(2)))
-
-
-def seq_task(tid, wcet, deadline, period=None):
-    return DagTask(
-        id=tid,
-        wcet_total=Fraction(wcet),
-        deadline=Fraction(deadline),
-        period=period,
-        subtasks=(Subtask(1, Fraction(wcet)),),
-        edges=(),
-    )
+from reference import reference_set, seq_task
 
 
 def test_classify_heavy():
@@ -224,7 +209,12 @@ def test_allocation_is_independently_recheckable():
     result = allocate_federated(ts, plat)
     assert isinstance(result, FederatedAllocation)
     granted = sum(result.heavy_grants.values())
-    shared = shared_processor_items(ts, result)
+    # each shared processor's tasks, each run sequentially as one item
+    by_id = {t.id: t for t in ts}
+    shared = {}
+    for tid, proc in sorted(result.light_partition.items()):
+        t = by_id[tid]
+        shared.setdefault(proc, []).append(Item(t.work, t.deadline, t.period))
     assert granted + len(shared) == result.total_processors_used
     assert result.total_processors_used <= plat.processors
     for items in shared.values():
@@ -250,7 +240,7 @@ def test_size_speed_inverts_the_cluster_size():
     for seed in range(60):
         for task in random_task_set(seed):
             for k in range(1, 6):
-                speed = _size_speed(task, k)
+                speed = Fraction(*_size_ratio(task.work, task.span, task.deadline, k))
                 if k == 1 or task.span == work(task):
                     # a chain's steps all sit at work/deadline, where it turns light
                     assert speed == work(task) / task.deadline

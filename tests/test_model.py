@@ -1,5 +1,5 @@
 import dataclasses
-import json
+import io
 import random
 from fractions import Fraction
 
@@ -16,7 +16,7 @@ from fedsched.model import (
     work,
 )
 from fedsched.simulate import check_trace, simulate_list_schedule
-from fedsched.taskio import task_set_from_dict, task_set_to_dict
+from fedsched.taskio import dump_task_set, load_task_set
 
 
 def make_task(tid=1, wcets=(1,), edges=(), deadline=None, period=None, total=None):
@@ -94,11 +94,17 @@ def test_cache_is_invisible_to_equality_hash_and_repr():
 
 def test_cache_leaves_json_encoding_unchanged():
     ts = random_task_set(7, n_tasks=5)
-    before = json.dumps(task_set_to_dict(ts))
+
+    def dumped():
+        buf = io.StringIO()
+        dump_task_set(ts, buf)
+        return buf.getvalue()
+
+    before = dumped()
     for task in ts:
         work(task), span(task)
-    assert json.dumps(task_set_to_dict(ts)) == before
-    assert task_set_from_dict(json.loads(before)) == ts
+    assert dumped() == before
+    assert load_task_set(io.StringIO(before)) == ts
 
 
 def test_span_never_exceeds_work():

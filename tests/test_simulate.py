@@ -1,7 +1,5 @@
-import heapq
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -22,17 +20,7 @@ from fedsched.simulate import (
     simulate_list_schedule,
     simulate_partitioned_edf,
 )
-
-
-def seq_task(tid, wcet, deadline, period=None):
-    return DagTask(
-        id=tid,
-        wcet_total=Fraction(wcet),
-        deadline=Fraction(deadline),
-        period=period,
-        subtasks=(Subtask(1, Fraction(wcet)),),
-        edges=(),
-    )
+from reference import reference_partitioned_edf, seq_task
 
 
 def one_processor(ts):
@@ -385,120 +373,10 @@ def test_check_trace_accepts_generated_traces():
             assert check_trace(single, trace) == []
 
 
-# --- reference: the partitioned simulator on Fraction arithmetic ----------
+# --- the simulator on int ticks against reference_partitioned_edf --------
 #
-# The simulator runs on integer ticks; this is the event loop it replaced,
-# which computes every instant as a Fraction.  The differential test below
-# requires identical traces from both.
-
-
-@dataclass
-class _RefJob:
-    deadline: Fraction  # absolute
-    task: int
-    subtask: int
-    release: Fraction
-    remaining: Fraction
-
-
-def _ref_merge_contiguous(intervals):
-    merged = []
-    for iv in intervals:
-        if (
-            merged
-            and merged[-1].processor == iv.processor
-            and merged[-1].task == iv.task
-            and merged[-1].subtask == iv.subtask
-            and merged[-1].end == iv.start
-        ):
-            merged[-1] = merged[-1]._replace(end=iv.end)
-        else:
-            merged.append(iv)
-    return merged
-
-
-def _ref_edf_on_one_processor(proc, jobs, speed):
-    jobs = sorted(jobs, key=lambda j: j.release)
-    heap = []
-    out = []
-    completion = {}
-    time = Fraction(0)
-    next_idx = 0
-    while next_idx < len(jobs) or heap:
-        if not heap:
-            time = max(time, jobs[next_idx].release)
-        while next_idx < len(jobs) and jobs[next_idx].release <= time:
-            j = jobs[next_idx]
-            heapq.heappush(heap, (j.deadline, j.task, j.subtask, j.release, next_idx))
-            next_idx += 1
-        _, _, _, _, idx = heap[0]
-        job = jobs[idx]
-        finish = time + job.remaining / speed
-        run_until = finish
-        if next_idx < len(jobs) and jobs[next_idx].release < finish:
-            run_until = jobs[next_idx].release
-        if run_until > time:
-            out.append(Interval(proc, job.task, job.subtask, time, run_until))
-            job.remaining -= (run_until - time) * speed
-        time = run_until
-        if job.remaining == 0:
-            heapq.heappop(heap)
-            key = (job.task, job.release)
-            prev = completion.get(key)
-            if prev is None or time > prev:
-                completion[key] = time
-    return _ref_merge_contiguous(out), completion
-
-
-def reference_partitioned_edf(ts, pa, plat, horizon=None):
-    if horizon is None:
-        horizon = default_horizon(
-            it for items in processor_items(ts, pa).values() for it in items
-        )
-    horizon = Fraction(horizon)
-
-    def job_count(task):
-        if task.period is None:
-            return 1
-        return max(0, int(horizon // task.period) + 1)
-
-    release_table = {
-        task.id: [k * (task.period or Fraction(0)) for k in range(job_count(task))]
-        for task in ts
-    }
-    jobs_by_proc = {}
-    for task in ts:
-        for st in task.subtasks:
-            proc = pa.mapping[(task.id, st.id)]
-            for r in release_table[task.id]:
-                jobs_by_proc.setdefault(proc, []).append(
-                    _RefJob(r + task.deadline, task.id, st.id, r, st.wcet)
-                )
-    intervals = []
-    completion = {}
-    for proc in sorted(jobs_by_proc):
-        proc_intervals, proc_completion = _ref_edf_on_one_processor(
-            proc, jobs_by_proc[proc], plat.speed
-        )
-        intervals.extend(proc_intervals)
-        for key, value in proc_completion.items():
-            prev = completion.get(key)
-            if prev is None or value > prev:
-                completion[key] = value
-    misses = []
-    for task in ts:
-        for r in release_table[task.id]:
-            done = completion.get((task.id, r), r)
-            if done > r + task.deadline:
-                misses.append(DeadlineMiss(task.id, r + task.deadline, done))
-    misses.sort(key=lambda m: (m.deadline, m.task))
-    return ScheduleTrace(
-        speed=plat.speed,
-        horizon=horizon,
-        intervals=tuple(intervals),
-        misses=tuple(misses),
-    )
-
+# The reference is the event loop the simulator replaced, computing every
+# instant as a Fraction; the test below requires identical traces.
 
 PERIODS = (Fraction(17, 2), Fraction(7, 3), Fraction(3), Fraction(4), Fraction(5, 2))
 SPEEDS = (Fraction(1), Fraction(999, 1000), Fraction(3, 2), Fraction(7, 3))

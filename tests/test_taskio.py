@@ -5,18 +5,23 @@ from fractions import Fraction
 import pytest
 
 from fedsched.generate import CounterexampleParams, build_counterexample, random_task_set
-from fedsched.taskio import (
-    dump_task_set,
-    load_task_set,
-    task_set_from_dict,
-    task_set_to_dict,
-)
+from fedsched.taskio import dump_task_set, load_task_set
+
+
+def dumped(ts):
+    """The document dump_task_set writes for ``ts``, as text."""
+    buf = io.StringIO()
+    dump_task_set(ts, buf)
+    return buf.getvalue()
+
+
+def loaded(doc):
+    """load_task_set on the JSON text of ``doc``."""
+    return load_task_set(io.StringIO(json.dumps(doc)))
 
 
 def round_trip(ts):
-    buf = io.StringIO()
-    dump_task_set(ts, buf)
-    return load_task_set(io.StringIO(buf.getvalue()))
+    return load_task_set(io.StringIO(dumped(ts)))
 
 
 def test_round_trip_reference_instance():
@@ -39,14 +44,14 @@ def test_round_trip_preserves_exact_rationals():
 
 def test_period_serializes_as_null():
     ts = build_counterexample(CounterexampleParams(2, 2, Fraction(2)))
-    doc = task_set_to_dict(ts)
+    doc = json.loads(dumped(ts))
     assert doc["tasks"][0]["period"] is None
-    assert task_set_from_dict(doc).tasks[0].period is None
+    assert loaded(doc).tasks[0].period is None
 
 
 def test_document_shape():
     ts = build_counterexample(CounterexampleParams(2, 2, Fraction(2)))
-    doc = json.loads(json.dumps(task_set_to_dict(ts)))
+    doc = json.loads(dumped(ts))
     task = doc["tasks"][0]
     assert set(task) == {"id", "wcet", "deadline", "period", "subtasks", "edges"}
     assert task["wcet"] == "2"
@@ -73,42 +78,42 @@ def test_error_names_bad_task_field():
     doc = base_doc()
     doc["tasks"][0]["wcet"] = "1.5"
     with pytest.raises(ValueError, match=r"tasks\[0\].wcet"):
-        task_set_from_dict(doc)
+        loaded(doc)
 
 
 def test_error_names_bad_subtask_field():
     doc = base_doc()
     doc["tasks"][0]["subtasks"][0]["wcet"] = 2  # must be a rational-string
     with pytest.raises(ValueError, match=r"tasks\[0\].subtasks\[0\].wcet"):
-        task_set_from_dict(doc)
+        loaded(doc)
 
 
 def test_error_on_missing_period():
     doc = base_doc()
     del doc["tasks"][0]["period"]
     with pytest.raises(ValueError, match=r"tasks\[0\].period"):
-        task_set_from_dict(doc)
+        loaded(doc)
 
 
 def test_error_on_malformed_edge():
     doc = base_doc()
     doc["tasks"][0]["edges"] = [[1]]
     with pytest.raises(ValueError, match=r"tasks\[0\].edges\[0\]"):
-        task_set_from_dict(doc)
+        loaded(doc)
 
 
 def test_error_on_missing_name():
     with pytest.raises(ValueError, match="name"):
-        task_set_from_dict({"tasks": []})
+        loaded({"tasks": []})
 
 
 def test_error_on_non_object():
     with pytest.raises(ValueError, match="document"):
-        task_set_from_dict([1, 2])
+        loaded([1, 2])
 
 
 def test_error_on_boolean_id():
     doc = base_doc()
     doc["tasks"][0]["id"] = True
     with pytest.raises(ValueError, match=r"tasks\[0\].id"):
-        task_set_from_dict(doc)
+        loaded(doc)

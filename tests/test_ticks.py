@@ -1,14 +1,13 @@
 """The integer time base against the Fraction code it replaced.
 
 The allocator, the demand engine, the oracle and the list scheduler run on
-int ticks of one task set (``TaskSet._ticks``).  The functions below are
-the same layers on ``Fraction`` arithmetic, kept as the reference: every
-test here requires identical results, exceptions included, on random sets
-with non-integer times (so the tick is finer than 1) and speeds p/q with
-p and q both above 1.
+int ticks of one task set (``TaskSet._ticks``).  ``reference.py`` keeps
+the same layers on ``Fraction`` arithmetic: every test here requires
+identical results, exceptions included, on random sets with non-integer
+times (so the tick is finer than 1) and speeds p/q with p and q both
+above 1.
 """
 
-import heapq
 import math
 import random
 from collections import Counter
@@ -17,234 +16,16 @@ from fractions import Fraction
 import fedsched.feasibility
 from fedsched.explore import brute_force_federated_oracle
 from fedsched.feasibility import demand_profile, uniprocessor_edf_feasible
-from fedsched.federated import FederatedAllocation, Infeasible, allocate_federated
+from fedsched.federated import Infeasible, allocate_federated
 from fedsched.model import DagTask, Platform, Subtask, TaskSet
-from fedsched.rational import format_rational
-from fedsched.simulate import (
-    DeadlineMiss,
-    Interval,
-    ScheduleTrace,
-    simulate_list_schedule,
+from fedsched.simulate import simulate_list_schedule
+from reference import (
+    ref_allocate,
+    ref_demand_profile,
+    ref_first_violation,
+    ref_list_schedule,
+    ref_oracle,
 )
-
-# --- reference: the decision layers on Fraction arithmetic -----------------
-
-
-def ref_default_horizon(items):
-    if not items:
-        return Fraction(0)
-    horizon = max(d for _, d, _ in items)
-    periods = [p for _, _, p in items if p is not None]
-    if periods:
-        num, den = 1, 0
-        for v in periods:
-            num = math.lcm(num, v.numerator)
-            den = math.gcd(den, v.denominator)
-        horizon += 2 * Fraction(num, den)
-    return horizon
-
-
-def ref_demand_steps(items, horizon):
-    counts = []
-    for _, d, p in items:
-        if p is None:
-            counts.append(1)
-        elif p <= 0:
-            raise ValueError(f"period must be positive, got {p}")
-        else:
-            counts.append((horizon - d) // p + 1)
-    limit = fedsched.feasibility.MAX_DEMAND_STEPS  # as the test sets it
-    if sum(counts) > limit:
-        raise ValueError(
-            f"demand scan to horizon {format_rational(horizon)} needs "
-            f"{sum(counts)} step instants, more than the limit of {limit}"
-        )
-    steps = {}
-    for (w, d, p), count in zip(items, counts):
-        t = d
-        for k in range(count):
-            if k:
-                t += p
-            steps[t] = steps.get(t, Fraction(0)) + w
-    return sorted(steps.items())
-
-
-def ref_demand_profile(items):
-    total, points = Fraction(0), []
-    for t, step in ref_demand_steps(items, ref_default_horizon(items)):
-        total += step
-        points.append((t, total))
-    return tuple(points)
-
-
-def ref_first_violation(items, speed):
-    recurring = [it for it in items if it[2] is not None]
-    utilization = sum((w / p for w, _, p in recurring), Fraction(0))
-    if utilization > speed:
-        return utilization, Fraction(1)
-    horizon = ref_default_horizon(items)
-    if recurring and utilization < speed and all(w >= 0 for w, _, _ in items):
-        offset = sum(
-            (w if p is None else max(0, p - d) * w / p for w, d, p in items),
-            Fraction(0),
-        )
-        deadline = max(d for _, d, _ in items)
-        horizon = min(horizon, max(deadline, offset / (speed - utilization)))
-    demand = Fraction(0)
-    for t, step in ref_demand_steps(items, horizon):
-        demand += step
-        if demand > speed * t:
-            return demand, t
-    return None
-
-
-def ref_list_schedule(task, m, speed):
-    wcet = {st.id: st.wcet for st in task.subtasks}
-    succ = task.successors
-    pending = Counter(b for nexts in succ.values() for b in nexts)
-    ready = [sid for sid in sorted(succ) if pending[sid] == 0]
-    free = list(range(1, m + 1))
-    running, intervals, time = [], [], Fraction(0)
-    while ready or running:
-        while ready and free:
-            sid, proc = heapq.heappop(ready), heapq.heappop(free)
-            end = time + wcet[sid] / speed
-            heapq.heappush(running, (end, proc, sid))
-            if end > time:
-                intervals.append(Interval(proc, task.id, sid, time, end))
-        if not running:
-            break
-        time = running[0][0]
-        while running and running[0][0] == time:
-            _, proc, sid = heapq.heappop(running)
-            heapq.heappush(free, proc)
-            for nxt in succ[sid]:
-                pending[nxt] -= 1
-                if pending[nxt] == 0:
-                    heapq.heappush(ready, nxt)
-    intervals.sort(key=lambda iv: (iv.start, iv.processor))
-    makespan = max((iv.end for iv in intervals), default=Fraction(0))
-    misses = ()
-    if makespan > task.deadline:
-        misses = (DeadlineMiss(task.id, task.deadline, makespan),)
-    return ScheduleTrace(speed, None, tuple(intervals), misses)
-
-
-def of_task(task):
-    return (task.work, task.deadline, task.period)
-
-
-def ref_allocate(ts, plat):
-    speed = plat.speed
-    heavy = [t for t in ts if t.work > speed * t.deadline]
-    light = [t for t in ts if not t.work > speed * t.deadline]
-    demand = None
-    if heavy:
-        demand = sum(math.ceil(t.work / (t.deadline * speed)) for t in heavy)
-
-    def size_speed(task, k):
-        return (task.span + (task.work - task.span) / k) / task.deadline
-
-    flips, grants = [], {}
-    for task in heavy:
-        budget = speed * task.deadline
-        if budget <= task.span:
-            return Infeasible(
-                reason=(
-                    f"task {task.id}: critical path {task.span} needs more than "
-                    f"the deadline budget {budget}; no cluster size suffices"
-                ),
-                processors_needed=None,
-                demand_lower_bound=demand,
-                retry_speed=(
-                    size_speed(task, plat.processors) if task.deadline > 0 else None
-                ),
-            )
-        size = max(1, math.ceil((task.work - task.span) / (budget - task.span)))
-        grants[task.id] = size
-        flips.append(size_speed(task, size - 1))
-    used = sum(grants.values())
-    if used > plat.processors:
-        return Infeasible(
-            reason=(
-                f"heavy clusters alone need {used} processors, "
-                f"platform has {plat.processors}"
-            ),
-            processors_needed=used,
-            demand_lower_bound=demand,
-            retry_speed=min(flips),
-        )
-    shared, placement = [], {}
-    for task in sorted(light, key=lambda t: (t.deadline, t.id)):
-        item = of_task(task)
-        for idx, items in enumerate(shared):
-            violation = ref_first_violation(items + [item], speed)
-            if violation is None:
-                items.append(item)
-                placement[task.id] = idx + 1
-                break
-            if violation[1] > 0:
-                flips.append(violation[0] / violation[1])
-        else:
-            if used + len(shared) + 1 > plat.processors:
-                return Infeasible(
-                    reason=(
-                        f"light task {task.id} does not fit: {used} processors "
-                        f"granted exclusively, {len(shared)} shared processors "
-                        f"full, platform has {plat.processors}"
-                    ),
-                    processors_needed=used + len(shared) + 1,
-                    demand_lower_bound=demand,
-                    retry_speed=min(flips, default=None),
-                )
-            shared.append([item])
-            placement[task.id] = len(shared)
-    return FederatedAllocation(grants, placement, used + len(shared))
-
-
-def ref_oracle(ts, plat):
-    speed, tasks, total = plat.speed, list(ts.tasks), plat.processors
-    by_id = {t.id: t for t in tasks}
-
-    def cluster_ok(task, size):
-        return ref_list_schedule(task, size, speed).makespan <= task.deadline
-
-    def group_ok(ids):
-        items = [of_task(by_id[i]) for i in sorted(ids)]
-        return ref_first_violation(items, speed) is None
-
-    def pack(shared, groups, budget):
-        if not shared:
-            return True
-        head, rest = shared[0], shared[1:]
-        for group in groups:
-            if group_ok(group | {head}):
-                group.add(head)
-                if pack(rest, groups, budget):
-                    return True
-                group.discard(head)
-        if len(groups) < budget and group_ok({head}):
-            groups.append({head})
-            if pack(rest, groups, budget):
-                return True
-            groups.pop()
-        return False
-
-    def choose(idx, used, shared):
-        if idx == len(tasks):
-            return not shared or pack(shared, [], total - used)
-        task = tasks[idx]
-        if choose(idx + 1, used, shared + [task.id]):
-            return True
-        for size in range(1, total - used + 1):
-            if cluster_ok(task, size):
-                if choose(idx + 1, used + size, shared):
-                    return True
-                break
-        return False
-
-    return choose(0, 0, [])
-
 
 # --- random inputs ----------------------------------------------------------
 
