@@ -41,34 +41,32 @@ class Item(NamedTuple):
     period: Fraction | None = None
 
 
-def _as_item(spec: Item | Sequence) -> Item:
-    """Accept an Item, a (work, deadline) pair, or a (work, deadline, period) triple."""
-    if isinstance(spec, Item):
-        return spec
-    work, deadline, *rest = spec
-    period = rest[0] if rest else None
-    return Item(
-        Fraction(work),
-        Fraction(deadline),
-        None if period is None else Fraction(period),
-    )
-
-
 def _scaled(
     specs: Iterable[Item | Sequence],
 ) -> tuple[int, list[tuple[int, int, int | None]]]:
     """The tick of some items and each as (work, deadline, period) in ints
-    of that tick: how the public demand functions enter the engine."""
-    items = [_as_item(spec) for spec in specs]
+    of that tick: how the public demand functions enter the engine.  Each
+    spec is an Item, a (work, deadline) pair or a (work, deadline, period)
+    triple."""
+    items = []
+    for spec in specs:
+        work, deadline, period = Item(*spec)
+        period = None if period is None else Fraction(period)
+        items.append((Fraction(work), Fraction(deadline), period))
     scale = _tick(v for it in items for v in it)
     return scale, [tuple(_in_ticks(v, scale) for v in it) for it in items]
 
 
-def _horizon(items: list[tuple[int, int, int | None]]) -> int:
-    """:func:`default_horizon` of int items, in their ticks: the lcm of
-    ticks is the tick count of the rationals' lcm."""
+def _horizon(items: list[tuple[int, int, int | None]], scale: int) -> int:
+    """:func:`default_horizon` of int items in ticks of ``1/scale``: the
+    lcm of ticks is the tick count of the rationals' lcm.  Raises
+    ValueError for a nonpositive period; ``scale`` is read only for that
+    message."""
     horizon = max([d for _, d, _ in items], default=0)
     periods = [per for _, _, per in items if per is not None]
+    for per in periods:
+        if per <= 0:
+            raise ValueError(f"period must be positive, got {Fraction(per, scale)}")
     if periods:
         horizon += 2 * lcm(*periods)
     return horizon
@@ -85,10 +83,10 @@ def default_horizon(items: Iterable[Item | Sequence]) -> Fraction:
     :func:`demand_profile` tabulates this far; the verdict of
     :func:`uniprocessor_edf_feasible` usually needs far less, since when
     utilization stays below the speed it stops at the sooner of this
-    horizon and the L_a bound.
+    horizon and the L_a bound.  Raises ValueError for a nonpositive period.
     """
     scale, ticks = _scaled(items)
-    return Fraction(_horizon(ticks), scale)
+    return Fraction(_horizon(ticks, scale), scale)
 
 
 def _check_step_count(total: int, horizon: int | Fraction, scale: int) -> None:
@@ -121,8 +119,6 @@ def _demand_steps(
     for _, deadline, period in items:
         if period is None:
             total += 1
-        elif period <= 0:
-            raise ValueError(f"period must be positive, got {Fraction(period, scale)}")
         else:
             total += (last - deadline) // period + 1
     _check_step_count(total, horizon, scale)
@@ -148,16 +144,8 @@ class DemandProfile:
     breakpoints: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self) -> None:
-        # exact type checks, as in format_rational: keep the engine's tuple
-        if type(self.breakpoints) is not tuple or any(
-            type(t) is not Fraction or type(d) is not Fraction
-            for t, d in self.breakpoints
-        ):
-            object.__setattr__(
-                self,
-                "breakpoints",
-                tuple((Fraction(t), Fraction(d)) for t, d in self.breakpoints),
-            )
+        points = tuple((Fraction(t), Fraction(d)) for t, d in self.breakpoints)
+        object.__setattr__(self, "breakpoints", points)
 
 
 def _demand_table(
@@ -168,7 +156,7 @@ def _demand_table(
     the steps out to the items' default horizon."""
     table = []
     total = 0
-    for t, step in _demand_steps(items, _horizon(items), scale):
+    for t, step in _demand_steps(items, _horizon(items, scale), scale):
         total += step
         table.append((t, total))
     return table
@@ -247,10 +235,7 @@ def _first_violation(
             if (k == len(ordered) or ordered[k][1] != t) and q * demand > p * t:
                 return demand, t
         return None
-    horizon = _horizon(items)
-    for per in periods:
-        if per <= 0:
-            raise ValueError(f"period must be positive, got {Fraction(per, scale)}")
+    horizon = _horizon(items, scale)
     hyper = lcm(*periods)
     # U = used / hyper: each recurring item's work per hyperperiod
     used = sum(w * (hyper // per) for w, _, per in items if per is not None)
@@ -280,9 +265,16 @@ class PartitionedAssignment:
     mapping: Mapping[tuple[int, int], int]
 
     def __post_init__(self) -> None:
-        entries = {
-            (int(t), int(s)): int(p) for (t, s), p in dict(self.mapping).items()
-        }
+        entries = dict(self.mapping)
+        for (task, subtask), proc in entries.items():
+            if not all(
+                isinstance(v, int) and not isinstance(v, bool)
+                for v in (task, subtask, proc)
+            ):
+                raise ValueError(
+                    f"assignment entry ({task!r}, {subtask!r}) -> {proc!r}: "
+                    "ids and processors must be integers"
+                )
         object.__setattr__(self, "mapping", MappingProxyType(entries))
 
     def processor_of(self, task_id: int, subtask_id: int) -> int:

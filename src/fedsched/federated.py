@@ -32,16 +32,18 @@ def classify(task: DagTask, speed: Fraction) -> TaskClass:
     time on one processor).  The strictness matters: several identities in
     this package sit exactly on it.
     """
-    if type(speed) is not Fraction:  # the allocator calls this per task
-        speed = Fraction(speed)
-    w, d = task.work, task.deadline
-    # in ints: both sides times speed.denominator * w.denominator * d.denominator
-    if (
-        speed.denominator * w.numerator * d.denominator
-        > speed.numerator * d.numerator * w.denominator
-    ):
+    if task.work > Fraction(speed) * task.deadline:
         return TaskClass.HEAVY
     return TaskClass.LIGHT
+
+
+def _heavy_speed(task: DagTask, speed: Fraction, why: str) -> Fraction:
+    """``speed`` as a Fraction, after refusing a task that is light at it:
+    the checked public rules below apply to heavy tasks only."""
+    speed = Fraction(speed)
+    if classify(task, speed) is TaskClass.LIGHT:
+        raise ValueError(f"task {task.id} is light at speed {speed}; {why}")
+    return speed
 
 
 def heavy_demand_lower_bound(task: DagTask, speed: Fraction) -> int:
@@ -52,12 +54,7 @@ def heavy_demand_lower_bound(task: DagTask, speed: Fraction) -> int:
     the bound is the exact ceiling of that ratio.  Light tasks are rejected:
     for them the ratio degenerates to 1 and says nothing.
     """
-    speed = Fraction(speed)
-    if classify(task, speed) is TaskClass.LIGHT:
-        raise ValueError(
-            f"task {task.id} is light at speed {speed}; "
-            "the demand bound applies to heavy tasks only"
-        )
+    speed = _heavy_speed(task, speed, "the demand bound applies to heavy tasks only")
     return _demand_bound(task.work, task.deadline, speed.numerator, speed.denominator)
 
 
@@ -115,11 +112,7 @@ def heavy_processor_allocation(task: DagTask, speed: Fraction) -> int | None:
     alone overruns the budget (s*D <= span): no cluster size can help.
     Rejects light tasks; they are never granted clusters.
     """
-    speed = Fraction(speed)
-    if classify(task, speed) is TaskClass.LIGHT:
-        raise ValueError(
-            f"task {task.id} is light at speed {speed}; clusters are for heavy tasks"
-        )
+    speed = _heavy_speed(task, speed, "clusters are for heavy tasks")
     return _cluster_size(
         task.work, task.span, task.deadline, speed.numerator, speed.denominator
     )
@@ -216,9 +209,9 @@ def allocate_federated(
     """
     speed, ticks = plat.speed, ts._ticks
     p, q = speed.numerator, speed.denominator
-    classes = [classify(task, speed) for task in ts]
-    heavy = [i for i, c in enumerate(classes) if c is TaskClass.HEAVY]
-    light = [i for i, c in enumerate(classes) if c is TaskClass.LIGHT]
+    # classify's rule, work > speed * deadline, on the set's ticks
+    heavy = [i for i, (w, d, _) in enumerate(ticks.items) if q * w > p * d]
+    light = [i for i, (w, d, _) in enumerate(ticks.items) if q * w <= p * d]
     demand = None
     # a heavy task with a nonpositive deadline fits on no count of processors
     if heavy and all(ticks.deadline[i] > 0 for i in heavy):

@@ -10,7 +10,7 @@ task sets for property tests.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .model import DagTask, Subtask, TaskSet
@@ -81,33 +81,26 @@ def build_counterexample(params: CounterexampleParams) -> TaskSet:
     return TaskSet(name=name, tasks=tuple(tasks))
 
 
-def random_task_set(
-    seed: int,
-    n_tasks: int | None = None,
-    max_subtasks: int = 6,
-    max_wcet: int = 8,
-) -> TaskSet:
+def random_task_set(seed: int, n_tasks: int | None = None) -> TaskSet:
     """Generate a random valid task set, deterministically from ``seed``.
 
-    Fuzz input for property tests.  Edges are sampled only from lower to
-    higher subtask id (so the graph is acyclic by construction), subtask
-    wcets are integers in 1..max_wcet, and deadlines always exceed the
-    critical-path length, so every generated set passes validation.
-    Roughly half the tasks are one-shot; the rest get a period at or
-    above the deadline.
+    Fuzz input for property tests.  Each task has 1..6 subtasks; edges
+    are sampled only from lower to higher subtask id (so the graph is
+    acyclic by construction), subtask wcets are integers in 1..8, and
+    deadlines always exceed the critical-path length, so every generated
+    set passes validation.  Roughly half the tasks are one-shot; the rest
+    get a period at or above the deadline.
     """
     if n_tasks is not None and n_tasks < 1:
         raise ValueError(f"n_tasks must be at least 1, got {n_tasks}")
-    if max_subtasks < 1 or max_wcet < 1:
-        raise ValueError("max_subtasks and max_wcet must be at least 1")
     rng = random.Random(seed)
     if n_tasks is None:
         n_tasks = rng.randint(1, 5)
     tasks = []
     for tid in range(1, n_tasks + 1):
-        n_sub = rng.randint(1, max_subtasks)
+        n_sub = rng.randint(1, 6)
         subtasks = tuple(
-            Subtask(id=j, wcet=Fraction(rng.randint(1, max_wcet)))
+            Subtask(id=j, wcet=Fraction(rng.randint(1, 8)))
             for j in range(1, n_sub + 1)
         )
         edges = []
@@ -128,13 +121,5 @@ def random_task_set(
         period = None
         if rng.random() < 0.5:
             period = deadline + Fraction(rng.randint(0, 10))
-        task = DagTask(
-            id=tid,
-            wcet_total=task.wcet_total,
-            deadline=deadline,
-            period=period,
-            subtasks=subtasks,
-            edges=tuple(edges),
-        )
-        tasks.append(task)
+        tasks.append(replace(task, deadline=deadline, period=period))
     return TaskSet(name=f"random-{seed}", tasks=tuple(tasks))

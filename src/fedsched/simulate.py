@@ -152,16 +152,6 @@ def _simulate_ticks(
     ``1/scale``."""
     by_proc = _partition(ts, pa, plat)
     ticks = ts._ticks
-    if horizon is None:
-        items = [it for placed in by_proc.values() for it in _tick_items(ts, placed)]
-        horizon = Fraction(_horizon(items), ticks.scale)
-    else:
-        horizon = Fraction(horizon)
-        if horizon < 0:
-            raise ValueError(
-                f"horizon must be nonnegative, got {format_rational(horizon)}"
-            )
-    jobs = 0
     for task in ts:
         if task.period is not None and task.period <= 0:
             raise ValueError(
@@ -169,7 +159,16 @@ def _simulate_ticks(
             )
         if any(st.wcet < 0 for st in task.subtasks):
             raise ValueError(f"task {task.id}: a negative wcet never finishes")
-        jobs += len(task.subtasks) * _job_count(task, horizon)
+    if horizon is None:
+        items = [it for placed in by_proc.values() for it in _tick_items(ts, placed)]
+        horizon = Fraction(_horizon(items, ticks.scale), ticks.scale)
+    else:
+        horizon = Fraction(horizon)
+        if horizon < 0:
+            raise ValueError(
+                f"horizon must be nonnegative, got {format_rational(horizon)}"
+            )
+    jobs = sum(len(task.subtasks) * _job_count(task, horizon) for task in ts)
     if jobs > MAX_DEMAND_STEPS:
         raise ValueError(
             f"simulation to horizon {format_rational(horizon)} releases {jobs} "
@@ -238,19 +237,16 @@ def simulate_partitioned_edf(
     built as ``Fraction``.
     """
     scale, horizon, runs, missed = _simulate_ticks(ts, pa, plat, horizon)
-    intervals = []
-    last_tick, last_end = None, None
-    for proc, task, subtask, start, end in runs:
-        # the next run usually starts where the last one ended
-        begin = last_end if start == last_tick else Fraction(start, scale)
-        last_tick, last_end = end, Fraction(end, scale)
-        intervals.append(Interval(proc, task, subtask, begin, last_end))
+    intervals = tuple(
+        Interval(proc, task, subtask, Fraction(start, scale), Fraction(end, scale))
+        for proc, task, subtask, start, end in runs
+    )
     misses = tuple(
         DeadlineMiss(task, Fraction(deadline, scale), Fraction(done, scale))
         for deadline, task, done in missed
     )
     return ScheduleTrace(
-        speed=plat.speed, horizon=horizon, intervals=tuple(intervals), misses=misses
+        speed=plat.speed, horizon=horizon, intervals=intervals, misses=misses
     )
 
 

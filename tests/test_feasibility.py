@@ -7,6 +7,8 @@ from fedsched.feasibility import (
     MAX_DEMAND_STEPS,
     DemandProfile,
     Item,
+    PartitionedAssignment,
+    _scaled,
     default_horizon,
     demand_profile,
     partition_by_subtask_index,
@@ -190,8 +192,6 @@ def test_partitioned_rejects_edges():
 
 
 def test_partitioned_rejects_uncovered_assignment():
-    from fedsched.feasibility import PartitionedAssignment
-
     ts = build_counterexample(CounterexampleParams(2, 2, Fraction(2)))
     partial = PartitionedAssignment({(1, 1): 1, (1, 2): 2, (2, 1): 1})
     with pytest.raises(ValueError):
@@ -205,9 +205,31 @@ def test_partitioned_rejects_out_of_range_processor():
         partitioned_feasible(ts, pa, Platform(1, Fraction(1)))
 
 
+def test_assignment_refuses_non_integer_entries():
+    assert PartitionedAssignment({(1, 2): 3}).processor_of(1, 2) == 3
+    # int() would truncate these: 1.7 onto processor 1, task 1.9 into task 1
+    for mapping in (
+        {(1, 1): 1.7},
+        {(1.9, 2): 1},
+        {(1, Fraction(2)): 1},
+        {(True, 1): 1},
+        {(1, 1): False},
+    ):
+        with pytest.raises(ValueError, match=r"^assignment entry \("):
+            PartitionedAssignment(mapping)
+
+
 def test_item_accepts_pairs_and_triples():
     for spec in (Item(Fraction(1), Fraction(2)), (1, 2), (1, 2, None)):
         assert demand_profile([spec]).breakpoints == ((2, 1),)
+    # each form enters the engine on the items' one tick
+    specs = [Item(Fraction(1, 2), Fraction(3)), (1, Fraction(5, 4)), ("1/3", 2, 6)]
+    assert _scaled(specs) == (12, [(6, 36, None), (12, 15, None), (4, 24, 72)])
+    # a fourth value is an error, not dropped
+    with pytest.raises(TypeError):
+        _scaled([(1, 2, 3, 4)])
+    with pytest.raises(TypeError):
+        demand_profile([(1, 2, 3, 4)])
 
 
 def as_reference_item(spec):
@@ -367,10 +389,11 @@ def test_step_limit_covers_random_task_sets():
 
 
 def test_nonpositive_period_is_an_error_not_a_hang():
-    with pytest.raises(ValueError, match="period must be positive"):
-        demand_profile([(1, 2, 0)])
-    with pytest.raises(ValueError, match="period must be positive"):
-        demand_profile([(1, 2, -3)])
+    for scan in (default_horizon, demand_profile):
+        with pytest.raises(ValueError, match="period must be positive, got 0$"):
+            scan([(1, 2, 0)])
+        with pytest.raises(ValueError, match="period must be positive, got -3$"):
+            scan([(1, 2, -3)])
     # the verdict checks the periods before it sums the utilization, so a
     # period of 0 is the same error, alone or beside other items, and
     # whatever the speed (5/7 alone would exceed speed 1/2)

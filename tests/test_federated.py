@@ -1,9 +1,9 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-import fedsched.federated
 from fedsched.federated import (
     FederatedAllocation,
     Infeasible,
@@ -253,19 +253,29 @@ def test_size_speed_inverts_the_cluster_size():
     assert checked > 500
 
 
-def test_allocator_classifies_each_task_once(monkeypatch):
-    calls = []
-
-    def counting(task, speed):
-        calls.append(task.id)
-        return classify(task, speed)
-
-    monkeypatch.setattr(fedsched.federated, "classify", counting)
-    ts = reference_set()
-    for speed in (4, 6, 10):
-        calls.clear()
-        allocate_federated(ts, Platform(10, Fraction(speed)))
-        assert sorted(calls) == [task.id for task in ts]
+def test_allocator_splits_heavy_from_light_as_classify_does():
+    # at each task's own boundary work/deadline, where it turns light, and
+    # just either side of it
+    rng = random.Random(5)
+    kinds = Counter()
+    eps = Fraction(1, 10**9)
+    for seed in range(150):
+        ts = random_task_set(seed)
+        for task in ts:
+            boundary = task.work / task.deadline
+            for speed in (boundary - eps, boundary, boundary + eps):
+                heavy = [t for t in ts if classify(t, speed) is TaskClass.HEAVY]
+                heavy_ids = {t.id for t in heavy}
+                result = allocate_federated(ts, Platform(rng.randint(1, 6), speed))
+                if isinstance(result, FederatedAllocation):
+                    assert set(result.heavy_grants) == heavy_ids
+                    assert set(result.light_partition) == {t.id for t in ts} - heavy_ids
+                    kinds["allocated"] += 1
+                else:
+                    demand = sum(heavy_demand_lower_bound(t, speed) for t in heavy)
+                    assert result.demand_lower_bound == (demand if heavy else None)
+                    kinds["infeasible"] += 1
+    assert kinds["allocated"] > 300 and kinds["infeasible"] > 900, kinds
 
 
 def test_retry_speed_of_each_infeasible_kind():

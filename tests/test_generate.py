@@ -98,5 +98,3 @@ def test_random_task_sets_leave_deadline_slack():
 def test_random_task_set_rejects_bad_bounds():
     with pytest.raises(ValueError):
         random_task_set(0, n_tasks=0)
-    with pytest.raises(ValueError):
-        random_task_set(0, max_subtasks=0)

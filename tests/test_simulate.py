@@ -95,10 +95,10 @@ def test_recurring_releases_fill_the_horizon():
 
 
 def test_release_table_has_a_budget(monkeypatch):
-    def run(period):
+    def run(period, horizon=Fraction(15)):
         ts = TaskSet(name="p", tasks=(seq_task(1, 2, 5, period=period),))
         return simulate_partitioned_edf(
-            ts, one_processor(ts), Platform(1, Fraction(1)), horizon=Fraction(15)
+            ts, one_processor(ts), Platform(1, Fraction(1)), horizon=horizon
         )
 
     # releases at 0, 5, 10 and 15: four jobs
@@ -108,8 +108,10 @@ def test_release_table_has_a_budget(monkeypatch):
     with pytest.raises(ValueError, match="horizon 15 releases 4 subtask jobs"):
         run(Fraction(5))
     for period in (Fraction(0), Fraction(-5)):
-        with pytest.raises(ValueError, match="period must be positive"):
-            run(period)
+        # the periods are checked before the default horizon reads them
+        for horizon in (Fraction(15), None):
+            with pytest.raises(ValueError, match="^task 1: period must be positive"):
+                run(period, horizon)
 
 
 def test_negative_wcet_is_an_error_not_a_hang():
