@@ -52,8 +52,11 @@ def heavy_demand_lower_bound(task: DagTask, speed: Fraction) -> int:
     Within a window of length deadline, m speed-``speed`` processors supply
     at most m * speed * deadline execution, so m >= work/(deadline * speed);
     the bound is the exact ceiling of that ratio.  Light tasks are rejected:
-    for them the ratio degenerates to 1 and says nothing.
+    for them the ratio degenerates to 1 and says nothing.  So is a task
+    whose deadline is not positive, which no count of processors meets.
     """
+    if task.deadline <= 0:
+        raise ValueError(f"task {task.id}: deadline {task.deadline} is not positive")
     speed = _heavy_speed(task, speed, "the demand bound applies to heavy tasks only")
     return _demand_bound(task.work, task.deadline, speed.numerator, speed.denominator)
 

@@ -20,6 +20,12 @@ from math import lcm
 from typing import Iterable, Mapping, NamedTuple
 
 
+def _exact(value) -> Fraction:
+    """``value`` as an exact Fraction: a Fraction itself as it is (the
+    loader and the generators already built it), anything else coerced."""
+    return value if type(value) is Fraction else Fraction(value)
+
+
 @dataclass(frozen=True)
 class Subtask:
     """One unit of sequential execution inside a task's job.
@@ -34,7 +40,7 @@ class Subtask:
     wcet: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "wcet", Fraction(self.wcet))
+        object.__setattr__(self, "wcet", _exact(self.wcet))
 
 
 @dataclass(frozen=True)
@@ -64,10 +70,10 @@ class DagTask:
     edges: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "wcet_total", Fraction(self.wcet_total))
-        object.__setattr__(self, "deadline", Fraction(self.deadline))
+        object.__setattr__(self, "wcet_total", _exact(self.wcet_total))
+        object.__setattr__(self, "deadline", _exact(self.deadline))
         if self.period is not None:
-            object.__setattr__(self, "period", Fraction(self.period))
+            object.__setattr__(self, "period", _exact(self.period))
         object.__setattr__(self, "subtasks", tuple(self.subtasks))
         object.__setattr__(
             self, "edges", tuple((int(a), int(b)) for a, b in self.edges)
@@ -258,40 +264,55 @@ def validate_task_set(ts: TaskSet) -> list[str]:
     """Check every structural invariant; return one message per violation.
 
     An empty list means the task set is valid.  Violations are data, not
-    failures: building an invalid task set never raises.
+    failures: building an invalid task set never raises.  The times are
+    compared on the set's tick view, which the engines then reuse.
     """
-    violations: list[str] = []
     ids = [task.id for task in ts.tasks]
-    if sorted(ids) != list(range(1, len(ids) + 1)):
+    violations = [
+        f"task set {ts.name!r}: task id {tid!r} is not an integer"
+        for tid in ids if not _is_int(tid)
+    ]
+    if not violations and sorted(ids) != list(range(1, len(ids) + 1)):
         violations.append(
             f"task set {ts.name!r}: task ids not unique and contiguous from 1: {ids}"
         )
-    for task in ts.tasks:
-        violations.extend(_validate_task(task))
+    t = ts._ticks
+    for task, *times in zip(ts.tasks, t.wcets, t.work, t.deadline, t.period):
+        violations.extend(_validate_task(task, t.scale, *times))
     return violations
 
 
-def _validate_task(task: DagTask) -> list[str]:
+def _is_int(value) -> bool:
+    """True for an int that is not a bool (JSON's true is not an id)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _validate_task(task: DagTask, scale: int, wcets, work, deadline, period) -> list[str]:
+    """``task``'s violations, its times given as ints of ``1/scale`` (see
+    :class:`_Ticks`); a Fraction is built only to word a work mismatch."""
     v: list[str] = []
     tag = f"task {task.id}"
     sids = [st.id for st in task.subtasks]
+    for sid in sids:
+        if not _is_int(sid):
+            v.append(f"{tag}: subtask id {sid!r} is not an integer")
     if len(set(sids)) != len(sids):
         v.append(f"{tag}: duplicate subtask ids: {sids}")
-    for st in task.subtasks:
-        if st.wcet <= 0:
+    for st, wcet in zip(task.subtasks, wcets):
+        if wcet <= 0:
             v.append(f"{tag}: nonpositive wcet {st.wcet} on subtask {st.id}")
-    total = task.work
-    if total != task.wcet_total:
+    total = task.wcet_total
+    if work * total.denominator != total.numerator * scale:
         v.append(
-            f"{tag}: work mismatch: subtasks sum to {total}, "
-            f"declared total is {task.wcet_total}"
+            f"{tag}: work mismatch: subtasks sum to {Fraction(work, scale)}, "
+            f"declared total is {total}"
         )
-    if task.deadline <= 0:
+    if deadline <= 0:
         v.append(f"{tag}: nonpositive deadline {task.deadline}")
-    if task.period is not None:
-        if task.period <= 0:
+    if period is not None:
+        if period <= 0:
             v.append(f"{tag}: nonpositive period {task.period}")
-        elif task.deadline > task.period:
+        elif deadline > period:
             v.append(f"{tag}: deadline {task.deadline} exceeds period {task.period}")
     known = task.successors
     for a, b in dict.fromkeys(task.edges):  # each distinct edge once, in order

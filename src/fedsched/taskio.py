@@ -23,26 +23,26 @@ import json
 from fractions import Fraction
 from typing import Any, TextIO
 
-from .model import DagTask, Subtask, TaskSet
+from .model import DagTask, Subtask, TaskSet, _is_int
 from .rational import format_rational, parse_rational
 
 
-def _task_from_dict(raw: Any, where: str) -> DagTask:
+def _task_from_dict(raw: Any, where: str, seen: dict[str, Fraction]) -> DagTask:
     if not isinstance(raw, dict):
         raise ValueError(f"{where}: expected an object")
     tid = _int_field(raw, "id", where)
-    wcet_total = _rational_field(raw, "wcet", where)
-    deadline = _rational_field(raw, "deadline", where)
+    wcet_total = _rational_field(raw, "wcet", where, seen)
+    deadline = _rational_field(raw, "deadline", where, seen)
     if "period" not in raw:
         raise ValueError(f"{where}.period: missing")
     period = raw["period"]
     if period is not None:
-        period = _rational_field(raw, "period", where)
+        period = _rational_field(raw, "period", where, seen)
     raw_subtasks = raw.get("subtasks")
     if not isinstance(raw_subtasks, list):
         raise ValueError(f"{where}.subtasks: expected a list")
     subtasks = tuple(
-        _subtask_from_dict(sub, f"{where}.subtasks[{j}]")
+        _subtask_from_dict(sub, f"{where}.subtasks[{j}]", seen)
         for j, sub in enumerate(raw_subtasks)
     )
     raw_edges = raw.get("edges", [])
@@ -50,11 +50,7 @@ def _task_from_dict(raw: Any, where: str) -> DagTask:
         raise ValueError(f"{where}.edges: expected a list")
     edges = []
     for j, pair in enumerate(raw_edges):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in pair)
-        ):
+        if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_int, pair)):
             raise ValueError(f"{where}.edges[{j}]: expected a pair of integers")
         edges.append((pair[0], pair[1]))
     return DagTask(
@@ -67,29 +63,34 @@ def _task_from_dict(raw: Any, where: str) -> DagTask:
     )
 
 
-def _subtask_from_dict(raw: Any, where: str) -> Subtask:
+def _subtask_from_dict(raw: Any, where: str, seen: dict[str, Fraction]) -> Subtask:
     if not isinstance(raw, dict):
         raise ValueError(f"{where}: expected an object")
     return Subtask(
-        id=_int_field(raw, "id", where), wcet=_rational_field(raw, "wcet", where)
+        id=_int_field(raw, "id", where), wcet=_rational_field(raw, "wcet", where, seen)
     )
 
 
 def _int_field(raw: dict, key: str, where: str) -> int:
     value = raw.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise ValueError(f"{where}.{key}: expected an integer")
     return value
 
 
-def _rational_field(raw: dict, key: str, where: str) -> Fraction:
+def _rational_field(raw: dict, key: str, where: str, seen: dict[str, Fraction]) -> Fraction:
+    """The field's rational-string decoded.  ``seen`` maps each string this
+    document has decoded to its Fraction, so equal strings parse once."""
     value = raw.get(key)
     if not isinstance(value, str):
         raise ValueError(f"{where}.{key}: expected a rational-string")
-    try:
-        return parse_rational(value)
-    except ValueError as exc:
-        raise ValueError(f"{where}.{key}: {exc}") from None
+    fraction = seen.get(value)
+    if fraction is None:
+        try:
+            fraction = seen[value] = parse_rational(value)
+        except ValueError as exc:
+            raise ValueError(f"{where}.{key}: {exc}") from None
+    return fraction
 
 
 def dump_task_set(ts: TaskSet, stream: TextIO) -> None:
@@ -134,8 +135,9 @@ def load_task_set(stream: TextIO) -> TaskSet:
     raw_tasks = doc.get("tasks")
     if not isinstance(raw_tasks, list):
         raise ValueError("tasks: expected a list")
+    seen: dict[str, Fraction] = {}  # rational-string -> its decode
     tasks = tuple(
-        _task_from_dict(raw, f"tasks[{i}]") for i, raw in enumerate(raw_tasks)
+        _task_from_dict(raw, f"tasks[{i}]", seen) for i, raw in enumerate(raw_tasks)
     )
     return TaskSet(name=name, tasks=tasks)
 

@@ -1,9 +1,9 @@
 """Reference code shared by the tests.
 
 Small task-set builders, and the layers that now decide and write on int
-ticks as they were on ``Fraction`` arithmetic: the demand test, the
-allocator, the oracle, the list scheduler, the partitioned simulator, and
-the ``analyze`` and ``simulate`` commands.  The differential tests in
+ticks as they were on ``Fraction`` arithmetic: task validation, the demand
+test, the allocator, the oracle, the list scheduler, the partitioned
+simulator, and the ``analyze`` and ``simulate`` commands.  The differential tests in
 ``test_ticks.py``, ``test_simulate.py`` and ``test_cli.py`` require
 identical results from the package and from these.
 """
@@ -54,6 +54,38 @@ def seq_task(tid, wcet, deadline, period=None):
 
 
 # --- reference: the decision layers on Fraction arithmetic -----------------
+
+
+def ref_validate(task):
+    v: list[str] = []
+    tag = f"task {task.id}"
+    sids = [st.id for st in task.subtasks]
+    if len(set(sids)) != len(sids):
+        v.append(f"{tag}: duplicate subtask ids: {sids}")
+    for st in task.subtasks:
+        if st.wcet <= 0:
+            v.append(f"{tag}: nonpositive wcet {st.wcet} on subtask {st.id}")
+    total = task.work
+    if total != task.wcet_total:
+        v.append(
+            f"{tag}: work mismatch: subtasks sum to {total}, "
+            f"declared total is {task.wcet_total}"
+        )
+    if task.deadline <= 0:
+        v.append(f"{tag}: nonpositive deadline {task.deadline}")
+    if task.period is not None:
+        if task.period <= 0:
+            v.append(f"{tag}: nonpositive period {task.period}")
+        elif task.deadline > task.period:
+            v.append(f"{tag}: deadline {task.deadline} exceeds period {task.period}")
+    known = task.successors
+    for a, b in dict.fromkeys(task.edges):  # each distinct edge once, in order
+        if a not in known or b not in known:
+            v.append(f"{tag}: edge ({a}, {b}) references an unknown subtask")
+    if task.topological_order is None:
+        v.append(f"{tag}: dependency cycle among subtasks")
+    return v
+
 
 
 def ref_default_horizon(items):

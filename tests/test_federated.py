@@ -54,6 +54,20 @@ def test_heavy_demand_bound_rejects_light_tasks():
         heavy_demand_lower_bound(seq_task(1, 2, 2), Fraction(1))
 
 
+def test_demand_bound_refuses_a_nonpositive_deadline():
+    # no count of processors meets such a deadline: a ValueError, not a
+    # ZeroDivisionError at 0 or a negative count at -1
+    for deadline in (0, -1):
+        task = seq_task(3, 2, deadline)
+        message = rf"^task 3: deadline {deadline} is not positive$"
+        with pytest.raises(ValueError, match=message):
+            heavy_demand_lower_bound(task, Fraction(1))
+        with pytest.raises(ValueError, match=message):
+            total_demand_lower_bound(TaskSet("d", (seq_task(1, 9, 1), task)), Fraction(1))
+        verdict = allocate_federated(TaskSet("d", (task,)), Platform(2, Fraction(1)))
+        assert isinstance(verdict, Infeasible) and verdict.demand_lower_bound is None
+
+
 def test_total_demand_reference_values():
     ts = reference_set()
     assert total_demand_lower_bound(ts, Fraction(4999, 1000)) == 21

@@ -191,6 +191,20 @@ def test_validate_reports_duplicate_subtask_ids():
     assert any("duplicate" in msg for msg in report)
 
 
+def test_validate_reports_ids_that_are_not_integers():
+    # a bool is not an id, as in the loader
+    subtasks = (Subtask(1.5, Fraction(1)), Subtask(True, Fraction(1)))
+    task = DagTask(id=1.0, wcet_total=2, deadline=5, period=None, subtasks=subtasks)
+    assert validate_task_set(TaskSet(name="odd", tasks=(task,))) == [
+        "task set 'odd': task id 1.0 is not an integer",
+        "task 1.0: subtask id 1.5 is not an integer",
+        "task 1.0: subtask id True is not an integer",
+    ]
+    # a str id is a violation, not a TypeError from sorting the ids
+    ts = TaskSet(name="s", tasks=(make_task(1), make_task("2")))
+    assert validate_task_set(ts) == ["task set 's': task id '2' is not an integer"]
+
+
 def test_platform_rejects_bad_values():
     with pytest.raises(ValueError):
         Platform(0, Fraction(1))

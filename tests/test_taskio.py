@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from fedsched.generate import CounterexampleParams, build_counterexample, random_task_set
+from fedsched.model import DagTask, Subtask
 from fedsched.taskio import dump_task_set, load_task_set
 
 
@@ -117,3 +118,61 @@ def test_error_on_boolean_id():
     doc["tasks"][0]["id"] = True
     with pytest.raises(ValueError, match=r"tasks\[0\].id"):
         loaded(doc)
+
+
+def test_equal_strings_decode_to_one_fraction():
+    doc = base_doc()
+    doc["tasks"][0]["subtasks"].append({"id": 2, "wcet": "2"})
+    doc["tasks"][0]["wcet"] = "4"
+    task = loaded(doc).tasks[0]
+    a, b = task.subtasks
+    assert a.wcet is b.wcet and a.wcet == 2
+    assert task.wcet_total == 4 and task.deadline == 3
+
+
+@pytest.mark.parametrize("value", [1, True, 1.0])
+def test_a_decoded_string_does_not_admit_other_types(value):
+    doc = base_doc()
+    doc["tasks"][0]["subtasks"] = [{"id": 1, "wcet": "1"}, {"id": 2, "wcet": value}]
+    with pytest.raises(
+        ValueError, match=r"^tasks\[0\]\.subtasks\[1\]\.wcet: expected a rational-string$"
+    ):
+        loaded(doc)
+
+
+def test_the_first_of_two_bad_strings_is_named():
+    doc = base_doc()
+    doc["tasks"][0]["deadline"] = "1/0"
+    doc["tasks"][0]["subtasks"][0]["wcet"] = "1/0"
+    with pytest.raises(ValueError, match=r"^tasks\[0\]\.deadline: zero denominator"):
+        loaded(doc)
+    doc["tasks"][0]["deadline"] = "3"
+    with pytest.raises(ValueError, match=r"^tasks\[0\]\.subtasks\[0\]\.wcet: zero denominator"):
+        loaded(doc)
+
+
+def test_loads_share_no_decodes():
+    broken = base_doc()
+    broken["tasks"][0]["subtasks"][0]["wcet"] = "x"  # fails after "2" and "3" decoded
+    with pytest.raises(ValueError, match=r"subtasks\[0\]\.wcet"):
+        loaded(broken)
+    first, second = loaded(base_doc()).tasks[0], loaded(base_doc()).tasks[0]
+    assert first == second and first.subtasks[0].wcet == 2
+    assert first.deadline is not second.deadline
+
+
+class Half(Fraction):
+    pass
+
+
+def test_values_enter_as_exact_fractions():
+    for value, want in ((3, Fraction(3)), ("5/4", Fraction(5, 4)), (Half(1, 2), Fraction(1, 2))):
+        st = Subtask(1, value)
+        task = DagTask(1, value, value, value, (st,))
+        for got in (st.wcet, task.wcet_total, task.deadline, task.period):
+            assert type(got) is Fraction and got == want
+    # a Fraction is kept as the same object, not rebuilt
+    f = Fraction(7, 2)
+    st = Subtask(1, f)
+    task = DagTask(1, f, f, f, (st,))
+    assert all(x is f for x in (st.wcet, task.wcet_total, task.deadline, task.period))

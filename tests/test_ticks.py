@@ -1,13 +1,14 @@
 """The integer time base against the Fraction code it replaced.
 
-The allocator, the demand engine, the oracle and the list scheduler run on
-int ticks of one task set (``TaskSet._ticks``).  ``reference.py`` keeps
+Validation, the allocator, the demand engine, the oracle and the list
+scheduler run on int ticks of one task set (``TaskSet._ticks``).  ``reference.py`` keeps
 the same layers on ``Fraction`` arithmetic: every test here requires
 identical results, exceptions included, on random sets with non-integer
 times (so the tick is finer than 1) and speeds p/q with p and q both
 above 1.
 """
 
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -17,7 +18,8 @@ import fedsched.feasibility
 from fedsched.explore import brute_force_federated_oracle
 from fedsched.feasibility import demand_profile, uniprocessor_edf_feasible
 from fedsched.federated import Infeasible, allocate_federated
-from fedsched.model import DagTask, Platform, Subtask, TaskSet
+from fedsched.generate import random_task_set
+from fedsched.model import DagTask, Platform, Subtask, TaskSet, validate_task_set
 from fedsched.simulate import simulate_list_schedule
 from reference import (
     ref_allocate,
@@ -25,6 +27,7 @@ from reference import (
     ref_first_violation,
     ref_list_schedule,
     ref_oracle,
+    ref_validate,
 )
 
 # --- random inputs ----------------------------------------------------------
@@ -206,3 +209,89 @@ def test_ticks_are_built_once_per_task_set():
     assert makespans  # the oracle's list schedules are kept, in unit-speed ticks
     brute_force_federated_oracle(ts, Platform(2, Fraction(7, 3)))
     assert ts._ticks.makespans.items() >= makespans.items()
+
+
+# --- validation --------------------------------------------------------------
+
+
+def scaled(ts, factor):
+    """``ts`` with every wcet, total, deadline and period times ``factor``."""
+    def times(task):
+        return dataclasses.replace(
+            task,
+            wcet_total=task.wcet_total * factor,
+            deadline=task.deadline * factor,
+            period=None if task.period is None else task.period * factor,
+            subtasks=tuple(Subtask(st.id, st.wcet * factor) for st in task.subtasks),
+        )
+    return TaskSet(ts.name, tuple(map(times, ts.tasks)))
+
+
+def mutated(rng, task, kind):
+    """``task`` broken in the one way ``kind`` names."""
+    subtasks, n = list(task.subtasks), len(task.subtasks)
+    j = rng.randrange(n)
+    if kind in ("zero wcet", "negative wcet"):
+        wcet = 0 if kind == "zero wcet" else -Fraction(rng.randint(1, 9), rng.choice((1, 4, 7)))
+        subtasks[j] = Subtask(subtasks[j].id, wcet)
+        total = sum(st.wcet for st in subtasks)
+        return dataclasses.replace(task, subtasks=tuple(subtasks), wcet_total=total)
+    if kind == "work mismatch":  # off by a step finer than the tick, or a whole one
+        step = rng.choice((Fraction(1, 7), Fraction(-1, 11), Fraction(1)))
+        return dataclasses.replace(task, wcet_total=task.wcet_total + step)
+    if kind == "nonpositive deadline":
+        return dataclasses.replace(task, deadline=-task.deadline * rng.randint(0, 1))
+    if kind == "nonpositive period":
+        return dataclasses.replace(task, period=-task.deadline * rng.randint(0, 1))
+    if kind == "deadline > period":
+        return dataclasses.replace(task, period=task.deadline * Fraction(rng.randint(1, 8), 9))
+    if kind == "cycle":
+        a, b = rng.choice(task.edges) if task.edges else (j + 1, j + 1)
+        return dataclasses.replace(task, edges=task.edges + ((b, a),))
+    if kind == "unknown edge endpoint":
+        pair = (rng.randint(1, n), n + rng.randint(1, 3))
+        return dataclasses.replace(task, edges=task.edges + (pair[::rng.choice((1, -1))],))
+    assert kind == "duplicate subtask ids" and n > 1
+    subtasks[j] = Subtask(subtasks[(j + 1) % n].id, subtasks[j].wcet)
+    return dataclasses.replace(task, subtasks=tuple(subtasks))
+
+
+# each mutation and the violation it must cause
+MUTATIONS = {
+    "zero wcet": "nonpositive wcet",
+    "negative wcet": "nonpositive wcet",
+    "work mismatch": "work mismatch",
+    "nonpositive deadline": "nonpositive deadline",
+    "nonpositive period": "nonpositive period",
+    "deadline > period": "exceeds period",
+    "cycle": "dependency cycle",
+    "unknown edge endpoint": "unknown subtask",
+    "duplicate subtask ids": "duplicate subtask ids",
+}
+
+
+def test_validation_matches_the_fraction_reference():
+    rng = random.Random(13)
+    kinds = Counter()
+    for seed in range(400):
+        factor = rng.choice((1, Fraction(1, 6), Fraction(7, 3), Fraction(5, 4)))
+        base = scaled(random_task_set(seed), factor)
+        mutants = [("clean", base)]
+        for kind in MUTATIONS:
+            i = rng.randrange(len(base))
+            if kind == "duplicate subtask ids" and len(base.tasks[i].subtasks) < 2:
+                continue
+            tasks = list(base.tasks)
+            tasks[i] = mutated(rng, tasks[i], kind)
+            mutants.append((kind, TaskSet(base.name, tuple(tasks))))
+        for kind, ts in mutants:
+            want = [msg for task in ts for msg in ref_validate(task)]
+            assert validate_task_set(ts) == want, (seed, kind)
+            if kind == "clean":
+                assert want == [], seed
+            else:
+                assert any(MUTATIONS[kind] in msg for msg in want), (seed, kind)
+            kinds[kind] += 1
+            kinds["tick > 1" if ts._ticks.scale > 1 else "tick 1"] += 1
+    for kind in ("clean", "tick > 1", "tick 1", *MUTATIONS):
+        assert kinds[kind] >= 150, kinds
