@@ -23,13 +23,11 @@ from .feasibility import (
 from .federated import (
     FederatedAllocation,
     Infeasible,
-    TaskClass,
     allocate_federated,
-    classify,
     heavy_demand_lower_bound,
     heavy_processor_allocation,
+    is_heavy,
     speedup_lower_bound,
-    total_demand_lower_bound,
 )
 from .generate import CounterexampleParams, build_counterexample, random_task_set
 from .model import (
@@ -71,19 +69,18 @@ __all__ = [
     "ScheduleTrace",
     "SpeedupRow",
     "Subtask",
-    "TaskClass",
     "TaskSet",
     "allocate_federated",
     "brute_force_federated_oracle",
     "build_counterexample",
     "check_trace",
-    "classify",
     "default_horizon",
     "demand_profile",
     "dump_task_set",
     "format_rational",
     "heavy_demand_lower_bound",
     "heavy_processor_allocation",
+    "is_heavy",
     "load_task_set",
     "min_feasible_speed_federated",
     "parse_rational",
@@ -97,7 +94,6 @@ __all__ = [
     "simulate_partitioned_edf",
     "speedup_lower_bound",
     "speedup_sweep",
-    "total_demand_lower_bound",
     "uniprocessor_edf_feasible",
     "validate_task_set",
 ]

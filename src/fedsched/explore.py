@@ -24,8 +24,8 @@ from .federated import (
     _cluster_size,
     _size_ratio,
     allocate_federated,
+    heavy_demand_lower_bound,
     speedup_lower_bound,
-    total_demand_lower_bound,
 )
 from .generate import CounterexampleParams, build_counterexample
 from .model import Platform, TaskSet, validate_task_set
@@ -120,7 +120,7 @@ def speedup_sweep(grid: list[CounterexampleParams]) -> list[SpeedupRow]:
             feasible_at_1 = not missed
         bound = speedup_lower_bound(m, params.n_tasks, params.ratio)
         probe = bound * Fraction(999, 1000)
-        demand = total_demand_lower_bound(ts, probe)
+        demand = sum(heavy_demand_lower_bound(task, probe) for task in ts)
         threshold = min_feasible_speed_federated(ts, m)
         if threshold < bound:
             raise RuntimeError(

@@ -24,7 +24,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .model import Platform, TaskSet, _in_ticks, _tick
+from .model import Platform, TaskSet, _in_ticks, _is_int, _tick
 from .rational import format_rational
 
 # Most step instants one demand scan may enumerate, and most subtask jobs
@@ -267,18 +267,12 @@ class PartitionedAssignment:
     def __post_init__(self) -> None:
         entries = dict(self.mapping)
         for (task, subtask), proc in entries.items():
-            if not all(
-                isinstance(v, int) and not isinstance(v, bool)
-                for v in (task, subtask, proc)
-            ):
+            if not all(map(_is_int, (task, subtask, proc))):
                 raise ValueError(
                     f"assignment entry ({task!r}, {subtask!r}) -> {proc!r}: "
                     "ids and processors must be integers"
                 )
         object.__setattr__(self, "mapping", MappingProxyType(entries))
-
-    def processor_of(self, task_id: int, subtask_id: int) -> int:
-        return self.mapping[(task_id, subtask_id)]
 
 
 def partition_by_subtask_index(ts: TaskSet, processors: int) -> PartitionedAssignment:

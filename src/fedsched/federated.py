@@ -11,37 +11,29 @@ the whole approach on the adversarial family, and a concrete allocator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
 
 from .feasibility import _first_violation
-from .model import DagTask, Platform, TaskSet
+from .model import DagTask, Platform, TaskSet, _is_int
 
 
-class TaskClass(Enum):
-    HEAVY = "heavy"
-    LIGHT = "light"
-
-
-def classify(task: DagTask, speed: Fraction) -> TaskClass:
+def is_heavy(task: DagTask, speed: Fraction) -> bool:
     """Heavy iff the task cannot run sequentially: work > speed * deadline.
 
-    The boundary work == speed * deadline is Light (it finishes exactly on
+    The boundary work == speed * deadline is light (it finishes exactly on
     time on one processor).  The strictness matters: several identities in
     this package sit exactly on it.
     """
-    if task.work > Fraction(speed) * task.deadline:
-        return TaskClass.HEAVY
-    return TaskClass.LIGHT
+    return task.work > Fraction(speed) * task.deadline
 
 
 def _heavy_speed(task: DagTask, speed: Fraction, why: str) -> Fraction:
     """``speed`` as a Fraction, after refusing a task that is light at it:
     the checked public rules below apply to heavy tasks only."""
     speed = Fraction(speed)
-    if classify(task, speed) is TaskClass.LIGHT:
+    if not is_heavy(task, speed):
         raise ValueError(f"task {task.id} is light at speed {speed}; {why}")
     return speed
 
@@ -72,16 +64,6 @@ def _demand_bound(work, deadline, p: int, q: int) -> int:
     return -(-q * work // (p * deadline))
 
 
-def total_demand_lower_bound(ts: TaskSet, speed: Fraction) -> int:
-    """Sum of per-task demand lower bounds over an all-heavy task set.
-
-    Because clusters are exclusive, the per-task bounds add up.  Rejects
-    task sets containing any light task (the summation is meaningless once
-    a task could share a processor).
-    """
-    return sum(heavy_demand_lower_bound(task, speed) for task in ts)
-
-
 def speedup_lower_bound(processors: int, n_tasks: int, ratio: Fraction) -> Fraction:
     """Speed below which *no* federated allocation of the adversarial
     family can fit on its platform: min((1 - 1/K)*M, N - (N-1)/K) for
@@ -94,7 +76,8 @@ def speedup_lower_bound(processors: int, n_tasks: int, ratio: Fraction) -> Fract
     scheduler needs.
     """
     ratio = Fraction(ratio)
-    if processors < 2 or n_tasks < 2 or ratio < 2:
+    counts = _is_int(processors) and _is_int(n_tasks)
+    if not counts or processors < 2 or n_tasks < 2 or ratio < 2:
         raise ValueError(
             "requires processors >= 2, n_tasks >= 2 and ratio >= 2, got "
             f"({processors}, {n_tasks}, {ratio})"
@@ -212,7 +195,7 @@ def allocate_federated(
     """
     speed, ticks = plat.speed, ts._ticks
     p, q = speed.numerator, speed.denominator
-    # classify's rule, work > speed * deadline, on the set's ticks
+    # is_heavy's rule, work > speed * deadline, on the set's ticks
     heavy = [i for i, (w, d, _) in enumerate(ticks.items) if q * w > p * d]
     light = [i for i, (w, d, _) in enumerate(ticks.items) if q * w <= p * d]
     demand = None

@@ -43,6 +43,23 @@ class Subtask:
         object.__setattr__(self, "wcet", _exact(self.wcet))
 
 
+def work(task: DagTask) -> Fraction:
+    """Total work of a job: the sum of its subtask wcets."""
+    scale, wcets = task._own_ticks()
+    return Fraction(sum(wcets), scale)
+
+
+def span(task: DagTask) -> Fraction:
+    """Length of the longest precedence path, by topological longest-path.
+
+    This is the minimum completion time of the job on unboundedly many
+    unit-speed processors.  Raises ValueError (uncached) if the edges are
+    cyclic.
+    """
+    scale, wcets = task._own_ticks()
+    return Fraction(task._span_in(wcets), scale)
+
+
 @dataclass(frozen=True)
 class DagTask:
     """A sporadic task whose job decomposes into a DAG of subtasks.
@@ -75,19 +92,15 @@ class DagTask:
         if self.period is not None:
             object.__setattr__(self, "period", _exact(self.period))
         object.__setattr__(self, "subtasks", tuple(self.subtasks))
-        object.__setattr__(
-            self, "edges", tuple((int(a), int(b)) for a, b in self.edges)
-        )
+        object.__setattr__(self, "edges", tuple((a, b) for a, b in self.edges))
 
     # Derived values, computed on first use and kept in the instance
     # __dict__: they take no part in equality, hashing, repr or the
-    # JSON encoding, and dataclasses.replace starts afresh.
+    # JSON encoding, and dataclasses.replace starts afresh.  work and span
+    # are the module functions of those names.
 
-    @cached_property
-    def work(self) -> Fraction:
-        """Total work of a job: the sum of its subtask wcets."""
-        scale, wcets = self._own_ticks()
-        return Fraction(sum(wcets), scale)
+    work = cached_property(work)
+    span = cached_property(span)
 
     @cached_property
     def successors(self) -> Mapping[int, tuple[int, ...]]:
@@ -114,12 +127,6 @@ class DagTask:
                 if indegree[nxt] == 0:
                     queue.append(nxt)
         return tuple(order) if len(order) == len(self.successors) else None
-
-    @cached_property
-    def span(self) -> Fraction:
-        """Longest precedence path; raises ValueError (uncached) on a cycle."""
-        scale, wcets = self._own_ticks()
-        return Fraction(self._span_in(wcets), scale)
 
     def _own_ticks(self) -> tuple[int, list[int]]:
         """The task's own tick and its subtask wcets in it, in subtask order."""
@@ -169,10 +176,29 @@ class TaskSet:
         return _Ticks.of(self.tasks)
 
 
+# Most bits a tick view's values may take together, counted as the tick's
+# bit length times the number of values.  Rescaling costs time in proportion
+# to that, and distinct large denominators grow the tick with every value,
+# so a larger view ends with ValueError instead of running for minutes.
+MAX_TICK_BITS = 2**27
+
+
 def _tick(values: Iterable[Fraction | int | None]) -> int:
     """The tick of a set of rationals: the lcm of their denominators (None
-    skipped), so that each is a whole number of ticks of 1/tick."""
-    return lcm(*(v.denominator for v in values if v is not None))
+    skipped), so that each is a whole number of ticks of 1/tick.  Raises
+    ValueError when the values on that tick would take more than
+    ``MAX_TICK_BITS``."""
+    denominators = [v.denominator for v in values if v is not None]
+    tick = 1
+    for d in set(denominators):
+        tick = lcm(tick, d)
+        if tick.bit_length() * len(denominators) > MAX_TICK_BITS:
+            raise ValueError(
+                f"the lcm of the times' denominators reaches {tick.bit_length()} "
+                f"bits; {len(denominators)} times on that tick exceed the limit "
+                f"of {MAX_TICK_BITS} bits"
+            )
+    return tick
 
 
 def _in_ticks(value: Fraction | int | None, scale: int) -> int | None:
@@ -203,8 +229,7 @@ class _Ticks(NamedTuple):
     makespans: dict[tuple[int, int], int]
 
     @classmethod
-    def of(cls, tasks: Iterable[DagTask]) -> _Ticks:
-        tasks = tuple(tasks)
+    def of(cls, tasks: tuple[DagTask, ...]) -> _Ticks:
         scale = _tick(
             v
             for task in tasks
@@ -234,30 +259,11 @@ class Platform:
     speed: Fraction
 
     def __post_init__(self) -> None:
-        if not isinstance(self.processors, int) or self.processors < 1:
+        if not _is_int(self.processors) or self.processors < 1:
             raise ValueError(f"processors must be a positive integer, got {self.processors}")
         object.__setattr__(self, "speed", Fraction(self.speed))
         if self.speed <= 0:
             raise ValueError(f"speed must be positive, got {self.speed}")
-
-
-# DagTask.work and DagTask.span as functions.  Nothing in the package calls
-# them and they are not exported; they stay only because the benchmark's
-# tracer hooks them by name (perfbench/tracer.py, tests/test_api.py::TRACED).
-
-
-def work(task: DagTask) -> Fraction:
-    """Total work of a job: the sum of its subtask wcets."""
-    return task.work
-
-
-def span(task: DagTask) -> Fraction:
-    """Length of the longest precedence path, by topological longest-path.
-
-    This is the minimum completion time of the job on unboundedly many
-    unit-speed processors.  Raises ValueError if the edges are cyclic.
-    """
-    return task.span
 
 
 def validate_task_set(ts: TaskSet) -> list[str]:
@@ -265,7 +271,9 @@ def validate_task_set(ts: TaskSet) -> list[str]:
 
     An empty list means the task set is valid.  Violations are data, not
     failures: building an invalid task set never raises.  The times are
-    compared on the set's tick view, which the engines then reuse.
+    compared on the set's tick view, which the engines then reuse; building
+    it raises ValueError when its values would take more than
+    ``MAX_TICK_BITS`` (see :func:`_tick`).
     """
     ids = [task.id for task in ts.tasks]
     violations = [
@@ -316,7 +324,9 @@ def _validate_task(task: DagTask, scale: int, wcets, work, deadline, period) -> 
             v.append(f"{tag}: deadline {task.deadline} exceeds period {task.period}")
     known = task.successors
     for a, b in dict.fromkeys(task.edges):  # each distinct edge once, in order
-        if a not in known or b not in known:
+        if not (_is_int(a) and _is_int(b)):
+            v.append(f"{tag}: edge ({a!r}, {b!r}) has an endpoint that is not an integer")
+        elif a not in known or b not in known:
             v.append(f"{tag}: edge ({a}, {b}) references an unknown subtask")
     if task.topological_order is None:
         v.append(f"{tag}: dependency cycle among subtasks")

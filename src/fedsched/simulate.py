@@ -25,7 +25,7 @@ from .feasibility import (
     _partition,
     _tick_items,
 )
-from .model import DagTask, Platform, TaskSet, _Ticks
+from .model import DagTask, Platform, TaskSet, _is_int
 from .rational import format_rational
 
 
@@ -314,18 +314,18 @@ def simulate_list_schedule(task: DagTask, m: int, speed: Fraction) -> ScheduleTr
     Completions at the same instant are all processed before anything new
     starts.  The trace's horizon is None (single job, released at 0).
 
-    The schedule runs at unit speed on the task's ticks (see
-    :class:`fedsched.model._Ticks`); at speed ``p/q`` an instant of x
-    ticks of 1/S is ``Fraction(x*q, S*p)``.
+    The schedule runs at unit speed on the tick of the task's subtask
+    wcets, 1/S; at speed ``p/q`` an instant of x ticks of 1/S is
+    ``Fraction(x*q, S*p)``.
     """
     speed = Fraction(speed)
-    if m < 1:
-        raise ValueError(f"cluster size must be at least 1, got {m}")
+    if not _is_int(m) or m < 1:
+        raise ValueError(f"cluster size must be an integer of at least 1, got {m!r}")
     if speed <= 0:
         raise ValueError(f"speed must be positive, got {speed}")
-    ticks = _Ticks.of((task,))
-    q, scale = speed.denominator, ticks.scale * speed.numerator
-    runs = _list_schedule(task, ticks.wcets[0], m)
+    tick, wcets = task._own_ticks()
+    q, scale = speed.denominator, tick * speed.numerator
+    runs = _list_schedule(task, wcets, m)
     intervals = tuple(
         Interval(proc, task.id, sid, Fraction(start * q, scale), Fraction(end * q, scale))
         for start, proc, sid, end in runs

@@ -20,13 +20,11 @@ from fedsched.feasibility import (
 from fedsched.federated import (
     FederatedAllocation,
     Infeasible,
-    TaskClass,
     allocate_federated,
-    classify,
     heavy_demand_lower_bound,
     heavy_processor_allocation,
+    is_heavy,
     speedup_lower_bound,
-    total_demand_lower_bound,
 )
 from fedsched.generate import CounterexampleParams, build_counterexample, random_task_set
 from fedsched.model import DagTask, Platform, Subtask, TaskSet, span, work
@@ -90,7 +88,7 @@ def test_criterion_03_simulation_confirms_the_analysis():
 def test_criterion_04_demand_certificate_concrete_values():
     ts = reference_set()
     speed = Fraction(4999, 1000)
-    assert total_demand_lower_bound(ts, speed) == 21
+    assert sum(heavy_demand_lower_bound(t, speed) for t in ts) == 21
     assert 21 > 10
     per_task = [heavy_demand_lower_bound(task, speed) for task in ts]
     assert per_task == [3] + [2] * 9
@@ -105,8 +103,8 @@ def test_criterion_05_demand_bound_holds_across_the_grid():
         for j in range(1, 9):
             speed = density * j / 9
             for task in ts:
-                assert classify(task, speed) is TaskClass.HEAVY
-            demand = total_demand_lower_bound(ts, speed)
+                assert is_heavy(task, speed)
+            demand = sum(heavy_demand_lower_bound(t, speed) for t in ts)
             floor_bound = (m / speed) * (n - (n - 1) / k)
             assert demand >= floor_bound
             checked += 1
@@ -196,7 +194,7 @@ def test_criterion_08_greedy_makespan_bound_and_cluster_sizing():
             if total > path:
                 # midpoint budget: heavy by a strict margin, sizable cluster
                 heavy_speed = (path + total) / (2 * task.deadline)
-                assert classify(task, heavy_speed) is TaskClass.HEAVY
+                assert is_heavy(task, heavy_speed)
                 size = heavy_processor_allocation(task, heavy_speed)
                 assert size is not None
                 trace = simulate_list_schedule(task, size, heavy_speed)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from fedsched.cli import main
 from fedsched.generate import CounterexampleParams, build_counterexample
-from fedsched.model import DagTask, Subtask, TaskSet
+from fedsched.model import MAX_TICK_BITS, DagTask, Subtask, TaskSet
 from fedsched.taskio import read_task_set, save_task_set
 from reference import ref_analyze, ref_simulate
 
@@ -249,6 +249,32 @@ def test_deeply_nested_input_is_an_input_error(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: document: nested too deeply\n"
+
+
+def test_a_huge_tick_is_an_input_error(tmp_path, capsys):
+    # 6000 one-shot tasks whose wcets have distinct 7-digit prime
+    # denominators: a tick of about 140000 bits, rescaled into every value,
+    # is refused as soon as it passes the limit
+    sieve = bytearray([1]) * 1_100_000
+    for k in range(2, 1049):
+        if sieve[k]:
+            sieve[k * k::k] = bytes(len(range(k * k, len(sieve), k)))
+    primes = [n for n in range(1_000_000, len(sieve)) if sieve[n]][:6000]
+    assert len(primes) == 6000
+    tasks = tuple(
+        DagTask(i, Fraction(1, p), 1, None, (Subtask(1, Fraction(1, p)),))
+        for i, p in enumerate(primes, start=1)
+    )
+    path = tmp_path / "primes.json"
+    save_task_set(TaskSet(name="primes", tasks=tasks), path)
+    for command in (["validate"], ["federate", "--speed", "1", "--processors", "1"]):
+        start = time.perf_counter()
+        assert main([command[0], "-i", str(path), *command[1:]]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert f"the limit of {MAX_TICK_BITS} bits" in captured.err
 
 
 def test_help_exits_zero(capsys):

@@ -148,8 +148,8 @@ def test_partition_places_subtask_k_on_processor_k():
     ts = build_counterexample(CounterexampleParams(3, 2, Fraction(2)))
     pa = partition_by_subtask_index(ts, 3)
     for task in ts:
-        assert pa.processor_of(task.id, 2) == 2
-        assert {pa.processor_of(task.id, st.id) for st in task.subtasks} == {1, 2, 3}
+        assert pa.mapping[(task.id, 2)] == 2
+        assert {pa.mapping[(task.id, st.id)] for st in task.subtasks} == {1, 2, 3}
 
 
 def test_partition_rejects_wrong_shape():
@@ -206,7 +206,7 @@ def test_partitioned_rejects_out_of_range_processor():
 
 
 def test_assignment_refuses_non_integer_entries():
-    assert PartitionedAssignment({(1, 2): 3}).processor_of(1, 2) == 3
+    assert PartitionedAssignment({(1, 2): 3}).mapping[(1, 2)] == 3
     # int() would truncate these: 1.7 onto processor 1, task 1.9 into task 1
     for mapping in (
         {(1, 1): 1.7},

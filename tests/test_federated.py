@@ -7,14 +7,12 @@ import pytest
 from fedsched.federated import (
     FederatedAllocation,
     Infeasible,
-    TaskClass,
     _size_ratio,
     allocate_federated,
-    classify,
     heavy_demand_lower_bound,
     heavy_processor_allocation,
+    is_heavy,
     speedup_lower_bound,
-    total_demand_lower_bound,
 )
 from fedsched.feasibility import Item, uniprocessor_edf_feasible
 from fedsched.generate import CounterexampleParams, build_counterexample, random_task_set
@@ -24,17 +22,17 @@ from reference import reference_set, seq_task
 
 
 def test_classify_heavy():
-    assert classify(seq_task(1, 10, 1), Fraction(4)) is TaskClass.HEAVY
+    assert is_heavy(seq_task(1, 10, 1), Fraction(4))
 
 
 def test_classify_boundary_is_light():
     # work == speed * deadline finishes exactly on time on one processor
-    assert classify(seq_task(1, 10, 2), Fraction(5)) is TaskClass.LIGHT
+    assert not is_heavy(seq_task(1, 10, 2), Fraction(5))
 
 
 def test_classify_with_slack_is_light():
     task = seq_task(1, 7, 3)
-    assert classify(task, 2 * Fraction(7, 3)) is TaskClass.LIGHT
+    assert not is_heavy(task, 2 * Fraction(7, 3))
 
 
 def test_heavy_demand_bound_reference_values():
@@ -63,27 +61,27 @@ def test_demand_bound_refuses_a_nonpositive_deadline():
         with pytest.raises(ValueError, match=message):
             heavy_demand_lower_bound(task, Fraction(1))
         with pytest.raises(ValueError, match=message):
-            total_demand_lower_bound(TaskSet("d", (seq_task(1, 9, 1), task)), Fraction(1))
+            sum(heavy_demand_lower_bound(t, Fraction(1)) for t in (seq_task(1, 9, 1), task))
         verdict = allocate_federated(TaskSet("d", (task,)), Platform(2, Fraction(1)))
         assert isinstance(verdict, Infeasible) and verdict.demand_lower_bound is None
 
 
 def test_total_demand_reference_values():
     ts = reference_set()
-    assert total_demand_lower_bound(ts, Fraction(4999, 1000)) == 21
-    assert total_demand_lower_bound(ts, Fraction(1)) == 55
-    assert total_demand_lower_bound(ts, Fraction(4)) == 21
+    assert sum(heavy_demand_lower_bound(t, Fraction(4999, 1000)) for t in ts) == 21
+    assert sum(heavy_demand_lower_bound(t, Fraction(1)) for t in ts) == 55
+    assert sum(heavy_demand_lower_bound(t, Fraction(4)) for t in ts) == 21
 
 
 def test_total_demand_smallest_instance():
     ts = build_counterexample(CounterexampleParams(2, 2, Fraction(2)))
-    assert total_demand_lower_bound(ts, Fraction(1, 2)) == 6
+    assert sum(heavy_demand_lower_bound(t, Fraction(1, 2)) for t in ts) == 6
 
 
 def test_total_demand_rejects_sets_with_light_tasks():
     ts = reference_set()
     with pytest.raises(ValueError):
-        total_demand_lower_bound(ts, Fraction(10))
+        sum(heavy_demand_lower_bound(t, Fraction(10)) for t in ts)
 
 
 def test_speedup_lower_bound_values():
@@ -105,6 +103,10 @@ def test_speedup_lower_bound_rejects_invalid():
         speedup_lower_bound(1, 2, Fraction(2))
     with pytest.raises(ValueError):
         speedup_lower_bound(2, 2, Fraction(3, 2))
+    # a float count would make the exact bound a float
+    for counts in ((2.5, 3), (3, 2.5), (True, 3), (3.0, 3)):
+        with pytest.raises(ValueError, match=r"^requires processors >= 2, n_tasks >= 2"):
+            speedup_lower_bound(*counts, Fraction(2))
 
 
 def test_cluster_sizing_reference_value():
@@ -139,7 +141,7 @@ def test_cluster_sizing_dominates_demand_bound():
     for seed in range(80):
         for task in random_task_set(seed):
             speed = work(task) / task.deadline * Fraction(rng.randint(1, 3), 4)
-            if speed <= 0 or classify(task, speed) is TaskClass.LIGHT:
+            if speed <= 0 or not is_heavy(task, speed):
                 continue
             size = heavy_processor_allocation(task, speed)
             if size is None:
@@ -258,7 +260,7 @@ def test_size_speed_inverts_the_cluster_size():
                 if k == 1 or task.span == work(task):
                     # a chain's steps all sit at work/deadline, where it turns light
                     assert speed == work(task) / task.deadline
-                    assert classify(task, speed) is TaskClass.LIGHT
+                    assert not is_heavy(task, speed)
                     continue
                 assert heavy_processor_allocation(task, speed) <= k
                 below = heavy_processor_allocation(task, speed - Fraction(1, 10**12))
@@ -278,7 +280,7 @@ def test_allocator_splits_heavy_from_light_as_classify_does():
         for task in ts:
             boundary = task.work / task.deadline
             for speed in (boundary - eps, boundary, boundary + eps):
-                heavy = [t for t in ts if classify(t, speed) is TaskClass.HEAVY]
+                heavy = [t for t in ts if is_heavy(t, speed)]
                 heavy_ids = {t.id for t in heavy}
                 result = allocate_federated(ts, Platform(rng.randint(1, 6), speed))
                 if isinstance(result, FederatedAllocation):

@@ -212,6 +212,40 @@ def test_platform_rejects_bad_values():
         Platform(1, Fraction(0))
     with pytest.raises(ValueError):
         Platform(1, Fraction(-2))
+    # a bool is not a count, as it is not an id
+    for processors in (True, 2.0, 2.5):
+        with pytest.raises(ValueError, match="processors must be a positive integer"):
+            Platform(processors, Fraction(1))
+
+
+def test_edge_endpoints_are_kept_and_checked_as_given():
+    # no endpoint is truncated to a known subtask id on the way in
+    for edge in ((1.7, 2), ("1", "2"), (1.0, 2), (2, 1.5)):
+        task = make_task(wcets=(1, 1), edges=(edge,))
+        assert task.edges == (edge,)
+        a, b = edge
+        assert validate_task_set(TaskSet(name="e", tasks=(task,))) == [
+            f"task 1: edge ({a!r}, {b!r}) has an endpoint that is not an integer"
+        ]
+    # True equals subtask id 1, so the DAG view also sees a self-loop
+    task = make_task(wcets=(1, 1), edges=((1, True),))
+    assert validate_task_set(TaskSet(name="e", tasks=(task,))) == [
+        "task 1: edge (1, True) has an endpoint that is not an integer",
+        "task 1: dependency cycle among subtasks",
+    ]
+
+
+def test_the_tick_view_has_a_size_limit(monkeypatch):
+    # tick 6 (3 bits) over four values: two wcets and two deadlines
+    tasks = (make_task(1, (Fraction(1, 2),)), make_task(2, (Fraction(1, 3),)))
+    ts = TaskSet(name="t", tasks=tasks)
+    monkeypatch.setattr("fedsched.model.MAX_TICK_BITS", 12)
+    assert validate_task_set(ts) == [] and ts._ticks.scale == 6
+    monkeypatch.setattr("fedsched.model.MAX_TICK_BITS", 11)
+    ts = dataclasses.replace(ts)
+    with pytest.raises(ValueError, match="^the lcm of the times' denominators reaches 3 bits; "
+                       "4 times on that tick exceed the limit of 11 bits$"):
+        validate_task_set(ts)
 
 
 def test_repeated_ids_without_a_cycle_are_not_a_cycle():

@@ -296,6 +296,9 @@ def test_list_schedule_rejects_bad_inputs():
     )
     with pytest.raises(ValueError):
         simulate_list_schedule(loop, 1, Fraction(1))
+    for m in (2.5, True, 2.0):
+        with pytest.raises(ValueError, match="cluster size must be an integer"):
+            simulate_list_schedule(task, m, Fraction(1))
 
 
 def test_check_trace_flags_overlap():
