@@ -13,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .feasibility import (
     _first_violation,
@@ -158,8 +159,7 @@ def brute_force_federated_oracle(ts: TaskSet, plat: Platform) -> bool:
     if plat.processors > 4:
         raise ValueError(f"oracle is capped at 4 processors, got {plat.processors}")
     p, q = plat.speed.numerator, plat.speed.denominator
-    ticks = ts._ticks
-    n, total = len(ts.tasks), plat.processors
+    ticks, n = ts._ticks, len(ts)
 
     def cluster_ok(index: int, size: int) -> bool:
         # the list schedule at speed p/q is the unit-speed one with every
@@ -168,51 +168,34 @@ def brute_force_federated_oracle(ts: TaskSet, plat: Platform) -> bool:
 
     # a group of shared tasks is a bitmask of their indices; its items are
     # listed in index order
-    group_cache: dict[int, bool] = {}
-
+    @cache
     def group_ok(mask: int) -> bool:
-        ok = group_cache.get(mask)
-        if ok is None:
-            items = [item for i, item in enumerate(ticks.items) if mask >> i & 1]
-            ok = group_cache[mask] = _first_violation(items, p, q, ticks.scale) is None
-        return ok
+        items = [item for i, item in enumerate(ticks.items) if mask >> i & 1]
+        return _first_violation(items, p, q, ticks.scale) is None
 
-    shared: list[int] = []  # indices of the tasks choose puts on shared processors
-    groups: list[int] = []  # the groups pack has opened, in creation order
+    groups: list[int] = []  # the shared processors opened so far
 
-    def pack(k: int, budget: int) -> bool:
-        # place each shared task into an existing group or open a new one;
-        # this walks every partition of the shared tasks into <= budget parts
-        if k == len(shared):
+    def place(i: int, free: int) -> bool:
+        # task i joins an open shared processor, opens a new one or takes a
+        # cluster; free counts the processors neither shared nor clustered
+        if i == n:
             return True
-        bit = 1 << shared[k]
+        bit = 1 << i
         for g, mask in enumerate(groups):
             if group_ok(mask | bit):
                 groups[g] = mask | bit
-                if pack(k + 1, budget):
+                if place(i + 1, free):
                     return True
                 groups[g] = mask
-        if len(groups) < budget and group_ok(bit):
+        if free and group_ok(bit):
             groups.append(bit)
-            if pack(k + 1, budget):
+            if place(i + 1, free - 1):
                 return True
             groups.pop()
+        for size in range(1, free + 1):
+            if cluster_ok(i, size):
+                # a larger cluster only spends more processors on the same task
+                return place(i + 1, free - size)
         return False
 
-    def choose(idx: int, used: int) -> bool:
-        if idx == n:
-            return pack(0, total - used)
-        shared.append(idx)
-        if choose(idx + 1, used):
-            return True
-        shared.pop()
-        for size in range(1, total - used + 1):
-            if cluster_ok(idx, size):
-                if choose(idx + 1, used + size):
-                    return True
-                # a larger cluster only spends more budget on the same task,
-                # so once the smallest workable size fails downstream, stop
-                break
-        return False
-
-    return choose(0, 0)
+    return place(0, plat.processors)

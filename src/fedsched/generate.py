@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .model import DagTask, Subtask, TaskSet
+from .model import DagTask, Subtask, TaskSet, _is_int
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,8 @@ def random_task_set(seed: int, n_tasks: int | None = None) -> TaskSet:
     set passes validation.  Roughly half the tasks are one-shot; the rest
     get a period at or above the deadline.
     """
-    if n_tasks is not None and n_tasks < 1:
-        raise ValueError(f"n_tasks must be at least 1, got {n_tasks}")
+    if n_tasks is not None and (not _is_int(n_tasks) or n_tasks < 1):
+        raise ValueError(f"n_tasks must be an integer >= 1, got {n_tasks!r}")
     rng = random.Random(seed)
     if n_tasks is None:
         n_tasks = rng.randint(1, 5)

@@ -108,8 +108,11 @@ class DagTask:
         endpoints are both known subtasks (a duplicate edge repeats)."""
         succ: dict[int, list[int]] = {st.id: [] for st in self.subtasks}
         for a, b in self.edges:
-            if a in succ and b in succ:
-                succ[a].append(b)
+            try:
+                if a in succ and b in succ:
+                    succ[a].append(b)
+            except TypeError:  # an unhashable endpoint is no subtask id
+                pass
         return {sid: tuple(nxt) for sid, nxt in succ.items()}
 
     @cached_property
@@ -323,7 +326,12 @@ def _validate_task(task: DagTask, scale: int, wcets, work, deadline, period) -> 
         elif deadline > period:
             v.append(f"{tag}: deadline {task.deadline} exceeds period {task.period}")
     known = task.successors
-    for a, b in dict.fromkeys(task.edges):  # each distinct edge once, in order
+    edges = task.edges
+    try:
+        edges = dict.fromkeys(edges)  # each distinct edge once, in order
+    except TypeError:  # an unhashable endpoint: the same, by equality alone
+        edges = [edge for i, edge in enumerate(edges) if edge not in edges[:i]]
+    for a, b in edges:
         if not (_is_int(a) and _is_int(b)):
             v.append(f"{tag}: edge ({a!r}, {b!r}) has an endpoint that is not an integer")
         elif a not in known or b not in known:

@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 from math import gcd
 
-_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -23,7 +23,7 @@ def parse_rational(text: str) -> Fraction:
     Rejects anything outside the grammar (decimals, whitespace, empty
     strings) and zero denominators.
     """
-    if not isinstance(text, str) or _RATIONAL_RE.match(text) is None:
+    if not isinstance(text, str) or _RATIONAL_RE.fullmatch(text) is None:
         raise ValueError(f"not a rational-string: {text!r}")
     if "/" in text:
         num, den = text.split("/")

@@ -14,8 +14,6 @@ from types import SimpleNamespace
 import pytest
 
 WORKLOADS_FILE = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-# the first sets of random-oracle are enough to exercise every decision kind
-ORACLE_OPS = 10
 
 
 def load_workloads():
@@ -36,8 +34,6 @@ def test_one_pass_has_no_failed_check(name, tmp_path):
         **{mod: importlib.import_module(f"fedsched.{mod}") for mod in workloads.MODULES}
     )
     ops = workloads.WORKLOADS[name](fs, tmp_path, 0)
-    if name == "random-oracle":
-        ops = ops[:ORACLE_OPS]
     assert ops
     problems = [f"{op.kind}: {msg}" for op in ops for msg in op.check(op.call())]
     assert problems == []

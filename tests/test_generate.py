@@ -96,5 +96,6 @@ def test_random_task_sets_leave_deadline_slack():
 
 
 def test_random_task_set_rejects_bad_bounds():
-    with pytest.raises(ValueError):
-        random_task_set(0, n_tasks=0)
+    for n_tasks in (0, 2.5, True):
+        with pytest.raises(ValueError, match="^n_tasks must be an integer >= 1, got "):
+            random_task_set(0, n_tasks=n_tasks)

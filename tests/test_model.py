@@ -235,6 +235,15 @@ def test_edge_endpoints_are_kept_and_checked_as_given():
     ]
 
 
+def test_an_unhashable_edge_endpoint_is_reported_not_raised():
+    # only a set built in code can hold one; the loader refuses it
+    task = make_task(wcets=(1, 1), edges=(([1], 1), (1, 2), ([1], 1)))
+    assert task.successors == {1: (2,), 2: ()}
+    assert validate_task_set(TaskSet(name="e", tasks=(task,))) == [
+        "task 1: edge ([1], 1) has an endpoint that is not an integer"
+    ]
+
+
 def test_the_tick_view_has_a_size_limit(monkeypatch):
     # tick 6 (3 bits) over four values: two wcets and two deadlines
     tasks = (make_task(1, (Fraction(1, 2),)), make_task(2, (Fraction(1, 3),)))

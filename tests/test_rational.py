@@ -25,7 +25,7 @@ def test_parse_reduces_to_lowest_terms():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "1.5", " 1", "1 ", "a", "1/", "/2", "1//2", "1/-2", "1e3", "nan"],
+    ["", "1.5", " 1", "1 ", "a", "1/", "/2", "1//2", "1/-2", "1e3", "nan", "1\n", "3/4\n"],
 )
 def test_rejects_non_rational_strings(bad):
     with pytest.raises(ValueError):

@@ -106,6 +106,11 @@ def test_allocator_and_oracle_match_the_fraction_reference():
             assert oracle is ref_oracle(ts, plat), (n, plat)
             kinds[f"oracle {oracle}"] += 1
             p, q = plat.speed.numerator, plat.speed.denominator
+            heavy = {q * work > p * deadline for work, deadline, _ in ts._ticks.items}
+            if oracle and True in heavy:
+                # a heavy task can only run on a cluster: the mixed search
+                kinds["oracle True, heavy"] += 1
+                kinds["oracle True, heavy and light"] += heavy == {True, False}
             kinds["p, q > 1" if p > 1 and q > 1 else "p or q = 1"] += 1
         kinds["recurring" if any(t.period for t in ts) else "one-shot"] += 1
         kinds["tick > 1" if ts._ticks.scale > 1 else "tick 1"] += 1
@@ -114,6 +119,8 @@ def test_allocator_and_oracle_match_the_fraction_reference():
     for kind in ("allocated", "task", "heavy", "light", "oracle True", "oracle False",
                  "p, q > 1", "p or q = 1", "recurring", "one-shot", "tick > 1"):
         assert kinds[kind] >= 150, kinds
+    assert kinds["oracle True, heavy"] >= 100, kinds
+    assert kinds["oracle True, heavy and light"] >= 60, kinds
 
 
 def test_list_schedule_matches_the_fraction_reference():
