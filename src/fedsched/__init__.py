@@ -10,14 +10,9 @@ from .explore import (
     speedup_sweep,
 )
 from .feasibility import (
-    DemandProfile,
-    Item,
     PartitionedAssignment,
-    default_horizon,
-    demand_profile,
     partition_by_subtask_index,
     partitioned_feasible,
-    processor_items,
     uniprocessor_edf_feasible,
 )
 from .federated import (
@@ -59,11 +54,9 @@ __all__ = [
     "CounterexampleParams",
     "DagTask",
     "DeadlineMiss",
-    "DemandProfile",
     "FederatedAllocation",
     "Infeasible",
     "Interval",
-    "Item",
     "PartitionedAssignment",
     "Platform",
     "ScheduleTrace",
@@ -74,8 +67,6 @@ __all__ = [
     "brute_force_federated_oracle",
     "build_counterexample",
     "check_trace",
-    "default_horizon",
-    "demand_profile",
     "dump_task_set",
     "format_rational",
     "heavy_demand_lower_bound",
@@ -86,7 +77,6 @@ __all__ = [
     "parse_rational",
     "partition_by_subtask_index",
     "partitioned_feasible",
-    "processor_items",
     "random_task_set",
     "read_task_set",
     "save_task_set",

@@ -29,7 +29,7 @@ from .federated import (
     speedup_lower_bound,
 )
 from .generate import CounterexampleParams, build_counterexample
-from .model import Platform, TaskSet, validate_task_set
+from .model import Platform, TaskSet, _is_int, validate_task_set
 from .simulate import _simulate_ticks, _unit_makespan
 
 
@@ -63,10 +63,13 @@ def min_feasible_speed_federated(ts: TaskSet, processors: int) -> Fraction:
     speed from the tried one up to its retry_speed fits.  The walk starts
     at the least speed at which the heavy clusters alone fit (their summed
     sizes only fall as the speed rises) and follows retry_speed until a
-    call succeeds.  Raises ValueError for an empty or invalid task set.
+    call succeeds.  Raises ValueError for an empty or invalid task set,
+    and for a processor count that is not a positive integer.
     """
-    if not ts.tasks or processors < 1 or validate_task_set(ts):
-        raise ValueError("needs a valid, nonempty task set and a processor")
+    if not _is_int(processors) or processors < 1:
+        raise ValueError(f"processors must be a positive integer, got {processors!r}")
+    if not ts.tasks or validate_task_set(ts):
+        raise ValueError("needs a valid, nonempty task set")
 
     # (work, span, deadline) of each task in ticks; heavy at p/q iff q*w > p*d
     times = list(zip(ts._ticks.work, ts._ticks.span, ts._ticks.deadline))

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import lcm
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .model import Platform, TaskSet, _in_ticks, _is_int, _tick
 from .rational import format_rational
@@ -33,24 +33,21 @@ from .rational import format_rational
 MAX_DEMAND_STEPS = 10**6
 
 
-class Item(NamedTuple):
-    """A sequential workload with a deadline and an optional period."""
-
-    work: Fraction
-    deadline: Fraction
-    period: Fraction | None = None
-
-
 def _scaled(
-    specs: Iterable[Item | Sequence],
+    specs: Iterable[Sequence],
 ) -> tuple[int, list[tuple[int, int, int | None]]]:
     """The tick of some items and each as (work, deadline, period) in ints
     of that tick: how the public demand functions enter the engine.  Each
-    spec is an Item, a (work, deadline) pair or a (work, deadline, period)
-    triple."""
+    spec is a (work, deadline) pair or a (work, deadline, period) triple;
+    any other length is a TypeError."""
     items = []
     for spec in specs:
-        work, deadline, period = Item(*spec)
+        spec = tuple(spec)
+        if len(spec) not in (2, 3):
+            raise TypeError(
+                f"an item is (work, deadline) or (work, deadline, period), got {spec!r}"
+            )
+        work, deadline, period = (*spec, None)[:3]
         period = None if period is None else Fraction(period)
         items.append((Fraction(work), Fraction(deadline), period))
     scale = _tick(v for it in items for v in it)
@@ -58,10 +55,21 @@ def _scaled(
 
 
 def _horizon(items: list[tuple[int, int, int | None]], scale: int) -> int:
-    """:func:`default_horizon` of int items in ticks of ``1/scale``: the
-    lcm of ticks is the tick count of the rationals' lcm.  Raises
-    ValueError for a nonpositive period; ``scale`` is read only for that
-    message."""
+    """How far a demand scan of int items in ticks of ``1/scale`` must
+    look, in the same ticks: the largest deadline, plus two hyperperiods
+    when any item recurs (the lcm of ticks is the tick count of the
+    rationals' lcm).
+
+    Beyond one hyperperiod past every deadline, the demand pattern repeats
+    with a fixed increment per hyperperiod, so (given the utilization
+    check in :func:`uniprocessor_edf_feasible`) no new violation can
+    first appear there.  Two hyperperiods keep the margin obvious.  The
+    demand table tabulates this far; the verdict of
+    :func:`uniprocessor_edf_feasible` usually needs far less, since when
+    utilization stays below the speed it stops at the sooner of this
+    horizon and the L_a bound.  Raises ValueError for a nonpositive
+    period; ``scale`` is read only for that message.
+    """
     horizon = max([d for _, d, _ in items], default=0)
     periods = [per for _, _, per in items if per is not None]
     for per in periods:
@@ -70,23 +78,6 @@ def _horizon(items: list[tuple[int, int, int | None]], scale: int) -> int:
     if periods:
         horizon += 2 * lcm(*periods)
     return horizon
-
-
-def default_horizon(items: Iterable[Item | Sequence]) -> Fraction:
-    """How far a demand scan must look: the largest deadline, plus two
-    hyperperiods when any item recurs.
-
-    Beyond one hyperperiod past every deadline, the demand pattern repeats
-    with a fixed increment per hyperperiod, so (given the utilization
-    check in :func:`uniprocessor_edf_feasible`) no new violation can
-    first appear there.  Two hyperperiods keep the margin obvious.
-    :func:`demand_profile` tabulates this far; the verdict of
-    :func:`uniprocessor_edf_feasible` usually needs far less, since when
-    utilization stays below the speed it stops at the sooner of this
-    horizon and the L_a bound.  Raises ValueError for a nonpositive period.
-    """
-    scale, ticks = _scaled(items)
-    return Fraction(_horizon(ticks, scale), scale)
 
 
 def _check_step_count(total: int, horizon: int | Fraction, scale: int) -> None:
@@ -151,9 +142,9 @@ class DemandProfile:
 def _demand_table(
     items: list[tuple[int, int, int | None]], scale: int
 ) -> list[tuple[int, int]]:
-    """The (t, demand) pairs of :func:`demand_profile` for int items in
-    ticks of ``1/scale``, as ints of the same ticks: the running sum of
-    the steps out to the items' default horizon."""
+    """The total demand of int items in ticks of ``1/scale`` at each step
+    instant out to their :func:`_horizon`, as (t, demand) pairs in the
+    same ticks: the running sum of the steps."""
     table = []
     total = 0
     for t, step in _demand_steps(items, _horizon(items, scale), scale):
@@ -162,11 +153,12 @@ def _demand_table(
     return table
 
 
-def demand_profile(items: Iterable[Item | Sequence]) -> DemandProfile:
+def demand_profile(items: Iterable[Sequence]) -> DemandProfile:
     """Tabulate the summed dbf of ``items`` at every step instant up to
-    :func:`default_horizon`, in one sorted sweep: the running sum of the
-    steps is the total demand at each instant.  Raises ValueError when
-    the scan needs more than ``MAX_DEMAND_STEPS`` step instants.
+    the largest deadline, plus two hyperperiods when any item recurs, in
+    one sorted sweep: the running sum of the steps is the total demand at
+    each instant.  Raises ValueError when the scan needs more than
+    ``MAX_DEMAND_STEPS`` step instants.
     """
     scale, ticks = _scaled(items)
     return DemandProfile(
@@ -177,11 +169,10 @@ def demand_profile(items: Iterable[Item | Sequence]) -> DemandProfile:
     )
 
 
-def uniprocessor_edf_feasible(
-    items: Iterable[Item | Sequence], speed: Fraction
-) -> bool:
+def uniprocessor_edf_feasible(items: Iterable[Sequence], speed: Fraction) -> bool:
     """Would preemptive EDF on one speed-``speed`` processor meet every
-    deadline of ``items``?
+    deadline of ``items``, each a (work, deadline) pair or a (work,
+    deadline, period) triple?
 
     True iff demand never exceeds supply at any step instant.  For
     one-shot items this is exact (necessary and sufficient).  Recurring
@@ -191,9 +182,9 @@ def uniprocessor_edf_feasible(
 
     The scan walks the step instants in increasing order, keeps a running
     sum, and stops at the first violation; no profile is built.  When
-    U < speed and no work is negative, it ends at the sooner of
-    :func:`default_horizon` and the L_a bound (George, Rivierre and Spuri
-    1996)
+    U < speed and no work is negative, it ends at the sooner of the
+    largest deadline plus two hyperperiods (see :func:`_horizon`) and the
+    L_a bound (George, Rivierre and Spuri 1996)
 
         L = max(largest deadline, N / (speed - U)),
         N = sum over recurring items of max(0, period - deadline) * work/period
@@ -204,7 +195,7 @@ def uniprocessor_edf_feasible(
     its work, so total demand is at most U*t + N, which stays within
     speed*t from L on: no violation can first appear at or after L.
     When U == speed, or some work is negative (the bound then fails),
-    the scan runs to :func:`default_horizon`.
+    the scan runs to that horizon.
     """
     speed = Fraction(speed)
     if speed <= 0:
@@ -281,7 +272,10 @@ def partition_by_subtask_index(ts: TaskSet, processors: int) -> PartitionedAssig
     Requires every task to have exactly ``processors`` subtasks (the
     shape :func:`fedsched.generate.build_counterexample` produces, where
     the placement gives each processor one equal share of every task).
+    Raises ValueError for a processor count that is not an integer.
     """
+    if not _is_int(processors):
+        raise ValueError(f"processors must be an integer, got {processors!r}")
     for task in ts:
         if len(task.subtasks) != processors:
             raise ValueError(
@@ -316,16 +310,17 @@ def _assigned(
 
 def processor_items(
     ts: TaskSet, pa: PartitionedAssignment
-) -> dict[int, list[Item]]:
+) -> dict[int, list[tuple[Fraction, Fraction, Fraction | None]]]:
     """Group the assigned subtasks into per-processor item lists.
 
-    Each subtask becomes one item carrying its own wcet and its task's
-    deadline and period.  Raises if the assignment misses any subtask.
+    Each subtask becomes one (wcet, deadline, period) item: its own wcet
+    and its task's deadline and period.  Raises if the assignment misses
+    any subtask.
     """
     tasks = ts.tasks
     return {
         proc: [
-            Item(tasks[i].subtasks[k].wcet, tasks[i].deadline, tasks[i].period)
+            (tasks[i].subtasks[k].wcet, tasks[i].deadline, tasks[i].period)
             for i, k in placed
         ]
         for proc, placed in _assigned(ts, pa).items()

@@ -30,9 +30,13 @@ def is_heavy(task: DagTask, speed: Fraction) -> bool:
 
 
 def _heavy_speed(task: DagTask, speed: Fraction, why: str) -> Fraction:
-    """``speed`` as a Fraction, after refusing a task that is light at it:
-    the checked public rules below apply to heavy tasks only."""
+    """``speed`` as a Fraction, after refusing a speed that is not positive
+    (at which every task with positive work would be heavy) and a task that
+    is light at it: the checked public rules below apply to heavy tasks
+    only."""
     speed = Fraction(speed)
+    if speed <= 0:
+        raise ValueError(f"speed must be positive, got {speed}")
     if not is_heavy(task, speed):
         raise ValueError(f"task {task.id} is light at speed {speed}; {why}")
     return speed

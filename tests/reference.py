@@ -19,7 +19,6 @@ from fractions import Fraction
 import fedsched.feasibility
 from fedsched import cli
 from fedsched.feasibility import (
-    default_horizon,
     demand_profile,
     partition_by_subtask_index,
     processor_items,
@@ -371,9 +370,7 @@ def _ref_edf_on_one_processor(proc, jobs, speed):
 
 def reference_partitioned_edf(ts, pa, plat, horizon=None):
     if horizon is None:
-        horizon = default_horizon(
-            it for items in processor_items(ts, pa).values() for it in items
-        )
+        horizon = ref_default_horizon([(t.work, t.deadline, t.period) for t in ts])
     horizon = Fraction(horizon)
 
     def job_count(task):

@@ -93,6 +93,10 @@ def test_threshold_search_validates_its_input():
         min_feasible_speed_federated(TaskSet(name="empty", tasks=()), 2)
     with pytest.raises(ValueError):
         min_feasible_speed_federated(ts, 0)
+    # a ValueError, not a TypeError from inside the speed search
+    for processors in (2.5, "4", Fraction(4), True):
+        with pytest.raises(ValueError, match="^processors must be a positive integer"):
+            min_feasible_speed_federated(ts, processors)
     with pytest.raises(ValueError):
         min_feasible_speed_federated(TaskSet(name="bad", tasks=(seq_task(1, 1, 0),)), 2)
     with pytest.raises(ValueError):

@@ -6,10 +6,9 @@ import pytest
 from fedsched.feasibility import (
     MAX_DEMAND_STEPS,
     DemandProfile,
-    Item,
     PartitionedAssignment,
+    _horizon,
     _scaled,
-    default_horizon,
     demand_profile,
     partition_by_subtask_index,
     partitioned_feasible,
@@ -22,7 +21,7 @@ from fedsched.generate import (
     random_task_set,
 )
 from fedsched.model import DagTask, Platform, Subtask, TaskSet, work
-from reference import reference_set
+from reference import ref_default_horizon, reference_set
 
 
 def dbf(work, deadline, period, t):
@@ -81,10 +80,16 @@ def test_test_points_recurring_items():
     assert points == [2, 6, 10]
 
 
+def horizon(specs):
+    """How far the demand scan of ``specs`` looks, as a rational."""
+    scale, ticks = _scaled(specs)
+    return Fraction(_horizon(ticks, scale), scale)
+
+
 def test_default_horizon():
-    assert default_horizon([(1, 3)]) == 3
-    assert default_horizon([(1, 3), (1, 2, 4), (1, 5, 6)]) == 5 + 2 * 12
-    assert default_horizon([]) == 0
+    assert horizon([(1, 3)]) == 3
+    assert horizon([(1, 3), (1, 2, 4), (1, 5, 6)]) == 5 + 2 * 12
+    assert horizon([]) == 0
 
 
 def test_demand_profile_invariants():
@@ -156,6 +161,11 @@ def test_partition_rejects_wrong_shape():
     ts = build_counterexample(CounterexampleParams(3, 2, Fraction(2)))
     with pytest.raises(ValueError):
         partition_by_subtask_index(ts, 4)
+    # a count that is not an integer is refused as such, not read as a
+    # shape ("expected exactly 4") nor taken for the int it equals
+    for processors in ("4", 3.0, Fraction(3), True):
+        with pytest.raises(ValueError, match="^processors must be an integer, got "):
+            partition_by_subtask_index(ts, processors)
 
 
 def test_processor_items_groups_by_processor():
@@ -165,7 +175,7 @@ def test_processor_items_groups_by_processor():
     assert set(by_proc) == set(range(1, 11))
     for items in by_proc.values():
         assert len(items) == 10
-        assert [it.deadline for it in items] == [t.deadline for t in ts]
+        assert [d for _, d, _ in items] == [t.deadline for t in ts]
 
 
 def test_reference_partition_feasible_at_unit_speed():
@@ -220,10 +230,10 @@ def test_assignment_refuses_non_integer_entries():
 
 
 def test_item_accepts_pairs_and_triples():
-    for spec in (Item(Fraction(1), Fraction(2)), (1, 2), (1, 2, None)):
+    for spec in ((Fraction(1), Fraction(2)), (1, 2), (1, 2, None)):
         assert demand_profile([spec]).breakpoints == ((2, 1),)
     # each form enters the engine on the items' one tick
-    specs = [Item(Fraction(1, 2), Fraction(3)), (1, Fraction(5, 4)), ("1/3", 2, 6)]
+    specs = [(Fraction(1, 2), Fraction(3)), (1, Fraction(5, 4)), ("1/3", 2, 6)]
     assert _scaled(specs) == (12, [(6, 36, None), (12, 15, None), (4, 24, 72)])
     # a fourth value is an error, not dropped
     with pytest.raises(TypeError):
@@ -244,14 +254,14 @@ def as_reference_item(spec):
 
 def reference_profile(specs):
     """The summed dbf of every item at every step instant up to
-    default_horizon, each total re-summed from scratch: the scan the
-    one-pass engine replaced."""
+    the largest deadline plus two hyperperiods, each total re-summed from
+    scratch: the scan the one-pass engine replaced."""
     items = [as_reference_item(spec) for spec in specs]
-    horizon = default_horizon(specs)
+    end = ref_default_horizon(items)
     points = set()
     for _, deadline, period in items:
         t = deadline
-        while t <= horizon:
+        while t <= end:
             points.add(t)
             if period is None:
                 break
@@ -279,7 +289,7 @@ def random_item_spec(rng):
     period = rng.choice(PERIODS) if rng.random() < 0.5 else None
     spelling = rng.randrange(4)
     if spelling == 0:
-        return Item(work, deadline, period)
+        return (work, deadline, period)
     if spelling == 1 and period is None:
         return (work, deadline)
     if spelling == 2:
@@ -378,18 +388,18 @@ def test_step_limit_covers_random_task_sets():
     # the largest 5-task random set over seeds 0..299 needs 458512 steps
     most = 0
     for seed in range(300):
-        items = [Item(work(t), t.deadline, t.period) for t in random_task_set(seed, 5)]
-        horizon = default_horizon(items)
+        items = [(work(t), t.deadline, t.period) for t in random_task_set(seed, 5)]
+        end = horizon(items)
         most = max(most, sum(
-            1 if it.period is None else (horizon - it.deadline) // it.period + 1
-            for it in items
+            1 if period is None else (end - deadline) // period + 1
+            for _, deadline, period in items
         ))
     assert most == 458512
     assert MAX_DEMAND_STEPS >= 10**6 > most
 
 
 def test_nonpositive_period_is_an_error_not_a_hang():
-    for scan in (default_horizon, demand_profile):
+    for scan in (horizon, demand_profile):
         with pytest.raises(ValueError, match="period must be positive, got 0$"):
             scan([(1, 2, 0)])
         with pytest.raises(ValueError, match="period must be positive, got -3$"):

@@ -14,7 +14,7 @@ from fedsched.federated import (
     is_heavy,
     speedup_lower_bound,
 )
-from fedsched.feasibility import Item, uniprocessor_edf_feasible
+from fedsched.feasibility import uniprocessor_edf_feasible
 from fedsched.generate import CounterexampleParams, build_counterexample, random_task_set
 from fedsched.model import DagTask, Platform, Subtask, TaskSet, work
 from fedsched.simulate import simulate_list_schedule
@@ -50,6 +50,19 @@ def test_heavy_demand_bound_exact_division():
 def test_heavy_demand_bound_rejects_light_tasks():
     with pytest.raises(ValueError):
         heavy_demand_lower_bound(seq_task(1, 2, 2), Fraction(1))
+
+
+def test_heavy_rules_refuse_a_nonpositive_speed():
+    # at such a speed every task with positive work counts as heavy: a
+    # ValueError, not a bound of -4 at -1, a ZeroDivisionError at 0 or a
+    # cluster size of None ("no cluster suffices")
+    task = build_counterexample(CounterexampleParams(4, 3, 2)).tasks[0]
+    for speed in (-1, 0, Fraction(-1, 2)):
+        message = rf"^speed must be positive, got {Fraction(speed)}$"
+        with pytest.raises(ValueError, match=message):
+            heavy_demand_lower_bound(task, speed)
+        with pytest.raises(ValueError, match=message):
+            heavy_processor_allocation(task, speed)
 
 
 def test_demand_bound_refuses_a_nonpositive_deadline():
@@ -230,7 +243,7 @@ def test_allocation_is_independently_recheckable():
     shared = {}
     for tid, proc in sorted(result.light_partition.items()):
         t = by_id[tid]
-        shared.setdefault(proc, []).append(Item(t.work, t.deadline, t.period))
+        shared.setdefault(proc, []).append((t.work, t.deadline, t.period))
     assert granted + len(shared) == result.total_processors_used
     assert result.total_processors_used <= plat.processors
     for items in shared.values():

@@ -6,9 +6,7 @@ import pytest
 
 from fedsched.feasibility import (
     PartitionedAssignment,
-    default_horizon,
     partition_by_subtask_index,
-    processor_items,
 )
 from fedsched.generate import CounterexampleParams, build_counterexample, random_task_set
 from fedsched.model import DagTask, Platform, Subtask, TaskSet, span, work
@@ -20,7 +18,7 @@ from fedsched.simulate import (
     simulate_list_schedule,
     simulate_partitioned_edf,
 )
-from reference import reference_partitioned_edf, seq_task
+from reference import ref_default_horizon, reference_partitioned_edf, seq_task
 
 
 def one_processor(ts):
@@ -421,11 +419,11 @@ def random_partitioned_set(rng):
     return ts, pa, Platform(m, rng.choice(SPEEDS))
 
 
-def random_horizon(rng, ts, pa):
+def random_horizon(rng, ts):
     # the default runs two hyperperiods past the largest deadline: take it
     # when that is short enough for the Fraction reference
-    items = [it for items in processor_items(ts, pa).values() for it in items]
-    if default_horizon(items) <= 60 and rng.random() < 0.6:
+    items = [(t.work, t.deadline, t.period) for t in ts]
+    if ref_default_horizon(items) <= 60 and rng.random() < 0.6:
         return None
     choice = rng.random()
     if choice < 0.15:
@@ -444,7 +442,7 @@ def test_integer_ticks_match_the_fraction_reference():
     kinds = Counter()
     for _ in range(1000):
         ts, pa, plat = random_partitioned_set(rng)
-        horizon = random_horizon(rng, ts, pa)
+        horizon = random_horizon(rng, ts)
         got = simulate_partitioned_edf(ts, pa, plat, horizon=horizon)
         want = reference_partitioned_edf(ts, pa, plat, horizon=horizon)
         assert got == want
