@@ -13,7 +13,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
 from .feasibility import (
     _first_violation,
@@ -156,6 +155,17 @@ def brute_force_federated_oracle(ts: TaskSet, plat: Platform) -> bool:
     on a shared processor; shared processors are judged by the exact
     demand test over all partitions of the shared tasks.  Exponential, so
     capped at 5 tasks and 4 processors.
+
+    Each group's demand-test results are kept on the task set across
+    calls, as the cluster makespans are, as two bounds on the speed; the
+    test runs again only at a speed neither bound decides.  A failed test leaves its violation (a, b): every speed p/q with
+    q*a > p*b fails on the same instant's inequality (with a recurring
+    item, only from the failed speed up: a lower speed may scan further
+    and meet the step limit, which raises).  A passed test at
+    p/q decides every higher speed too, but only when every deadline in
+    the group is >= 0, so that every step instant t is >= 0 and demand
+    <= speed*t holds the more for a larger speed; a group with a negative
+    deadline never keeps a pass.  A test that raises keeps nothing.
     """
     if len(ts) > 5:
         raise ValueError(f"oracle is capped at 5 tasks, got {len(ts)}")
@@ -170,11 +180,30 @@ def brute_force_federated_oracle(ts: TaskSet, plat: Platform) -> bool:
         return q * _unit_makespan(ts, index, size) <= p * ticks.deadline[index]
 
     # a group of shared tasks is a bitmask of their indices; its items are
-    # listed in index order
-    @cache
+    # listed in index order, and its bounds are (fails, passes): fails is
+    # the violation (a, b) and the least speed lo_p/lo_q it may decide,
+    # passes the least speed at which the test passed
+    bounds = ticks.groups
+
     def group_ok(mask: int) -> bool:
+        fails, passes = bounds.get(mask, (None, None))
+        if passes is not None and q * passes[0] <= p * passes[1]:
+            return True
+        if fails is not None:
+            a, b, lo_p, lo_q = fails
+            if q * a > p * b and p * lo_q >= q * lo_p:
+                return False
         items = [item for i, item in enumerate(ticks.items) if mask >> i & 1]
-        return _first_violation(items, p, q, ticks.scale) is None
+        violation = _first_violation(items, p, q, ticks.scale)
+        if violation is None:
+            if all(d >= 0 for _, d, _ in items):
+                passes = p, q
+        elif any(period is not None for _, _, period in items):
+            fails = (*violation, p, q)
+        else:
+            fails = (*violation, 0, 1)
+        bounds[mask] = fails, passes
+        return violation is None
 
     groups: list[int] = []  # the shared processors opened so far
 

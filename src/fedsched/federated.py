@@ -24,19 +24,20 @@ def is_heavy(task: DagTask, speed: Fraction) -> bool:
 
     The boundary work == speed * deadline is light (it finishes exactly on
     time on one processor).  The strictness matters: several identities in
-    this package sit exactly on it.
+    this package sit exactly on it.  Raises ValueError for a speed that is
+    not positive, at which every task with positive work would be heavy.
     """
-    return task.work > Fraction(speed) * task.deadline
-
-
-def _heavy_speed(task: DagTask, speed: Fraction, why: str) -> Fraction:
-    """``speed`` as a Fraction, after refusing a speed that is not positive
-    (at which every task with positive work would be heavy) and a task that
-    is light at it: the checked public rules below apply to heavy tasks
-    only."""
     speed = Fraction(speed)
     if speed <= 0:
         raise ValueError(f"speed must be positive, got {speed}")
+    return task.work > speed * task.deadline
+
+
+def _heavy_speed(task: DagTask, speed: Fraction, why: str) -> Fraction:
+    """``speed`` as a Fraction, after refusing a task that is light at it
+    (and, through :func:`is_heavy`, a speed that is not positive): the
+    checked public rules below apply to heavy tasks only."""
+    speed = Fraction(speed)
     if not is_heavy(task, speed):
         raise ValueError(f"task {task.id} is light at speed {speed}; {why}")
     return speed
@@ -211,7 +212,15 @@ def allocate_federated(
     flips: list[tuple[int, int]] = []
 
     def retry_speed() -> Fraction | None:
-        return min((Fraction(a, b) for a, b in flips), default=None)
+        if not flips:
+            return None
+        # every b is positive (a granted cluster's deadline is, and a light
+        # task's flip is kept only at an instant > 0): c/d < a/b iff c*b < a*d
+        a, b = flips[0]
+        for c, d in flips[1:]:
+            if c * b < a * d:
+                a, b = c, d
+        return Fraction(a, b)
 
     grants: dict[int, int] = {}
     for i in heavy:

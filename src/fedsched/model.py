@@ -219,7 +219,10 @@ class _Ticks(NamedTuple):
     ``span`` is None for a task with a dependency cycle.  A speed ``p/q``
     enters the decisions only as ``q * x <= p * y`` between tick counts.
     ``makespans`` caches the unit-speed list-schedule makespan, in ticks,
-    of each (task index, cluster size) pair that has been asked for.
+    of each (task index, cluster size) pair that has been asked for, and
+    ``groups`` the oracle's demand-test bounds for each group of tasks
+    (a bitmask of task indices) it has scanned; see
+    :func:`fedsched.explore.brute_force_federated_oracle`.
     """
 
     scale: int
@@ -230,6 +233,7 @@ class _Ticks(NamedTuple):
     wcets: tuple[tuple[int, ...], ...]
     items: tuple[tuple[int, int, int | None], ...]  # (work, deadline, period)
     makespans: dict[tuple[int, int], int]
+    groups: dict[int, tuple[tuple[int, int, int, int] | None, tuple[int, int] | None]]
 
     @classmethod
     def of(cls, tasks: tuple[DagTask, ...]) -> _Ticks:
@@ -251,7 +255,7 @@ class _Ticks(NamedTuple):
             for task, w in zip(tasks, wcets)
         )
         items = tuple(zip(work, deadline, period))
-        return cls(scale, work, span, deadline, period, wcets, items, {})
+        return cls(scale, work, span, deadline, period, wcets, items, {}, {})
 
 
 @dataclass(frozen=True)
@@ -264,8 +268,8 @@ class Platform:
     def __post_init__(self) -> None:
         if not _is_int(self.processors) or self.processors < 1:
             raise ValueError(f"processors must be a positive integer, got {self.processors}")
-        object.__setattr__(self, "speed", Fraction(self.speed))
-        if self.speed <= 0:
+        object.__setattr__(self, "speed", _exact(self.speed))
+        if self.speed.numerator <= 0:
             raise ValueError(f"speed must be positive, got {self.speed}")
 
 

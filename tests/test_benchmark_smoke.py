@@ -37,3 +37,30 @@ def test_one_pass_has_no_failed_check(name, tmp_path):
     assert ops
     problems = [f"{op.kind}: {msg}" for op in ops for msg in op.check(op.call())]
     assert problems == []
+
+
+# group demand scans of the oracle over the first 200 recorded sets, when
+# each call scanned its groups afresh
+PER_CALL_SCANS = 21965
+
+
+def test_the_oracle_scans_each_group_about_once(monkeypatch):
+    # the 15 platforms of a set share its kept group verdicts, so the oracle
+    # rescans a group only at a speed that neither of its bounds decides
+    fs = SimpleNamespace(
+        **{mod: importlib.import_module(f"fedsched.{mod}") for mod in workloads.MODULES}
+    )
+    scan = fs.explore._first_violation
+    scans = 0
+
+    def counted(*args):
+        nonlocal scans
+        scans += 1
+        return scan(*args)
+
+    monkeypatch.setattr(fs.explore, "_first_violation", counted)
+    expected = workloads.load_expected()
+    for seed in sorted(expected)[:200]:
+        verdicts = workloads.decide(fs, workloads.oracle_instance(fs, seed))
+        assert workloads.check_decisions(verdicts, expected[seed]) == []
+    assert 0 < scans <= 0.3 * PER_CALL_SCANS

@@ -54,11 +54,14 @@ def test_heavy_demand_bound_rejects_light_tasks():
 
 def test_heavy_rules_refuse_a_nonpositive_speed():
     # at such a speed every task with positive work counts as heavy: a
-    # ValueError, not a bound of -4 at -1, a ZeroDivisionError at 0 or a
-    # cluster size of None ("no cluster suffices")
+    # ValueError, not True from is_heavy, a bound of -4 at -1, a
+    # ZeroDivisionError at 0 or a cluster size of None ("no cluster
+    # suffices")
     task = build_counterexample(CounterexampleParams(4, 3, 2)).tasks[0]
     for speed in (-1, 0, Fraction(-1, 2)):
         message = rf"^speed must be positive, got {Fraction(speed)}$"
+        with pytest.raises(ValueError, match=message):
+            is_heavy(task, speed)
         with pytest.raises(ValueError, match=message):
             heavy_demand_lower_bound(task, speed)
         with pytest.raises(ValueError, match=message):

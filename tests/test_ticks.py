@@ -123,6 +123,46 @@ def test_allocator_and_oracle_match_the_fraction_reference():
     assert kinds["oracle True, heavy and light"] >= 60, kinds
 
 
+def test_oracle_verdicts_kept_across_calls_match_the_fraction_reference(monkeypatch):
+    # one task set decided on every platform in a shuffled order, so its
+    # group verdicts kept from earlier calls decide later ones; each result
+    # must be the reference's on a fresh copy of the set
+    rng = random.Random(13)
+    kinds = Counter()
+    configs = [(m, speed) for m in range(1, 5) for speed in SPEEDS]
+
+    def decide(ts, reference):
+        rng.shuffle(configs)
+        for m, speed in configs:
+            plat = Platform(m, speed)
+            got = outcome(brute_force_federated_oracle, ts, plat)
+            assert got == outcome(reference, dataclasses.replace(ts), plat), (ts, plat)
+            kinds[got if isinstance(got, bool) else "refused"] += 1
+
+    for n in range(300):
+        decide(random_set(rng, recurring=n % 2 == 0), ref_oracle)
+    assert min(kinds[True], kinds[False]) >= 1000, kinds
+    # a small step limit: below a speed where a recurring group failed, its
+    # scan may look further and be refused, which its kept violation must
+    # not hide.  The reference searches in another order, so it may meet a
+    # refused group the oracle never scans: the oracle on a fresh copy is
+    # the reference here.
+    monkeypatch.setattr("fedsched.feasibility.MAX_DEMAND_STEPS", 12)
+    for n in range(150):
+        decide(random_set(rng, recurring=True), brute_force_federated_oracle)
+    assert kinds["refused"] >= 50, kinds
+    # a negative deadline: the group passes at speed 1 and fails at 6 on
+    # the instant -1, so a pass may not decide the higher speed
+    ts = TaskSet("n", (
+        DagTask(1, -5, -1, None, (Subtask(1, -5),)),
+        DagTask(2, 10, 20, None, (Subtask(1, 10),)),
+    ))
+    for speed, verdict in ((1, True), (6, False)):
+        plat = Platform(1, Fraction(speed))
+        assert brute_force_federated_oracle(ts, plat) is verdict
+        assert ref_oracle(dataclasses.replace(ts), plat) is verdict
+
+
 def test_list_schedule_matches_the_fraction_reference():
     rng = random.Random(5)
     kinds = Counter()
