@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .explore import speedup_sweep
@@ -63,9 +64,9 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser(
         "generate", help="write an adversarial task set for given (M, N, K)"
     )
-    gen.add_argument("--M", dest="m", type=int, required=True,
+    gen.add_argument("--M", dest="m", type=_integer, required=True,
                      help="platform size the family targets (integer >= 2)")
-    gen.add_argument("--N", dest="n", type=int, required=True,
+    gen.add_argument("--N", dest="n", type=_integer, required=True,
                      help="number of tasks (integer >= 2)")
     gen.add_argument("--K", dest="k", required=True,
                      help="deadline growth ratio (rational >= 2, e.g. 2 or 5/2)")
@@ -111,8 +112,16 @@ def _add_platform_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("-i", "--input", required=True, help="task-set file")
     sub.add_argument("--speed", required=True,
                      help="processor speed (rational, e.g. 1 or 4999/1000)")
-    sub.add_argument("--processors", type=int, required=True,
+    sub.add_argument("--processors", type=_integer, required=True,
                      help="number of processors")
+
+
+def _integer(text: str) -> int:
+    """An integer argument in the rational grammar's signed digits, where
+    ``int()`` alone would also take "1_0", " 7" or other scripts' digits."""
+    if re.fullmatch(r"[+-]?[0-9]+", text) is None:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def _require_valid(ts: TaskSet) -> None:
@@ -283,8 +292,8 @@ def _parse_grid(spec: str) -> list[CounterexampleParams]:
         if len(parts) != 3:
             raise ValueError(f"grid entry {chunk!r}: expected M,N,K")
         try:
-            m, n = int(parts[0]), int(parts[1])
-        except ValueError:
+            m, n = _integer(parts[0]), _integer(parts[1])
+        except argparse.ArgumentTypeError:
             raise ValueError(
                 f"grid entry {chunk!r}: M and N must be integers"
             ) from None

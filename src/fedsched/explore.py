@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .feasibility import (
     _first_violation,
+    _one_shot_demand,
     partition_by_subtask_index,
     partitioned_feasible,
 )
@@ -156,16 +157,13 @@ def brute_force_federated_oracle(ts: TaskSet, plat: Platform) -> bool:
     demand test over all partitions of the shared tasks.  Exponential, so
     capped at 5 tasks and 4 processors.
 
-    Each group's demand-test results are kept on the task set across
-    calls, as the cluster makespans are, as two bounds on the speed; the
-    test runs again only at a speed neither bound decides.  A failed test leaves its violation (a, b): every speed p/q with
-    q*a > p*b fails on the same instant's inequality (with a recurring
-    item, only from the failed speed up: a lower speed may scan further
-    and meet the step limit, which raises).  A passed test at
-    p/q decides every higher speed too, but only when every deadline in
-    the group is >= 0, so that every step instant t is >= 0 and demand
-    <= speed*t holds the more for a larger speed; a group with a negative
-    deadline never keeps a pass.  A test that raises keeps nothing.
+    A group of one-shot tasks whose deadlines are all > 0 keeps its least
+    passing speed on the task set across calls, as the cluster makespans
+    are: the largest demand/t over its step instants, or 0 if none is
+    positive, as (a, b) for a/b.  The demand test at p/q is q*demand <= p*t
+    at each instant t > 0, so it passes iff q*a <= p*b.  Any other group
+    (one with a recurring task or a deadline <= 0) is scanned at each call
+    and keeps nothing.
     """
     if len(ts) > 5:
         raise ValueError(f"oracle is capped at 5 tasks, got {len(ts)}")
@@ -180,30 +178,19 @@ def brute_force_federated_oracle(ts: TaskSet, plat: Platform) -> bool:
         return q * _unit_makespan(ts, index, size) <= p * ticks.deadline[index]
 
     # a group of shared tasks is a bitmask of their indices; its items are
-    # listed in index order, and its bounds are (fails, passes): fails is
-    # the violation (a, b) and the least speed lo_p/lo_q it may decide,
-    # passes the least speed at which the test passed
-    bounds = ticks.groups
-
+    # listed in index order
     def group_ok(mask: int) -> bool:
-        fails, passes = bounds.get(mask, (None, None))
-        if passes is not None and q * passes[0] <= p * passes[1]:
-            return True
-        if fails is not None:
-            a, b, lo_p, lo_q = fails
-            if q * a > p * b and p * lo_q >= q * lo_p:
-                return False
-        items = [item for i, item in enumerate(ticks.items) if mask >> i & 1]
-        violation = _first_violation(items, p, q, ticks.scale)
-        if violation is None:
-            if all(d >= 0 for _, d, _ in items):
-                passes = p, q
-        elif any(period is not None for _, _, period in items):
-            fails = (*violation, p, q)
-        else:
-            fails = (*violation, 0, 1)
-        bounds[mask] = fails, passes
-        return violation is None
+        if mask not in ticks.groups:
+            items = [item for i, item in enumerate(ticks.items) if mask >> i & 1]
+            if any(per is not None or d <= 0 for _, d, per in items):
+                return _first_violation(items, p, q, ticks.scale) is None
+            a, b = 0, 1
+            for t, demand in _one_shot_demand(items, ticks.scale):
+                if demand * b > a * t:
+                    a, b = demand, t
+            ticks.groups[mask] = a, b
+        a, b = ticks.groups[mask]
+        return q * a <= p * b
 
     groups: list[int] = []  # the shared processors opened so far
 

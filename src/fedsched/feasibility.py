@@ -24,7 +24,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .model import Platform, TaskSet, _in_ticks, _is_int, _tick
+from .model import Platform, TaskSet, _in_ticks, _is_int, _positive_speed, _tick
 from .rational import format_rational
 
 # Most step instants one demand scan may enumerate, and most subtask jobs
@@ -197,11 +197,24 @@ def uniprocessor_edf_feasible(items: Iterable[Sequence], speed: Fraction) -> boo
     When U == speed, or some work is negative (the bound then fails),
     the scan runs to that horizon.
     """
-    speed = Fraction(speed)
-    if speed <= 0:
-        raise ValueError(f"speed must be positive, got {speed}")
+    speed = _positive_speed(speed)
     scale, ticks = _scaled(items)
     return _first_violation(ticks, speed.numerator, speed.denominator, scale) is None
+
+
+def _one_shot_demand(
+    items: list[tuple[int, int, None]], scale: int
+) -> list[tuple[int, int]]:
+    """:func:`_demand_table` of one-shot items, which step once each: the
+    running sum over the items in deadline order, the last at each instant
+    kept.  Raises ValueError for more than ``MAX_DEMAND_STEPS`` items."""
+    ordered = sorted(items, key=itemgetter(1))
+    _check_step_count(len(ordered), ordered[-1][1] if ordered else 0, scale)
+    demand, table = 0, {}
+    for work, t, _ in ordered:
+        demand += work
+        table[t] = demand
+    return list(table.items())
 
 
 def _first_violation(
@@ -211,19 +224,11 @@ def _first_violation(
     of ``1/scale`` at speed ``p/q``: None if the test passes, else a pair
     (a, b) such that it fails at every speed below a/b.  That is (demand,
     t) at the first instant where q*demand > p*t, or U as a pair when
-    U > p/q (U is a ratio of ticks, so the scale cancels in both).
-
-    One-shot items step once each, at their deadlines, so with no
-    recurring item the scan is a running sum over the items in deadline
-    order, compared once every item due at an instant is summed."""
+    U > p/q (U is a ratio of ticks, so the scale cancels in both)."""
     periods = [per for _, _, per in items if per is not None]
     if not periods:
-        ordered = sorted(items, key=itemgetter(1))
-        _check_step_count(len(ordered), ordered[-1][1] if ordered else 0, scale)
-        demand = 0
-        for k, (work, t, _) in enumerate(ordered, 1):
-            demand += work
-            if (k == len(ordered) or ordered[k][1] != t) and q * demand > p * t:
+        for t, demand in _one_shot_demand(items, scale):
+            if q * demand > p * t:
                 return demand, t
         return None
     horizon = _horizon(items, scale)

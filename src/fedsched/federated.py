@@ -16,7 +16,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .feasibility import _first_violation
-from .model import DagTask, Platform, TaskSet, _is_int
+from .model import DagTask, Platform, TaskSet, _is_int, _positive_speed
 
 
 def is_heavy(task: DagTask, speed: Fraction) -> bool:
@@ -27,10 +27,7 @@ def is_heavy(task: DagTask, speed: Fraction) -> bool:
     this package sit exactly on it.  Raises ValueError for a speed that is
     not positive, at which every task with positive work would be heavy.
     """
-    speed = Fraction(speed)
-    if speed <= 0:
-        raise ValueError(f"speed must be positive, got {speed}")
-    return task.work > speed * task.deadline
+    return task.work > _positive_speed(speed) * task.deadline
 
 
 def _heavy_speed(task: DagTask, speed: Fraction, why: str) -> Fraction:
@@ -142,12 +139,8 @@ class FederatedAllocation:
     total_processors_used: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "heavy_grants", MappingProxyType(dict(self.heavy_grants))
-        )
-        object.__setattr__(
-            self, "light_partition", MappingProxyType(dict(self.light_partition))
-        )
+        for name in ("heavy_grants", "light_partition"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
 
 @dataclass(frozen=True)

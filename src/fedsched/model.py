@@ -26,6 +26,14 @@ def _exact(value) -> Fraction:
     return value if type(value) is Fraction else Fraction(value)
 
 
+def _positive_speed(value) -> Fraction:
+    """``value`` as an exact Fraction; ValueError unless it is positive."""
+    speed = _exact(value)
+    if speed.numerator <= 0:
+        raise ValueError(f"speed must be positive, got {speed}")
+    return speed
+
+
 @dataclass(frozen=True)
 class Subtask:
     """One unit of sequential execution inside a task's job.
@@ -220,8 +228,9 @@ class _Ticks(NamedTuple):
     enters the decisions only as ``q * x <= p * y`` between tick counts.
     ``makespans`` caches the unit-speed list-schedule makespan, in ticks,
     of each (task index, cluster size) pair that has been asked for, and
-    ``groups`` the oracle's demand-test bounds for each group of tasks
-    (a bitmask of task indices) it has scanned; see
+    ``groups`` the least passing demand-test speed (a, b), for a/b, of each
+    group of one-shot tasks with deadlines > 0 (a bitmask of task indices)
+    the oracle has scanned; see
     :func:`fedsched.explore.brute_force_federated_oracle`.
     """
 
@@ -233,7 +242,7 @@ class _Ticks(NamedTuple):
     wcets: tuple[tuple[int, ...], ...]
     items: tuple[tuple[int, int, int | None], ...]  # (work, deadline, period)
     makespans: dict[tuple[int, int], int]
-    groups: dict[int, tuple[tuple[int, int, int, int] | None, tuple[int, int] | None]]
+    groups: dict[int, tuple[int, int]]
 
     @classmethod
     def of(cls, tasks: tuple[DagTask, ...]) -> _Ticks:
@@ -268,9 +277,7 @@ class Platform:
     def __post_init__(self) -> None:
         if not _is_int(self.processors) or self.processors < 1:
             raise ValueError(f"processors must be a positive integer, got {self.processors}")
-        object.__setattr__(self, "speed", _exact(self.speed))
-        if self.speed.numerator <= 0:
-            raise ValueError(f"speed must be positive, got {self.speed}")
+        object.__setattr__(self, "speed", _positive_speed(self.speed))
 
 
 def validate_task_set(ts: TaskSet) -> list[str]:

@@ -25,7 +25,7 @@ from .feasibility import (
     _partition,
     _tick_items,
 )
-from .model import DagTask, Platform, TaskSet, _is_int
+from .model import DagTask, Platform, TaskSet, _is_int, _positive_speed
 from .rational import format_rational
 
 
@@ -321,8 +321,7 @@ def simulate_list_schedule(task: DagTask, m: int, speed: Fraction) -> ScheduleTr
     speed = Fraction(speed)
     if not _is_int(m) or m < 1:
         raise ValueError(f"cluster size must be an integer of at least 1, got {m!r}")
-    if speed <= 0:
-        raise ValueError(f"speed must be positive, got {speed}")
+    _positive_speed(speed)
     tick, wcets = task._own_ticks()
     q, scale = speed.denominator, tick * speed.numerator
     runs = _list_schedule(task, wcets, m)

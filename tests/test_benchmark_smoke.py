@@ -45,22 +45,26 @@ PER_CALL_SCANS = 21965
 
 
 def test_the_oracle_scans_each_group_about_once(monkeypatch):
-    # the 15 platforms of a set share its kept group verdicts, so the oracle
-    # rescans a group only at a speed that neither of its bounds decides
+    # the 15 platforms of a set share its kept group speeds: a one-shot
+    # group's demand is tabulated once per set, and only a group with a
+    # recurring task or a deadline <= 0 is scanned again at each call
     fs = SimpleNamespace(
         **{mod: importlib.import_module(f"fedsched.{mod}") for mod in workloads.MODULES}
     )
-    scan = fs.explore._first_violation
     scans = 0
 
-    def counted(*args):
-        nonlocal scans
-        scans += 1
-        return scan(*args)
+    def counted(scan):
+        def call(*args):
+            nonlocal scans
+            scans += 1
+            return scan(*args)
 
-    monkeypatch.setattr(fs.explore, "_first_violation", counted)
+        return call
+
+    for name in ("_first_violation", "_one_shot_demand"):
+        monkeypatch.setattr(fs.explore, name, counted(getattr(fs.explore, name)))
     expected = workloads.load_expected()
     for seed in sorted(expected)[:200]:
         verdicts = workloads.decide(fs, workloads.oracle_instance(fs, seed))
         assert workloads.check_decisions(verdicts, expected[seed]) == []
-    assert 0 < scans <= 0.3 * PER_CALL_SCANS
+    assert 0 < scans <= 0.2 * PER_CALL_SCANS

@@ -177,6 +177,24 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_integer_arguments_take_only_plain_digits(tmp_path, capsys):
+    # int() alone takes "1_0" as 10 and " 2" as 2; M, N and the processor
+    # count are written in the rational grammar's digits, as K and speed are
+    path = write_reference(tmp_path, 4, 3)
+    for grid in ("1_0,1_0,2", "4,3,2;4,3_0,2", "\u0664,3,2"):
+        assert main(["sweep", "--grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "M and N must be integers" in captured.err
+    for count in ("1_0", " 4", "4\n", "+-4"):
+        assert main(["analyze", "-i", path, "--speed", "1", "--processors", count]) == 2
+        assert f"argument --processors: not an integer: {count!r}" in capsys.readouterr().err
+    assert main(["generate", "--M", "1_0", "--N", "2", "--K", "2"]) == 2
+    assert "argument --M: not an integer: '1_0'" in capsys.readouterr().err
+    assert main(["analyze", "-i", path, "--speed", "1", "--processors", "+4"]) == 0
+    capsys.readouterr()
+
+
 def write_huge_hyperperiod(tmp_path):
     # coprime periods near 1e9: the scan horizon is about 2e18 and holds
     # about 4e9 step instants, far past the demand engine's step limit

@@ -22,6 +22,7 @@ from fedsched.generate import random_task_set
 from fedsched.model import DagTask, Platform, Subtask, TaskSet, validate_task_set
 from fedsched.simulate import simulate_list_schedule
 from reference import (
+    of_task,
     ref_allocate,
     ref_demand_profile,
     ref_first_violation,
@@ -161,6 +162,34 @@ def test_oracle_verdicts_kept_across_calls_match_the_fraction_reference(monkeypa
         plat = Platform(1, Fraction(speed))
         assert brute_force_federated_oracle(ts, plat) is verdict
         assert ref_oracle(dataclasses.replace(ts), plat) is verdict
+
+
+def test_the_oracle_keeps_each_one_shot_groups_least_speed():
+    # the kept (a, b) is the least speed a/b at which the group's demand
+    # test passes: the reference passes there and fails just below, so
+    # neither a violation found at some speed nor a speed that happened
+    # to pass will do.  Groups with a recurring task keep nothing.
+    rng = random.Random(17)
+    kinds = Counter()
+    for n in range(300):
+        ts = random_set(rng, recurring=n % 3 == 0)
+        for m in range(1, 5):
+            for speed in SPEEDS:
+                brute_force_federated_oracle(ts, Platform(m, speed))
+        for mask, (a, b) in ts._ticks.groups.items():
+            items = [of_task(task) for i, task in enumerate(ts) if mask >> i & 1]
+            assert all(period is None for _, _, period in items), (ts, mask)
+            if a > 0:
+                least = Fraction(a, b)
+                assert ref_first_violation(items, least) is None, (ts, mask)
+                below = least * Fraction(999999, 10**6)
+                assert ref_first_violation(items, below) is not None, (ts, mask)
+                kinds["several" if len(items) > 1 else "one"] += 1
+            else:
+                assert ref_first_violation(items, Fraction(1, 10**6)) is None, (ts, mask)
+                kinds["not positive"] += 1
+    assert min(kinds["one"], kinds["several"]) >= 200, kinds
+    assert kinds["not positive"] >= 1, kinds
 
 
 def test_list_schedule_matches_the_fraction_reference():
