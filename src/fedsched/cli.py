@@ -13,14 +13,15 @@ input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
 
 from .explore import speedup_sweep
 from .feasibility import (
-    _assigned,
     _demand_table,
+    _partition,
     _tick_items,
     partition_by_subtask_index,
     partitioned_feasible,
@@ -34,7 +35,7 @@ from .taskio import dump_task_set, read_task_set, save_task_set
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits itself on usage errors / --help
@@ -51,7 +52,10 @@ def entry() -> None:
     sys.exit(main(sys.argv[1:]))
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on first use and kept: parsing
+    leaves it as it was, and it writes to the streams of the moment."""
     parser = argparse.ArgumentParser(
         prog="fedsched",
         description=(
@@ -197,7 +201,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     scale = ts._ticks.scale
     p, wide = plat.speed.numerator, scale * plat.speed.denominator
     tables = []
-    for proc, placed in sorted(_assigned(ts, pa).items()):
+    for proc, placed in sorted(_partition(ts, pa, plat).items()):
         points = [
             _POINT.format(
                 format_ticks(t, scale),

@@ -144,7 +144,10 @@ def _demand_table(
 ) -> list[tuple[int, int]]:
     """The total demand of int items in ticks of ``1/scale`` at each step
     instant out to their :func:`_horizon`, as (t, demand) pairs in the
-    same ticks: the running sum of the steps."""
+    same ticks: the running sum of the steps (:func:`_one_shot_demand`
+    when no item recurs)."""
+    if all(per is None for _, _, per in items):
+        return _one_shot_demand(items, scale)
     table = []
     total = 0
     for t, step in _demand_steps(items, _horizon(items, scale), scale):
@@ -263,7 +266,10 @@ class PartitionedAssignment:
     def __post_init__(self) -> None:
         entries = dict(self.mapping)
         for (task, subtask), proc in entries.items():
-            if not all(map(_is_int, (task, subtask, proc))):
+            if not (
+                type(task) is type(subtask) is type(proc) is int
+                or all(map(_is_int, (task, subtask, proc)))
+            ):
                 raise ValueError(
                     f"assignment entry ({task!r}, {subtask!r}) -> {proc!r}: "
                     "ids and processors must be integers"
@@ -289,9 +295,8 @@ def partition_by_subtask_index(ts: TaskSet, processors: int) -> PartitionedAssig
             )
     mapping: dict[tuple[int, int], int] = {}
     for task in ts:
-        ordered = sorted(task.subtasks, key=lambda st: st.id)
-        for k, st in enumerate(ordered, start=1):
-            mapping[(task.id, st.id)] = k
+        for k, sid in enumerate(sorted(st.id for st in task.subtasks), start=1):
+            mapping[task.id, sid] = k
     return PartitionedAssignment(mapping)
 
 
@@ -301,14 +306,16 @@ def _assigned(
     """Per processor, (task index, subtask index) of each subtask assigned
     to it, in task order and then subtask order.  Raises if the assignment
     misses any subtask."""
+    mapping = pa.mapping
     by_proc: dict[int, list[tuple[int, int]]] = {}
     for i, task in enumerate(ts):
         for k, st in enumerate(task.subtasks):
-            proc = pa.mapping.get((task.id, st.id))
-            if proc is None:
+            try:
+                proc = mapping[task.id, st.id]
+            except KeyError:
                 raise ValueError(
                     f"assignment does not cover task {task.id} subtask {st.id}"
-                )
+                ) from None
             by_proc.setdefault(proc, []).append((i, k))
     return by_proc
 
@@ -337,14 +344,22 @@ def _partition(
 ) -> dict[int, list[tuple[int, int]]]:
     """:func:`_assigned`, after checking that a partitioned analysis or
     simulation applies: every task edge-free (subtasks are placed as
-    independent items), and every processor within the platform."""
+    independent items), and every processor within the platform.  ``pa``
+    keeps the result for the last task set it was resolved against, so the
+    test, the tables and the simulation of one (ts, pa) pair resolve once;
+    no caller mutates it."""
     for task in ts:
         if task.edges:
             raise ValueError(
                 f"task {task.id} has precedence edges; "
                 "the partitioned test handles edge-free tasks only"
             )
-    by_proc = _assigned(ts, pa)
+    kept = pa.__dict__.get("_resolved")
+    if kept is not None and kept[0] is ts:
+        by_proc = kept[1]
+    else:
+        by_proc = _assigned(ts, pa)
+        pa.__dict__["_resolved"] = ts, by_proc
     for proc in by_proc:
         if not 1 <= proc <= plat.processors:
             raise ValueError(

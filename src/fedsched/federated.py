@@ -226,7 +226,7 @@ def allocate_federated(
             # below this retry speed the task alone needs the whole platform
             return Infeasible(
                 reason=(
-                    f"task {task.id}: critical path {task.span} needs more than "
+                    f"task {task.id}: critical path {task.span} is not shorter than "
                     f"the deadline budget {speed * task.deadline}; "
                     "no cluster size suffices"
                 ),

@@ -34,7 +34,7 @@ def _positive_speed(value) -> Fraction:
     return speed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Subtask:
     """One unit of sequential execution inside a task's job.
 
@@ -47,8 +47,11 @@ class Subtask:
     id: int
     wcet: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "wcet", _exact(self.wcet))
+    def __init__(self, id: int, wcet: Fraction) -> None:
+        # each field set once (a __post_init__ would set wcet twice): the
+        # loader builds one per subtask
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "wcet", _exact(wcet))
 
 
 def work(task: DagTask) -> Fraction:
@@ -114,6 +117,8 @@ class DagTask:
     def successors(self) -> Mapping[int, tuple[int, ...]]:
         """Subtask id -> ids of its successors, over the edges whose
         endpoints are both known subtasks (a duplicate edge repeats)."""
+        if not self.edges:
+            return dict.fromkeys((st.id for st in self.subtasks), ())
         succ: dict[int, list[int]] = {st.id: [] for st in self.subtasks}
         for a, b in self.edges:
             try:
@@ -127,6 +132,8 @@ class DagTask:
     def topological_order(self) -> tuple[int, ...] | None:
         """The distinct subtask ids in a precedence-respecting order (Kahn's
         algorithm), or None when the known-id edges contain a cycle."""
+        if not self.edges:  # nothing to order: the ids as they come
+            return tuple(self.successors)
         indegree = Counter(b for nexts in self.successors.values() for b in nexts)
         queue = deque(sid for sid in self.successors if indegree[sid] == 0)
         order: list[int] = []
@@ -151,6 +158,8 @@ class DagTask:
         if order is None:
             raise ValueError(f"task {self.id}: dependency cycle among subtasks")
         wcet = dict(zip((st.id for st in self.subtasks), wcets))
+        if not self.edges:  # the longest path is one subtask (or none)
+            return max(0, max(wcet.values(), default=0))
         # reach[b]: the longest path ending at some predecessor of b
         reach: dict[int, int] = {}
         best = 0
@@ -252,8 +261,18 @@ class _Ticks(NamedTuple):
             for v in (task.deadline, task.period, *(st.wcet for st in task.subtasks))
         )
 
+        # the loader shares one Fraction per distinct rational-string, so
+        # each object is scaled once; the tasks keep every id alive
+        memo: dict[int, int | None] = {}
+
         def each(values):
-            return tuple(_in_ticks(v, scale) for v in values)
+            out = []
+            for v in values:
+                key = id(v)
+                if key not in memo:
+                    memo[key] = _in_ticks(v, scale)
+                out.append(memo[key])
+            return tuple(out)
 
         wcets = tuple(each(st.wcet for st in task.subtasks) for task in tasks)
         work = tuple(map(sum, wcets))
@@ -306,7 +325,7 @@ def validate_task_set(ts: TaskSet) -> list[str]:
 
 def _is_int(value) -> bool:
     """True for an int that is not a bool (JSON's true is not an id)."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    return type(value) is int or (isinstance(value, int) and not isinstance(value, bool))
 
 
 def _validate_task(task: DagTask, scale: int, wcets, work, deadline, period) -> list[str]:

@@ -152,12 +152,12 @@ def _simulate_ticks(
     ``1/scale``."""
     by_proc = _partition(ts, pa, plat)
     ticks = ts._ticks
-    for task in ts:
-        if task.period is not None and task.period <= 0:
+    for task, period, wcets in zip(ts, ticks.period, ticks.wcets):
+        if period is not None and period <= 0:
             raise ValueError(
                 f"task {task.id}: period must be positive, got {task.period}"
             )
-        if any(st.wcet < 0 for st in task.subtasks):
+        if min(wcets, default=0) < 0:
             raise ValueError(f"task {task.id}: a negative wcet never finishes")
     if horizon is None:
         items = [it for placed in by_proc.values() for it in _tick_items(ts, placed)]

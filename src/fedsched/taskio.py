@@ -41,10 +41,15 @@ def _task_from_dict(raw: Any, where: str, seen: dict[str, Fraction]) -> DagTask:
     raw_subtasks = raw.get("subtasks")
     if not isinstance(raw_subtasks, list):
         raise ValueError(f"{where}.subtasks: expected a list")
-    subtasks = tuple(
-        _subtask_from_dict(sub, f"{where}.subtasks[{j}]", seen)
-        for j, sub in enumerate(raw_subtasks)
-    )
+    subtasks = []
+    for j, sub in enumerate(raw_subtasks):
+        try:  # the common case, an integer id and a wcet string seen before
+            sid, wcet = sub["id"], seen[sub["wcet"]]
+        except (TypeError, KeyError):
+            sid = None
+        if type(sid) is not int:  # the checked decode, which names the field
+            sid, wcet = _subtask_fields(sub, f"{where}.subtasks[{j}]", seen)
+        subtasks.append(Subtask(sid, wcet))
     raw_edges = raw.get("edges", [])
     if not isinstance(raw_edges, list):
         raise ValueError(f"{where}.edges: expected a list")
@@ -58,17 +63,17 @@ def _task_from_dict(raw: Any, where: str, seen: dict[str, Fraction]) -> DagTask:
         wcet_total=wcet_total,
         deadline=deadline,
         period=period,
-        subtasks=subtasks,
+        subtasks=tuple(subtasks),
         edges=tuple(edges),
     )
 
 
-def _subtask_from_dict(raw: Any, where: str, seen: dict[str, Fraction]) -> Subtask:
+def _subtask_fields(
+    raw: Any, where: str, seen: dict[str, Fraction]
+) -> tuple[int, Fraction]:
     if not isinstance(raw, dict):
         raise ValueError(f"{where}: expected an object")
-    return Subtask(
-        id=_int_field(raw, "id", where), wcet=_rational_field(raw, "wcet", where, seen)
-    )
+    return _int_field(raw, "id", where), _rational_field(raw, "wcet", where, seen)
 
 
 def _int_field(raw: dict, key: str, where: str) -> int:

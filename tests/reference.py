@@ -208,7 +208,7 @@ def ref_allocate(ts, plat):
         if budget <= task.span:
             return Infeasible(
                 reason=(
-                    f"task {task.id}: critical path {task.span} needs more than "
+                    f"task {task.id}: critical path {task.span} is not shorter than "
                     f"the deadline budget {budget}; no cluster size suffices"
                 ),
                 processors_needed=None,

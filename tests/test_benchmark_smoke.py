@@ -68,3 +68,33 @@ def test_the_oracle_scans_each_group_about_once(monkeypatch):
         verdicts = workloads.decide(fs, workloads.oracle_instance(fs, seed))
         assert workloads.check_decisions(verdicts, expected[seed]) == []
     assert 0 < scans <= 0.2 * PER_CALL_SCANS
+
+
+def test_a_family_pass_resolves_each_partition_once(monkeypatch, tmp_path):
+    # the partitioned test, analyze's tables and the simulation of one
+    # assignment share one resolution: at most one per assignment built
+    fs = SimpleNamespace(
+        **{mod: importlib.import_module(f"fedsched.{mod}") for mod in workloads.MODULES}
+    )
+    counts = {"built": 0, "resolved": 0}
+
+    def counted(key, fn):
+        def call(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return call
+
+    assignment = fs.feasibility.PartitionedAssignment
+    monkeypatch.setattr(
+        assignment, "__post_init__", counted("built", assignment.__post_init__)
+    )
+    resolve = fs.feasibility._assigned
+    for mod in vars(fs).values():
+        if getattr(mod, "_assigned", None) is resolve:
+            monkeypatch.setattr(mod, "_assigned", counted("resolved", resolve))
+    ops = workloads.family(fs, tmp_path, 0)
+    assert [msg for op in ops for msg in op.check(op.call())] == []
+    # 3 sweep instances, analyze and simulate
+    assert counts["built"] == 5
+    assert 0 < counts["resolved"] <= counts["built"]

@@ -10,6 +10,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+from fedsched import cli
 from fedsched.cli import main
 from fedsched.generate import CounterexampleParams, build_counterexample
 from fedsched.model import MAX_TICK_BITS, DagTask, Subtask, TaskSet
@@ -373,3 +374,23 @@ def test_tick_output_matches_the_fraction_formatting(tmp_path, monkeypatch):
         kinds["recurring" if any(t.period for t in ts) else "one-shot"] += 1
         kinds["tick > 1"] += ts._ticks.scale > 1
     assert min(kinds.values()) >= 15, kinds
+
+
+def test_main_called_again_answers_as_a_fresh_process(tmp_path):
+    # the parser is built once per process: a usage error, --help and a
+    # success, each run twice in a row, read as each did on a fresh parser
+    path = write_reference(tmp_path, 2, 2, 2)
+    runs = (
+        ["analyze", "-i", path, "--speed", "1"],  # --processors missing
+        ["--help"],
+        ["simulate", "--help"],
+        ["federate", "-i", path, "--speed", "1", "--processors", "1_0"],
+        ["analyze", "-i", path, "--speed", "1", "--processors", "2"],
+    )
+    fresh = []
+    for argv in runs:
+        cli._parser.cache_clear()
+        fresh.append(captured(lambda: main(argv)))
+    assert [code for code, _, _ in fresh] == [2, 0, 0, 2, 0]
+    again = [captured(lambda: main(argv)) for argv in runs for _ in range(2)]
+    assert again == [result for result in fresh for _ in range(2)]

@@ -229,6 +229,39 @@ def test_assignment_refuses_non_integer_entries():
             PartitionedAssignment(mapping)
 
 
+class Count(int):
+    pass
+
+
+def test_assignment_checks_each_entry_as_the_plain_definition_does():
+    # the all-int fast check against isinstance: int subclasses pass, bool,
+    # floats, strings and the rest do not, in any of the three places
+    values = (1, 7, Count(2), True, False, 1.0, "1", None, Fraction(1))
+    rng = random.Random(9)
+    for _ in range(2000):
+        mapping = {
+            (rng.choice(values), rng.choice(values)): rng.choice(values)
+            for _ in range(rng.randint(0, 3))
+        }
+        plain = all(
+            isinstance(v, int) and not isinstance(v, bool)
+            for (task, subtask), proc in mapping.items()
+            for v in (task, subtask, proc)
+        )
+        if plain:
+            assert dict(PartitionedAssignment(mapping).mapping) == mapping
+        else:
+            with pytest.raises(ValueError, match=r"^assignment entry \("):
+                PartitionedAssignment(mapping)
+
+
+def test_one_shot_demand_keeps_the_step_limit(monkeypatch):
+    monkeypatch.setattr("fedsched.feasibility.MAX_DEMAND_STEPS", 2)
+    assert demand_profile([(1, 2), (1, 5)]).breakpoints == ((2, 1), (5, 2))
+    with pytest.raises(ValueError, match="horizon 5 needs 3 step instants"):
+        demand_profile([(1, 2), (1, 5), (1, 3)])
+
+
 def test_item_accepts_pairs_and_triples():
     for spec in ((Fraction(1), Fraction(2)), (1, 2), (1, 2, None)):
         assert demand_profile([spec]).breakpoints == ((2, 1),)

@@ -18,7 +18,7 @@ from fedsched.feasibility import uniprocessor_edf_feasible
 from fedsched.generate import CounterexampleParams, build_counterexample, random_task_set
 from fedsched.model import DagTask, Platform, Subtask, TaskSet, work
 from fedsched.simulate import simulate_list_schedule
-from reference import reference_set, seq_task
+from reference import ref_allocate, reference_set, seq_task
 
 
 def test_classify_heavy():
@@ -144,6 +144,29 @@ def test_cluster_sizing_none_when_path_too_long():
     )
     # span 4 > deadline 3 at unit speed: no cluster size can help
     assert heavy_processor_allocation(chain, Fraction(1)) is None
+
+
+def test_infeasible_reason_holds_when_the_path_fills_the_budget():
+    # two independent unit subtasks, work 2, deadline 1, at speed 1: the span
+    # 1 equals the budget 1, so no cluster size suffices though the path
+    # needs no more than the budget
+    pair = DagTask(
+        id=1,
+        wcet_total=2,
+        deadline=1,
+        period=None,
+        subtasks=(Subtask(1, Fraction(1)), Subtask(2, Fraction(1))),
+    )
+    ts = TaskSet(name="eq", tasks=(pair,))
+    plat = Platform(4, Fraction(1))
+    assert heavy_processor_allocation(pair, Fraction(1)) is None
+    result = allocate_federated(ts, plat)
+    assert isinstance(result, Infeasible)
+    assert result.reason == (
+        "task 1: critical path 1 is not shorter than the deadline budget 1; "
+        "no cluster size suffices"
+    )
+    assert ref_allocate(ts, plat) == result
 
 
 def test_cluster_sizing_rejects_light_tasks():

@@ -11,6 +11,7 @@ from fedsched.model import (
     Platform,
     Subtask,
     TaskSet,
+    _is_int,
     span,
     validate_task_set,
     work,
@@ -389,3 +390,36 @@ def test_cached_dag_view_follows_replace():
     flipped = dataclasses.replace(task, edges=((3, 2), (2, 1)))
     assert flipped.topological_order == (3, 2, 1)
     assert task.topological_order == (1, 2, 3)
+
+
+def test_edge_free_dag_view_matches_the_general_walk():
+    # an edge between unknown ids changes no DAG, but it sends the task
+    # through Kahn's algorithm and the longest-path walk
+    rng = random.Random(405)
+    for _ in range(1000):
+        ids = [rng.randint(1, 5) for _ in range(rng.randint(0, 8))]
+        wcets = [Fraction(rng.randint(-4, 9), rng.randint(1, 3)) for _ in ids]
+        free = DagTask(
+            id=1,
+            wcet_total=sum(wcets, Fraction(0)),
+            deadline=1,
+            period=None,
+            subtasks=tuple(map(Subtask, ids, wcets)),
+        )
+        general = dataclasses.replace(free, edges=((0, 0),))
+        assert free.successors == general.successors
+        assert free.topological_order == general.topological_order
+        assert span(free) == span(general)
+        sets = TaskSet("f", (free,)), TaskSet("g", (general,))
+        assert sets[0]._ticks == sets[1]._ticks
+        # a repeated id takes its last wcet; a negative one is no path
+        assert span(free) == max([0, *dict(zip(ids, wcets)).values()])
+
+
+class Count(int):
+    pass
+
+
+def test_is_int_takes_ints_and_their_subclasses_but_not_bool():
+    for value in (0, -5, 2**70, Count(3), True, False, 1.0, 2.5, "1", None, Fraction(1), (1,)):
+        assert _is_int(value) == (isinstance(value, int) and not isinstance(value, bool))

@@ -1,12 +1,13 @@
 import io
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from fedsched.generate import CounterexampleParams, build_counterexample, random_task_set
 from fedsched.model import DagTask, Subtask
-from fedsched.taskio import dump_task_set, load_task_set
+from fedsched.taskio import _subtask_fields, dump_task_set, load_task_set
 
 
 def dumped(ts):
@@ -176,3 +177,42 @@ def test_values_enter_as_exact_fractions():
     st = Subtask(1, f)
     task = DagTask(1, f, f, f, (st,))
     assert all(x is f for x in (st.wcet, task.wcet_total, task.deadline, task.period))
+
+
+# (field, value) faults of one subtask; a None field is the whole subtask
+SUBTASK_FAULTS = (
+    ("id", True), ("id", 1.0), ("id", "1"), ("id", None), ("id", [1]),
+    ("wcet", 2), ("wcet", True), ("wcet", None), ("wcet", ["2"]),
+    ("wcet", "x"), ("wcet", "1/0"), (None, [1, "2"]), (None, "s"), (None, None),
+)
+
+
+def test_subtask_decoding_matches_the_checked_path():
+    # the loader takes a subtask with an integer id and a wcet string seen
+    # before without wording a field; everything else, and every error,
+    # comes from the checked decode
+    rng = random.Random(12)
+    for seed in range(60):
+        doc = json.loads(dumped(random_task_set(seed)))
+        for task, raw in zip(loaded(doc).tasks, doc["tasks"]):
+            want = [_subtask_fields(sub, "", {}) for sub in raw["subtasks"]]
+            assert [(st.id, st.wcet) for st in task.subtasks] == want
+        i = rng.randrange(len(doc["tasks"]))
+        j = rng.randrange(len(doc["tasks"][i]["subtasks"]))
+        where = f"tasks[{i}].subtasks[{j}]"
+        faults = SUBTASK_FAULTS + (("id", ...), ("wcet", ...))  # ... drops the field
+        for key, value in faults:
+            bad = json.loads(json.dumps(doc))
+            subtasks = bad["tasks"][i]["subtasks"]
+            if key is None:
+                subtasks[j] = value
+            elif value is ...:
+                del subtasks[j][key]
+            else:
+                subtasks[j][key] = value
+            with pytest.raises(ValueError) as got:
+                loaded(bad)
+            with pytest.raises(ValueError) as want:
+                _subtask_fields(subtasks[j], where, {})
+            assert str(got.value) == str(want.value)
+            assert str(got.value).startswith(where + (f".{key}: " if key else ": "))
