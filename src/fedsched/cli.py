@@ -21,6 +21,7 @@ import sys
 from .explore import speedup_sweep
 from .feasibility import (
     _demand_table,
+    _horizon,
     _partition,
     _tick_items,
     partition_by_subtask_index,
@@ -202,13 +203,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     p, wide = plat.speed.numerator, scale * plat.speed.denominator
     tables = []
     for proc, placed in sorted(_partition(ts, pa, plat).items()):
+        items = _tick_items(ts, placed)
         points = [
             _POINT.format(
                 format_ticks(t, scale),
                 format_ticks(demand, scale),
                 format_ticks(p * t, wide),
             )
-            for t, demand in _demand_table(_tick_items(ts, placed), scale)
+            for t, demand in _demand_table(items, _horizon(items, scale), scale)
         ]
         tables.append(_TABLE.format(proc, _json_list(points, "      ")))
     sys.stdout.write(

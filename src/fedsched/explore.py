@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .feasibility import (
+    _demand_table,
     _first_violation,
-    _one_shot_demand,
     partition_by_subtask_index,
     partitioned_feasible,
 )
@@ -171,6 +171,7 @@ def brute_force_federated_oracle(ts: TaskSet, plat: Platform) -> bool:
         raise ValueError(f"oracle is capped at 4 processors, got {plat.processors}")
     p, q = plat.speed.numerator, plat.speed.denominator
     ticks, n = ts._ticks, len(ts)
+    kept = ticks.groups
 
     def cluster_ok(index: int, size: int) -> bool:
         # the list schedule at speed p/q is the unit-speed one with every
@@ -180,17 +181,18 @@ def brute_force_federated_oracle(ts: TaskSet, plat: Platform) -> bool:
     # a group of shared tasks is a bitmask of their indices; its items are
     # listed in index order
     def group_ok(mask: int) -> bool:
-        if mask not in ticks.groups:
+        least = kept.get(mask)
+        if least is None:
             items = [item for i, item in enumerate(ticks.items) if mask >> i & 1]
-            if any(per is not None or d <= 0 for _, d, per in items):
+            deadlines = [d for _, d, per in items if per is None and d > 0]
+            if len(deadlines) < len(items):
                 return _first_violation(items, p, q, ticks.scale) is None
             a, b = 0, 1
-            for t, demand in _one_shot_demand(items, ticks.scale):
+            for t, demand in _demand_table(items, max(deadlines), ticks.scale):
                 if demand * b > a * t:
                     a, b = demand, t
-            ticks.groups[mask] = a, b
-        a, b = ticks.groups[mask]
-        return q * a <= p * b
+            least = kept[mask] = a, b
+        return q * least[0] <= p * least[1]
 
     groups: list[int] = []  # the shared processors opened so far
 

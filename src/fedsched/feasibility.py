@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
-from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -80,50 +80,6 @@ def _horizon(items: list[tuple[int, int, int | None]], scale: int) -> int:
     return horizon
 
 
-def _check_step_count(total: int, horizon: int | Fraction, scale: int) -> None:
-    """Raise ValueError when a scan to ``horizon`` (in ticks of
-    ``1/scale``) would enumerate ``total`` step instants, more than
-    ``MAX_DEMAND_STEPS``."""
-    if total > MAX_DEMAND_STEPS:
-        raise ValueError(
-            f"demand scan to horizon {format_rational(Fraction(horizon) / scale)} "
-            f"needs {total} step instants, more than the limit of "
-            f"{MAX_DEMAND_STEPS}"
-        )
-
-
-def _demand_steps(
-    items: list[tuple[int, int, int | None]], horizon: int | Fraction, scale: int
-) -> list[tuple[int, int]]:
-    """Every instant up to ``horizon`` where the summed dbf of ``items``
-    steps, with the height of the step there, in increasing time order.
-
-    Items are (work, deadline, period) and every value, the horizon too,
-    is in ticks of ``1/scale``; ``scale`` is read only for messages.
-    Each item's step instants (its deadline, then every ``period`` after
-    it while within the horizon) are enumerated once and its work is
-    added to the step at each.  Raises ValueError, before enumerating,
-    when that takes more than ``MAX_DEMAND_STEPS`` step instants.
-    """
-    last = horizon // 1  # the last whole tick within the horizon
-    total = 0
-    for _, deadline, period in items:
-        if period is None:
-            total += 1
-        else:
-            total += (last - deadline) // period + 1
-    _check_step_count(total, horizon, scale)
-    steps: dict[int, int] = {}
-    get = steps.get
-    for work, deadline, period in items:
-        if period is None:
-            steps[deadline] = get(deadline, 0) + work
-        else:
-            for t in range(deadline, last + 1, period):
-                steps[t] = get(t, 0) + work
-    return sorted(steps.items())
-
-
 @dataclass(frozen=True)
 class DemandProfile:
     """Total demand of an item set tabulated at each step instant.
@@ -140,20 +96,39 @@ class DemandProfile:
 
 
 def _demand_table(
-    items: list[tuple[int, int, int | None]], scale: int
-) -> list[tuple[int, int]]:
-    """The total demand of int items in ticks of ``1/scale`` at each step
-    instant out to their :func:`_horizon`, as (t, demand) pairs in the
-    same ticks: the running sum of the steps (:func:`_one_shot_demand`
-    when no item recurs)."""
-    if all(per is None for _, _, per in items):
-        return _one_shot_demand(items, scale)
-    table = []
-    total = 0
-    for t, step in _demand_steps(items, _horizon(items, scale), scale):
-        total += step
-        table.append((t, total))
-    return table
+    items: list[tuple[int, int, int | None]], horizon: int | Fraction, scale: int
+) -> Iterable[tuple[int, int]]:
+    """The total demand of int items at each instant up to ``horizon``
+    where it steps, as (t, demand) pairs in increasing time order.
+
+    Items are (work, deadline, period) and every value, the horizon too,
+    is in ticks of ``1/scale``; ``scale`` is read only for messages.  An
+    item steps by its work at its deadline and, when it recurs, every
+    ``period`` after it while within the horizon.  The steps are summed in
+    time order and the last sum at each instant is kept.  Raises
+    ValueError, before enumerating, when that takes more than
+    ``MAX_DEMAND_STEPS`` step instants.
+    """
+    last = horizon // 1  # the last whole tick within the horizon
+    steps = [(d, w) for w, d, per in items if per is None]
+    recurring = [item for item in items if item[2] is not None]
+    total = len(steps)
+    for _, d, per in recurring:
+        total += (last - d) // per + 1
+    if total > MAX_DEMAND_STEPS:
+        raise ValueError(
+            f"demand scan to horizon {format_rational(Fraction(horizon) / scale)} "
+            f"needs {total} step instants, more than the limit of "
+            f"{MAX_DEMAND_STEPS}"
+        )
+    for w, d, per in recurring:
+        steps += zip(range(d, last + 1, per), repeat(w))
+    steps.sort()
+    demand, table = 0, {}
+    for t, w in steps:
+        demand += w
+        table[t] = demand
+    return table.items()
 
 
 def demand_profile(items: Iterable[Sequence]) -> DemandProfile:
@@ -167,7 +142,7 @@ def demand_profile(items: Iterable[Sequence]) -> DemandProfile:
     return DemandProfile(
         tuple(
             (Fraction(t, scale), Fraction(demand, scale))
-            for t, demand in _demand_table(ticks, scale)
+            for t, demand in _demand_table(ticks, _horizon(ticks, scale), scale)
         )
     )
 
@@ -183,8 +158,8 @@ def uniprocessor_edf_feasible(items: Iterable[Sequence], speed: Fraction) -> boo
     ``speed``: long-run demand grows at that rate, and bounding it is
     what makes the finite scan horizon sufficient.
 
-    The scan walks the step instants in increasing order, keeps a running
-    sum, and stops at the first violation; no profile is built.  When
+    The scan reads the running demand at the step instants in increasing
+    order (see :func:`_demand_table`) and stops at the first violation.  When
     U < speed and no work is negative, it ends at the sooner of the
     largest deadline plus two hyperperiods (see :func:`_horizon`) and the
     L_a bound (George, Rivierre and Spuri 1996)
@@ -205,21 +180,6 @@ def uniprocessor_edf_feasible(items: Iterable[Sequence], speed: Fraction) -> boo
     return _first_violation(ticks, speed.numerator, speed.denominator, scale) is None
 
 
-def _one_shot_demand(
-    items: list[tuple[int, int, None]], scale: int
-) -> list[tuple[int, int]]:
-    """:func:`_demand_table` of one-shot items, which step once each: the
-    running sum over the items in deadline order, the last at each instant
-    kept.  Raises ValueError for more than ``MAX_DEMAND_STEPS`` items."""
-    ordered = sorted(items, key=itemgetter(1))
-    _check_step_count(len(ordered), ordered[-1][1] if ordered else 0, scale)
-    demand, table = 0, {}
-    for work, t, _ in ordered:
-        demand += work
-        table[t] = demand
-    return list(table.items())
-
-
 def _first_violation(
     items: list[tuple[int, int, int | None]], p: int, q: int, scale: int
 ) -> tuple[int, int] | None:
@@ -228,30 +188,24 @@ def _first_violation(
     (a, b) such that it fails at every speed below a/b.  That is (demand,
     t) at the first instant where q*demand > p*t, or U as a pair when
     U > p/q (U is a ratio of ticks, so the scale cancels in both)."""
-    periods = [per for _, _, per in items if per is not None]
-    if not periods:
-        for t, demand in _one_shot_demand(items, scale):
-            if q * demand > p * t:
-                return demand, t
-        return None
     horizon = _horizon(items, scale)
-    hyper = lcm(*periods)
+    recurring = [item for item in items if item[2] is not None]
+    hyper = lcm(*(per for _, _, per in recurring))
     # U = used / hyper: each recurring item's work per hyperperiod
-    used = sum(w * (hyper // per) for w, _, per in items if per is not None)
+    used = sum(w * (hyper // per) for w, _, per in recurring)
     if q * used > p * hyper:
         return used, hyper
     slack = p * hyper - q * used  # (speed - U) * q * hyper
-    if slack > 0 and all(w >= 0 for w, _, _ in items):
-        offset = sum(  # N * hyper
-            w * hyper if per is None else max(0, per - d) * w * (hyper // per)
-            for w, d, per in items
+    works = [w for w, _, _ in items]
+    if slack > 0 and min(works, default=0) >= 0:
+        # N * hyper: all work, less min(deadline, period) * work/period per
+        # recurring item (which leaves max(0, period - deadline) * work/period)
+        offset = hyper * sum(works) - sum(
+            min(d, per) * w * (hyper // per) for w, d, per in recurring
         )
-        bound = Fraction(offset * q, slack)  # L, in ticks
-        if bound < horizon:
-            horizon = max(max(d for _, d, _ in items), bound)
-    demand = 0
-    for t, step in _demand_steps(items, horizon, scale):
-        demand += step
+        if offset * q < horizon * slack:  # L_a = N / (speed - U) is nearer
+            horizon = max(max([d for _, d, _ in items]), Fraction(offset * q, slack))
+    for t, demand in _demand_table(items, horizon, scale):
         if q * demand > p * t:
             return demand, t
     return None
@@ -374,8 +328,8 @@ def _tick_items(
 ) -> list[tuple[int, int, int | None]]:
     """The items of the subtasks ``placed`` (from :func:`_assigned`) as
     (wcet, deadline, period) in ints of the set's tick."""
-    ticks = ts._ticks
-    return [(ticks.wcets[i][k], ticks.deadline[i], ticks.period[i]) for i, k in placed]
+    wcets, deadline, period = ts._ticks.wcets, ts._ticks.deadline, ts._ticks.period
+    return [(wcets[i][k], deadline[i], period[i]) for i, k in placed]
 
 
 def partitioned_feasible(

@@ -4,6 +4,10 @@ A task releases jobs separated by at least its period; each job is a DAG of
 subtasks.  A ``None`` period marks a one-shot task (a single job, released
 at time 0).  Construction is deliberately permissive: structural problems
 are data, reported by :func:`validate_task_set`, not construction errors.
+It refuses only what it cannot store: a time that ``Fraction`` cannot
+read as a rational (TypeError, ValueError or OverflowError), an edge that
+is not a pair (TypeError or ValueError from unpacking it), and subtasks,
+edges or tasks that are not iterable (TypeError).
 All quantities are exact rationals; all types are immutable values and all
 operations are pure functions.  Inside, the decision layers read a task
 set's times as ints on one tick (see :class:`_Ticks`); ``Fraction`` is
@@ -303,7 +307,8 @@ def validate_task_set(ts: TaskSet) -> list[str]:
     """Check every structural invariant; return one message per violation.
 
     An empty list means the task set is valid.  Violations are data, not
-    failures: building an invalid task set never raises.  The times are
+    failures: a set that was built (its times rationals, its edges pairs;
+    see the module docstring) is reported on, never refused.  The times are
     compared on the set's tick view, which the engines then reuse; building
     it raises ValueError when its values would take more than
     ``MAX_TICK_BITS`` (see :func:`_tick`).

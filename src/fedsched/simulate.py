@@ -376,11 +376,18 @@ def check_trace(ts: TaskSet, trace: ScheduleTrace) -> list[str]:
                 )
 
     duration: dict[tuple[int, int], Fraction] = {}
-    by_task: dict[int, list[Interval]] = {}
+    first_start: dict[tuple[int, int], Fraction] = {}
+    last_end: dict[tuple[int, int], Fraction] = {}
+    task_end: dict[int, Fraction] = {}
     for iv in trace.intervals:
         key = (iv.task, iv.subtask)
         duration[key] = duration.get(key, Fraction(0)) + (iv.end - iv.start)
-        by_task.setdefault(iv.task, []).append(iv)
+        if key not in first_start or iv.start < first_start[key]:
+            first_start[key] = iv.start
+        if key not in last_end or iv.end > last_end[key]:
+            last_end[key] = iv.end
+        if iv.task not in task_end or iv.end > task_end[iv.task]:
+            task_end[iv.task] = iv.end
     for task in ts:
         jobs = _job_count(task, trace.horizon)
         for st in task.subtasks:
@@ -403,9 +410,8 @@ def check_trace(ts: TaskSet, trace: ScheduleTrace) -> list[str]:
     for task in ts:
         if _job_count(task, trace.horizon) != 1:
             continue
-        own = by_task.get(task.id, [])
-        starts = {st.id: min((iv.start for iv in own if iv.subtask == st.id), default=None) for st in task.subtasks}
-        ends = {st.id: max((iv.end for iv in own if iv.subtask == st.id), default=None) for st in task.subtasks}
+        starts = {st.id: first_start.get((task.id, st.id)) for st in task.subtasks}
+        ends = {st.id: last_end.get((task.id, st.id)) for st in task.subtasks}
         for a, b in task.edges:
             end_a, start_b = ends.get(a), starts.get(b)
             if end_a is not None and start_b is not None and start_b < end_a:
@@ -413,7 +419,7 @@ def check_trace(ts: TaskSet, trace: ScheduleTrace) -> list[str]:
                     f"task {task.id}: precedence violated: subtask {b} starts at "
                     f"{start_b} before predecessor {a} ends at {end_a}"
                 )
-        completion = max((iv.end for iv in own), default=Fraction(0))
+        completion = task_end.get(task.id, Fraction(0))
         late = completion > task.deadline
         entries = listed.get(task.id, [])
         if late and not entries:

@@ -61,7 +61,7 @@ def test_the_oracle_scans_each_group_about_once(monkeypatch):
 
         return call
 
-    for name in ("_first_violation", "_one_shot_demand"):
+    for name in ("_first_violation", "_demand_table"):
         monkeypatch.setattr(fs.explore, name, counted(getattr(fs.explore, name)))
     expected = workloads.load_expected()
     for seed in sorted(expected)[:200]:

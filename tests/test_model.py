@@ -206,6 +206,21 @@ def test_validate_reports_ids_that_are_not_integers():
     assert validate_task_set(ts) == ["task set 's': task id '2' is not an integer"]
 
 
+def test_construction_refuses_only_non_rational_times_and_non_pair_edges():
+    one = (Subtask(1, 1),)
+    for time in ("x", None, float("inf")):
+        with pytest.raises((TypeError, ValueError, OverflowError)):
+            Subtask(1, time)
+        with pytest.raises((TypeError, ValueError, OverflowError)):
+            DagTask(1, 1, time, None, one)
+    for edge in ((1, 2, 3), (1,), 5):
+        with pytest.raises((TypeError, ValueError)):
+            DagTask(1, 1, 1, None, one, edges=[edge])
+    # every other fault is stored and reported, not refused
+    task = DagTask(1, 5, -1, 0, (Subtask(1, 0), Subtask(1, -2)), edges=[(1, 9), (1, 1)])
+    assert len(validate_task_set(TaskSet("t", (task,)))) >= 4
+
+
 def test_platform_rejects_bad_values():
     with pytest.raises(ValueError):
         Platform(0, Fraction(1))

@@ -217,6 +217,22 @@ def one_shot_ties(rng):
     ]
 
 
+def mixed_ties(rng):
+    """Recurring items with one-shot items due on their step instants
+    d + k*period, zero works among them."""
+    def work():
+        return Fraction(rng.choice((0, rng.randint(0, 8))), rng.choice(WCET_DENOMINATORS))
+
+    items = []
+    for _ in range(rng.choice((1, 1, 2))):
+        deadline, period = Fraction(rng.randint(1, 12), rng.choice((1, 2, 3))), rng.choice(PERIODS)
+        items.append((work(), deadline, period))
+        items += [(work(), deadline + rng.randint(0, 3) * period, None)
+                  for _ in range(rng.randint(1, 3))]
+    rng.shuffle(items)
+    return items
+
+
 def test_demand_test_matches_the_fraction_reference(monkeypatch):
     # a small step limit keeps the Fraction reference quick and makes the
     # limit's message, horizon included, part of the comparison
@@ -274,6 +290,11 @@ def test_demand_test_matches_the_fraction_reference(monkeypatch):
     rng = random.Random(8)
     for _ in range(600):
         check(one_shot_ties(rng), rng.choice(SPEEDS), 0)
+    rng = random.Random(9)
+    for _ in range(600):
+        items = mixed_ties(rng)
+        check(items, rng.choice(SPEEDS), sum(w / p for w, _, p in items if p is not None))
+        kinds["mixed tie"] += 1
     assert min(kinds.values()) >= 100, kinds
 
 
