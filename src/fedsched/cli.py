@@ -22,8 +22,7 @@ from .explore import speedup_sweep
 from .feasibility import (
     _demand_table,
     _horizon,
-    _partition,
-    _tick_items,
+    _item_groups,
     partition_by_subtask_index,
     partitioned_feasible,
 )
@@ -201,18 +200,27 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     # t and demand in ticks of 1/S; the capacity (p/q)*t as p*t ticks of 1/(q*S)
     scale = ts._ticks.scale
     p, wide = plat.speed.numerator, scale * plat.speed.denominator
-    tables = []
-    for proc, placed in sorted(_partition(ts, pa, plat).items()):
-        items = _tick_items(ts, placed)
-        points = [
-            _POINT.format(
-                format_ticks(t, scale),
-                format_ticks(demand, scale),
-                format_ticks(p * t, wide),
-            )
-            for t, demand in _demand_table(items, _horizon(items, scale), scale)
-        ]
-        tables.append(_TABLE.format(proc, _json_list(points, "      ")))
+    # each distinct item list's points once, kept until its last processor
+    groups = _item_groups(ts, pa, plat)
+    items_of = {proc: items for items, procs in groups.items() for proc in procs}
+    last = {items: proc for proc, items in sorted(items_of.items())}
+    tables, kept = [], {}
+    for proc in sorted(items_of):
+        items = items_of[proc]
+        if items not in kept:
+            points = [
+                _POINT.format(
+                    format_ticks(t, scale),
+                    format_ticks(demand, scale),
+                    format_ticks(p * t, wide),
+                )
+                for t, demand in _demand_table(items, _horizon(items, scale), scale)
+            ]
+            kept[items] = _json_list(points, "      ")
+        # popped in the call, the last copy of a list's text goes with it
+        tables.append(
+            _TABLE.format(proc, kept.pop(items) if proc == last[items] else kept[items])
+        )
     sys.stdout.write(
         _ANALYZE_DOC.format(verdict, speed, plat.processors, _json_list(tables, "  "))
     )
@@ -304,6 +312,8 @@ def _parse_grid(spec: str) -> list[CounterexampleParams]:
                 f"grid entry {chunk!r}: M and N must be integers"
             ) from None
         grid.append(CounterexampleParams(m, n, parse_rational(parts[2])))
+    if not grid:
+        raise ValueError(f"grid {spec!r} holds no M,N,K triple")
     return grid
 
 

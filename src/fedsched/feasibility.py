@@ -54,7 +54,7 @@ def _scaled(
     return scale, [tuple(_in_ticks(v, scale) for v in it) for it in items]
 
 
-def _horizon(items: list[tuple[int, int, int | None]], scale: int) -> int:
+def _horizon(items: Sequence[tuple[int, int, int | None]], scale: int) -> int:
     """How far a demand scan of int items in ticks of ``1/scale`` must
     look, in the same ticks: the largest deadline, plus two hyperperiods
     when any item recurs (the lcm of ticks is the tick count of the
@@ -96,7 +96,7 @@ class DemandProfile:
 
 
 def _demand_table(
-    items: list[tuple[int, int, int | None]], horizon: int | Fraction, scale: int
+    items: Sequence[tuple[int, int, int | None]], horizon: int | Fraction, scale: int
 ) -> Iterable[tuple[int, int]]:
     """The total demand of int items at each instant up to ``horizon``
     where it steps, as (t, demand) pairs in increasing time order.
@@ -181,7 +181,7 @@ def uniprocessor_edf_feasible(items: Iterable[Sequence], speed: Fraction) -> boo
 
 
 def _first_violation(
-    items: list[tuple[int, int, int | None]], p: int, q: int, scale: int
+    items: Sequence[tuple[int, int, int | None]], p: int, q: int, scale: int
 ) -> tuple[int, int] | None:
     """The scan of :func:`uniprocessor_edf_feasible` on int items in ticks
     of ``1/scale`` at speed ``p/q``: None if the test passes, else a pair
@@ -313,7 +313,7 @@ def _partition(
         by_proc = kept[1]
     else:
         by_proc = _assigned(ts, pa)
-        pa.__dict__["_resolved"] = ts, by_proc
+        pa.__dict__["_resolved"] = ts, by_proc, {}
     for proc in by_proc:
         if not 1 <= proc <= plat.processors:
             raise ValueError(
@@ -332,6 +332,23 @@ def _tick_items(
     return [(wcets[i][k], deadline[i], period[i]) for i, k in placed]
 
 
+def _item_groups(
+    ts: TaskSet, pa: PartitionedAssignment, plat: Platform
+) -> dict[tuple[tuple[int, int, int | None], ...], list[int]]:
+    """The processors of :func:`_partition` grouped by tick item list (see
+    :func:`_tick_items`), lists and processors in the order they first
+    appear there, kept beside the resolution on ``pa``.  A list keeps its
+    placed order, unsorted, so that a scan of it raises as a scan of each
+    of its processors would: the demand test and table read only the list
+    and the tick."""
+    by_proc = _partition(ts, pa, plat)
+    groups = pa.__dict__["_resolved"][2]
+    if not groups:
+        for proc, placed in by_proc.items():
+            groups.setdefault(tuple(_tick_items(ts, placed)), []).append(proc)
+    return groups
+
+
 def partitioned_feasible(
     ts: TaskSet, pa: PartitionedAssignment, plat: Platform
 ) -> bool:
@@ -339,11 +356,14 @@ def partitioned_feasible(
 
     Subtasks are treated as independent sequential items, which is only
     faithful when tasks have no precedence edges; tasks with edges are
-    rejected rather than analyzed optimistically.  Each processor runs the
-    scan of :func:`uniprocessor_edf_feasible` on the set's ticks.
+    rejected rather than analyzed optimistically.  Each distinct item list
+    runs the scan of :func:`uniprocessor_edf_feasible` once, on the set's
+    ticks, in the order its first processor is placed: the first processor
+    that fails or raises is the one a scan of every processor would stop
+    at, so the verdict and any error are the same.
     """
     p, q = plat.speed.numerator, plat.speed.denominator
     return all(
-        _first_violation(_tick_items(ts, placed), p, q, ts._ticks.scale) is None
-        for placed in _partition(ts, pa, plat).values()
+        _first_violation(items, p, q, ts._ticks.scale) is None
+        for items in _item_groups(ts, pa, plat)
     )

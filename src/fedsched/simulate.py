@@ -23,7 +23,6 @@ from .feasibility import (
     PartitionedAssignment,
     _horizon,
     _partition,
-    _tick_items,
 )
 from .model import DagTask, Platform, TaskSet, _is_int, _positive_speed
 from .rational import format_rational
@@ -134,6 +133,36 @@ def _edf_on_one_processor(
     return out
 
 
+def _job_shape(
+    ts: TaskSet, proc: int, placed: list[tuple[int, int]]
+) -> tuple[tuple[int, int], ...] | int:
+    """The key under which processors share one EDF run: the task index
+    and wcet in ticks of each of the ``placed`` subtasks (from
+    :func:`fedsched.feasibility._assigned`), in placed order; or ``proc``
+    itself, so that the processor runs alone, where one task id holds two
+    or more of them.
+
+    Two processors with one key give the same runs but for their
+    processor and subtask ids.  Their job lists, built per placed subtask
+    from its task's releases, deadline and id and its own wcet, then
+    stably sorted by release, differ only in subtask ids.
+    :func:`_edf_on_one_processor` decides by comparing (deadline, task id,
+    subtask id, release, position), and a subtask id decides a comparison
+    only between two jobs of one task id and one absolute deadline.  One
+    task id is one task here, so they share a relative deadline and hence
+    a release, and as a period is positive a subtask has one job per
+    release: the two are one job.  So every choice is the same; the
+    stitching of back-to-back runs, which compares task and subtask ids,
+    matches too, since each task id stands for one subtask; and ``late``,
+    keyed by task id and release, gets entries a second run would only
+    repeat.
+    """
+    tasks, wcets = ts.tasks, ts._ticks.wcets
+    if len({tasks[i].id for i, _ in placed}) < len(placed):
+        return proc
+    return tuple((i, wcets[i][k]) for i, k in placed)
+
+
 def _simulate_ticks(
     ts: TaskSet,
     pa: PartitionedAssignment,
@@ -160,7 +189,8 @@ def _simulate_ticks(
         if min(wcets, default=0) < 0:
             raise ValueError(f"task {task.id}: a negative wcet never finishes")
     if horizon is None:
-        items = [it for placed in by_proc.values() for it in _tick_items(ts, placed)]
+        # the placed subtasks' deadlines and periods are their tasks'
+        items = [item for task, item in zip(ts, ticks.items) if task.subtasks]
         horizon = Fraction(_horizon(items, ticks.scale), ticks.scale)
     else:
         horizon = Fraction(horizon)
@@ -190,7 +220,17 @@ def _simulate_ticks(
     # at the latest of those
     late: dict[tuple[int, int], int] = {}
     runs: list[tuple[int, int, int, int, int]] = []
+    shapes = {proc: _job_shape(ts, proc, placed) for proc, placed in by_proc.items()}
+    last = {shape: proc for proc, shape in sorted(shapes.items())}
+    kept = {}  # shape -> its first processor's runs, while a later one needs them
     for proc in sorted(by_proc):
+        shape = shapes[proc]
+        if shape in kept:
+            first = kept.pop(shape) if proc == last[shape] else kept[shape]
+            # each task id here stands for one subtask: relabel by task id
+            sids = {ts.tasks[i].id: ts.tasks[i].subtasks[k].id for i, k in by_proc[proc]}
+            runs.extend((proc, t, sids[t], a, b) for _, t, _, a, b in first)
+            continue
         proc_jobs = []
         for i, k in by_proc[proc]:
             tid, deadline = ts.tasks[i].id, deadlines[i]
@@ -199,7 +239,10 @@ def _simulate_ticks(
                 (r, r + deadline, tid, sid, work) for r in release_table[i]
             )
         proc_jobs.sort(key=itemgetter(0))
-        runs.extend(_edf_on_one_processor(proc, proc_jobs, late))
+        proc_runs = _edf_on_one_processor(proc, proc_jobs, late)
+        runs.extend(proc_runs)
+        if proc != last[shape]:
+            kept[shape] = proc_runs
 
     missed: list[tuple[int, int, int]] = []
     for task, releases, deadline in zip(ts, release_table, deadlines):

@@ -98,3 +98,31 @@ def test_a_family_pass_resolves_each_partition_once(monkeypatch, tmp_path):
     # 3 sweep instances, analyze and simulate
     assert counts["built"] == 5
     assert 0 < counts["resolved"] <= counts["built"]
+
+
+def test_a_family_pass_handles_each_distinct_processor_once(monkeypatch, tmp_path):
+    # every processor of a family partition carries the same items and the
+    # same job shape: one verdict scan per partitioned test (3 sweep
+    # instances and analyze), one EDF run per simulation (3 sweep instances
+    # and simulate) and one demand table for analyze's 64 processors
+    fs = SimpleNamespace(
+        **{mod: importlib.import_module(f"fedsched.{mod}") for mod in workloads.MODULES}
+    )
+    counts = {}
+
+    def counted(mod, name):
+        fn = getattr(mod, name)
+
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        counts[name] = 0
+        monkeypatch.setattr(mod, name, call)
+
+    counted(fs.feasibility, "_first_violation")
+    counted(fs.simulate, "_edf_on_one_processor")
+    counted(fs.cli, "_demand_table")
+    ops = workloads.family(fs, tmp_path, 0)
+    assert [msg for op in ops for msg in op.check(op.call())] == []
+    assert counts == {"_first_violation": 4, "_edf_on_one_processor": 4, "_demand_table": 1}

@@ -176,6 +176,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["analyze", "-i", str(tmp_path / "absent.json"), "--speed", "1", "--processors", "1"]) == 2
     assert main(["sweep", "--grid", "10,10"]) == 2
     capsys.readouterr()
+    for grid in ("", " ; ;"):
+        assert main(["sweep", "--grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: grid {grid!r} holds no M,N,K triple\n"
 
 
 def test_integer_arguments_take_only_plain_digits(tmp_path, capsys):
@@ -345,6 +350,27 @@ def random_cli_set(rng, m):
     return TaskSet(name="random", tasks=tuple(tasks))
 
 
+def analyze_and_simulate_as_the_references(rng, path, ts, m, kinds, n):
+    """Write ``ts`` to ``path``, then require analyze and simulate on its
+    ``m`` processors, at speeds and a horizon drawn from ``rng``, to give
+    ref_analyze's and ref_simulate's bytes and exit codes."""
+    save_task_set(ts, path)
+    at = ["-i", path, "--processors", str(m)]
+    speed = rng.choice(CLI_SPEEDS)
+    got = captured(lambda: main(["analyze", *at, "--speed", speed]))
+    assert got == captured(lambda: ref_analyze(path, speed, m)), (n, "analyze", speed)
+    kinds[{0: "feasible", 1: "infeasible", 2: "analyze refused"}[got[0]]] += 1
+    kinds[f"speed {speed}"] += 1
+    speed, horizon = rng.choice(CLI_SPEEDS), rng.choice(CLI_HORIZONS)
+    extra = [] if horizon is None else ["--horizon", horizon]
+    got = captured(lambda: main(["simulate", *at, "--speed", speed, *extra]))
+    assert got == captured(lambda: ref_simulate(path, speed, m, horizon)), (n, "simulate", speed, horizon)
+    kinds[{0: "no misses", 1: "misses", 2: "simulate refused"}[got[0]]] += 1
+    kinds[f"speed {speed}"] += 1
+    kinds[f"horizon {horizon}"] += 1
+    kinds["recurring" if any(t.period for t in ts) else "one-shot"] += 1
+
+
 def test_tick_output_matches_the_fraction_formatting(tmp_path, monkeypatch):
     rng = random.Random(909)
     kinds = Counter()
@@ -357,23 +383,49 @@ def test_tick_output_matches_the_fraction_formatting(tmp_path, monkeypatch):
         monkeypatch.setattr("fedsched.simulate.MAX_DEMAND_STEPS", limit)
         m = rng.randint(1, 3)
         ts = random_cli_set(rng, m)
-        save_task_set(ts, path)
-        at = ["-i", path, "--processors", str(m)]
-        speed = rng.choice(CLI_SPEEDS)
-        got = captured(lambda: main(["analyze", *at, "--speed", speed]))
-        assert got == captured(lambda: ref_analyze(path, speed, m)), (n, "analyze", speed)
-        kinds[{0: "feasible", 1: "infeasible", 2: "analyze refused"}[got[0]]] += 1
-        kinds[f"speed {speed}"] += 1
-        speed, horizon = rng.choice(CLI_SPEEDS), rng.choice(CLI_HORIZONS)
-        extra = [] if horizon is None else ["--horizon", horizon]
-        got = captured(lambda: main(["simulate", *at, "--speed", speed, *extra]))
-        assert got == captured(lambda: ref_simulate(path, speed, m, horizon)), (n, "simulate", speed, horizon)
-        kinds[{0: "no misses", 1: "misses", 2: "simulate refused"}[got[0]]] += 1
-        kinds[f"speed {speed}"] += 1
-        kinds[f"horizon {horizon}"] += 1
-        kinds["recurring" if any(t.period for t in ts) else "one-shot"] += 1
+        analyze_and_simulate_as_the_references(rng, path, ts, m, kinds, n)
         kinds["tick > 1"] += ts._ticks.scale > 1
     assert min(kinds.values()) >= 15, kinds
+
+
+def twin_cli_set(rng, m):
+    """A valid edge-free set of ``m`` subtasks per task whose wcets repeat,
+    so that partition_by_subtask_index gives processors one item list."""
+    tasks = []
+    recurring = rng.random() < 0.5
+    load = 1 if rng.random() < 0.3 else Fraction(1, 4)
+    for tid in range(1, rng.randint(1, 4) + 1):
+        deadline = Fraction(rng.randint(1, 30), rng.choice((1, 2, 3, 5)))
+        period = None
+        if recurring and rng.random() < 0.8:
+            period = rng.choice(CLI_PERIODS)
+            deadline = min(deadline, period)
+        wcets = [Fraction(rng.randint(1, 6), rng.choice((1, 2, 3, 7))) * load for _ in range(2)]
+        subtasks = tuple(
+            Subtask(sid, rng.choice(wcets[: rng.randint(1, 2)]))
+            for sid in rng.sample(range(1, 9), m)
+        )
+        tasks.append(DagTask(tid, sum(st.wcet for st in subtasks), deadline, period, subtasks))
+    return TaskSet(name="twins", tasks=tuple(tasks))
+
+
+def test_twin_processors_write_what_each_processor_alone_would(tmp_path, monkeypatch):
+    # analyze tabulates, and simulate runs, each distinct processor once
+    rng = random.Random(2121)
+    kinds = Counter()
+    path = str(tmp_path / "set.json")
+    for n in range(400):
+        limit = 8 if rng.random() < 0.4 else 10**6
+        monkeypatch.setattr("fedsched.feasibility.MAX_DEMAND_STEPS", limit)
+        monkeypatch.setattr("fedsched.simulate.MAX_DEMAND_STEPS", limit)
+        m = rng.randint(2, 4)
+        ts = twin_cli_set(rng, m)
+        analyze_and_simulate_as_the_references(rng, path, ts, m, kinds, n)
+        lists = Counter(
+            tuple(sorted(t.subtasks, key=lambda st: st.id)[k].wcet for t in ts) for k in range(m)
+        )
+        kinds["twin processors"] += max(lists.values()) > 1
+    assert min(kinds.values()) >= 50, kinds
 
 
 def test_main_called_again_answers_as_a_fresh_process(tmp_path):

@@ -7,9 +7,12 @@ import pytest
 from fedsched.feasibility import (
     PartitionedAssignment,
     partition_by_subtask_index,
+    partitioned_feasible,
+    uniprocessor_edf_feasible,
 )
 from fedsched.generate import CounterexampleParams, build_counterexample, random_task_set
 from fedsched.model import DagTask, Platform, Subtask, TaskSet, span, work
+from fedsched.rational import format_rational
 from fedsched.simulate import (
     DeadlineMiss,
     Interval,
@@ -18,7 +21,12 @@ from fedsched.simulate import (
     simulate_list_schedule,
     simulate_partitioned_edf,
 )
-from reference import ref_default_horizon, reference_partitioned_edf, seq_task
+from reference import (
+    ref_default_horizon,
+    ref_first_violation,
+    reference_partitioned_edf,
+    seq_task,
+)
 
 
 def one_processor(ts):
@@ -458,3 +466,139 @@ def test_integer_ticks_match_the_fraction_reference():
         kinds[f"speed {plat.speed}"] += 1
     # every kind of case the generator aims for turns up often
     assert min(kinds.values()) >= 100, kinds
+
+
+# --- processors that share one item list ------------------------------------
+#
+# The partitioned test and the simulator handle each distinct processor once
+# and give its result to the processors that repeat it.  The sets below put
+# such twins beside what tells them apart: permuted subtask ids, two tasks of
+# equal demand on different twins, and one task's two subtasks in opposite id
+# order on two twins.
+
+
+def twin_processors(rng):
+    """An edge-free set whose processors share item lists, its partition,
+    a platform, and the twins it holds."""
+    m = rng.randint(2, 4)
+    tasks, mapping, kinds = [], {}, []
+
+    def timing():
+        period = rng.choice(PERIODS) if rng.random() < 0.5 else None
+        deadline = Fraction(rng.randint(1, 30), rng.choice((1, 2, 3, 5)))
+        if period is not None and rng.random() < 0.6:
+            deadline = min(deadline, period)
+        return deadline, period
+
+    def wcet():
+        return Fraction(rng.randint(1, 6), rng.choice((1, 2, 3, 7))) / rng.choice((1, 4))
+
+    def add(deadline, period, placed, sids=None):
+        # placed: (processor, wcet) per subtask; ids drawn in any order
+        tid = len(tasks) + 1
+        sids = sids or rng.sample(range(1, 3 * len(placed) + 1), len(placed))
+        tasks.append(DagTask(tid, sum(w for _, w in placed), deadline, period,
+                             tuple(Subtask(sid, w) for sid, (_, w) in zip(sids, placed))))
+        mapping.update({(tid, sid): proc for sid, (proc, _) in zip(sids, placed)})
+
+    for _ in range(rng.randint(1, 3)):  # one equal subtask on every processor
+        w = wcet()
+        add(*timing(), [(proc, w) for proc in range(1, m + 1)])
+    if rng.random() < 0.5:  # equal demand on processors 1 and 2, other task ids
+        (deadline, period), w = timing(), wcet()
+        add(deadline, period, [(1, w)])
+        add(deadline, period, [(2, w)])
+        kinds.append("equal demand, other task")
+    if rng.random() < 0.5:  # two subtasks on each of 1 and 2, ids in opposite order
+        (deadline, period), a, b = timing(), wcet(), wcet()
+        low, high = sorted(rng.sample(range(1, 9), 2)), sorted(rng.sample(range(9, 17), 2))
+        first, second = (low, high[::-1]) if rng.random() < 0.5 else (high, low[::-1])
+        add(deadline, period, [(1, a), (1, b), (2, a), (2, b)], [*first, *second])
+        kinds.append("opposite id order")
+    if rng.random() < 0.15:  # one or two nonpositive periods on every processor
+        for period in rng.sample((Fraction(0), Fraction(-3)), rng.randint(1, 2)):
+            w = wcet()
+            add(Fraction(5), period, [(proc, w) for proc in range(1, m + 1)])
+        kinds.append("nonpositive period")
+    ts = TaskSet(name="twins", tasks=tuple(tasks))
+    return ts, PartitionedAssignment(mapping), Platform(m, rng.choice(SPEEDS)), kinds
+
+
+def items_by_processor(ts, pa):
+    """Each processor's (wcet, deadline, period) items, processors in the
+    order the partition first reaches them."""
+    by_proc = {}
+    for task in ts:
+        for st in task.subtasks:
+            by_proc.setdefault(pa.mapping[task.id, st.id], []).append(
+                (st.wcet, task.deadline, task.period)
+            )
+    return by_proc
+
+
+def refusal(call, *args):
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def simulation_refusal(ts, horizon, limit):
+    """The message a simulation of ``ts`` ends with, or None."""
+    for task in ts:
+        if task.period is not None and task.period <= 0:
+            return f"task {task.id}: period must be positive, got {task.period}"
+    if horizon is None:
+        horizon = ref_default_horizon([(t.work, t.deadline, t.period) for t in ts])
+    jobs = sum(
+        len(t.subtasks) * (1 if t.period is None else int(horizon // t.period) + 1)
+        for t in ts
+    )
+    if jobs > limit:
+        return (
+            f"simulation to horizon {format_rational(horizon)} releases {jobs} "
+            f"subtask jobs, more than the limit of {limit}"
+        )
+    return None
+
+
+def test_twin_processors_match_a_scan_and_a_run_of_each(monkeypatch):
+    rng = random.Random(21)
+    kinds = Counter()
+    for n in range(600):
+        # now and then a step limit low enough to refuse scans and runs
+        limit = 12 if rng.random() < 0.15 else 10**6
+        monkeypatch.setattr("fedsched.feasibility.MAX_DEMAND_STEPS", limit)
+        monkeypatch.setattr("fedsched.simulate.MAX_DEMAND_STEPS", limit)
+        ts, pa, plat, twins = twin_processors(rng)
+        by_proc = items_by_processor(ts, pa)
+        # the verdict, or the error, of a scan of each processor in turn
+        got = refusal(partitioned_feasible, ts, pa, plat)
+        want = refusal(
+            lambda: all(uniprocessor_edf_feasible(items, plat.speed) for items in by_proc.values())
+        )
+        assert got == want, n
+        if type(want) is bool:
+            assert want == all(
+                ref_first_violation(items, plat.speed) is None for items in by_proc.values()
+            ), n
+        if "nonpositive period" in twins:
+            horizon = rng.choice((None, Fraction(10)))
+        else:
+            horizon = random_horizon(rng, ts)
+        expected = simulation_refusal(ts, horizon, limit)
+        got = refusal(simulate_partitioned_edf, ts, pa, plat, horizon)
+        if expected is None:
+            assert got == reference_partitioned_edf(ts, pa, plat, horizon=horizon), n
+            assert check_trace(ts, got) == [], n
+            kinds["misses" if got.misses else "on time"] += 1
+        else:
+            assert got == expected, n
+            kinds["simulation refused"] += 1
+        kinds.update(twins)
+        kinds["feasible" if want is True else "infeasible" if want is False else "scan refused"] += 1
+        kinds["step limit"] += limit < 10**6
+        kinds["recurring"] += any(t.period for t in ts)
+        kinds["explicit horizon"] += horizon is not None
+        kinds[f"speed {plat.speed}"] += 1
+    assert min(kinds.values()) >= 50, kinds
