@@ -157,42 +157,94 @@ def brute_force_federated_oracle(ts: TaskSet, plat: Platform) -> bool:
     demand test over all partitions of the shared tasks.  Exponential, so
     capped at 5 tasks and 4 processors.
 
+    A set in the monotone domain (see :func:`_fewest_processors`) is
+    decided by the fewest processors any configuration needs at the
+    speed, ``need``, kept on the set's tick view as (p, q, need) for the
+    speed p/q, so that every later call on any platform can read it: the
+    answer is need <= processors.  ``need`` never rises with the speed
+    there, so a kept speed <= this one whose need fits, or a kept speed
+    >= this one whose need does not, decides the call with no new search.
+    Whether a set lies in the domain is decided on its first call and
+    kept; any other set runs :func:`_search`, which keeps no need.
+
     A group of one-shot tasks whose deadlines are all > 0 keeps its least
     passing speed on the task set across calls, as the cluster makespans
-    are: the largest demand/t over its step instants, or 0 if none is
-    positive, as (a, b) for a/b.  The demand test at p/q is q*demand <= p*t
-    at each instant t > 0, so it passes iff q*a <= p*b.  Any other group
-    (one with a recurring task or a deadline <= 0) is scanned at each call
-    and keeps nothing.
+    are; see :func:`_group_passes`.
     """
     if len(ts) > 5:
         raise ValueError(f"oracle is capped at 5 tasks, got {len(ts)}")
     if plat.processors > 4:
         raise ValueError(f"oracle is capped at 4 processors, got {plat.processors}")
-    p, q = plat.speed.numerator, plat.speed.denominator
+    p, q, m = plat.speed.numerator, plat.speed.denominator, plat.processors
+    kept = ts._ticks.needs
+    if not kept:  # the first call decides the domain, once per set
+        kept.append(_monotone(ts))
+    if not kept[0]:
+        return _search(ts, p, q, m)
+    for a, b, need in kept[1:]:  # need at the speed a/b
+        if need <= m and q * a <= p * b:
+            return True
+        if need > m and q * a >= p * b:
+            return False
+    need = _fewest_processors(ts, p, q)
+    kept.append((p, q, need))
+    return need <= m
+
+
+def _monotone(ts: TaskSet) -> bool:
+    """Is ``ts`` in the oracle's monotone domain: every task one-shot with
+    deadline > 0 and acyclic, every wcet >= 0 and the subtask ids of each
+    task distinct ints?"""
+    ticks = ts._ticks
+    if any(per is not None for per in ticks.period) or None in ticks.span:
+        return False
+    if any(d <= 0 for d in ticks.deadline):
+        return False
+    if any(w < 0 for wcets in ticks.wcets for w in wcets):
+        return False
+    for task in ts:
+        ids = [st.id for st in task.subtasks]
+        if not all(map(_is_int, ids)) or len(set(ids)) < len(ids):
+            return False
+    return True
+
+
+def _group_passes(ts: TaskSet, mask: int, p: int, q: int) -> bool:
+    """Does the group of tasks in ``mask`` (a bitmask of task indices)
+    pass the demand test on one processor at speed p/q?
+
+    A group of one-shot tasks whose deadlines are all > 0 keeps its least
+    passing speed in the tick view's ``groups``: the largest demand/t over
+    its step instants, or 0 if none is positive, as (a, b) for a/b.  The
+    demand test at p/q is q*demand <= p*t at each instant t > 0, so it
+    passes iff q*a <= p*b.  Any other group (one with a recurring task or
+    a deadline <= 0) is scanned at each call and keeps nothing.
+    """
+    ticks = ts._ticks
+    least = ticks.groups.get(mask)
+    if least is None:
+        # the group's items, listed in index order
+        items = [item for i, item in enumerate(ticks.items) if mask >> i & 1]
+        deadlines = [d for _, d, per in items if per is None and d > 0]
+        if len(deadlines) < len(items):
+            return _first_violation(items, p, q, ticks.scale) is None
+        a, b = 0, 1
+        for t, demand in _demand_table(items, max(deadlines), ticks.scale):
+            if demand * b > a * t:
+                a, b = demand, t
+        least = ticks.groups[mask] = a, b
+    return q * least[0] <= p * least[1]
+
+
+def _search(ts: TaskSet, p: int, q: int, processors: int) -> bool:
+    """The oracle's verdict at speed p/q by one depth-first search over the
+    tasks in index order, for any task set within its caps."""
     ticks, n = ts._ticks, len(ts)
-    kept = ticks.groups
 
     def cluster_ok(index: int, size: int) -> bool:
         # the list schedule at speed p/q is the unit-speed one with every
         # instant times q/p
         return q * _unit_makespan(ts, index, size) <= p * ticks.deadline[index]
-
-    # a group of shared tasks is a bitmask of their indices; its items are
-    # listed in index order
-    def group_ok(mask: int) -> bool:
-        least = kept.get(mask)
-        if least is None:
-            items = [item for i, item in enumerate(ticks.items) if mask >> i & 1]
-            deadlines = [d for _, d, per in items if per is None and d > 0]
-            if len(deadlines) < len(items):
-                return _first_violation(items, p, q, ticks.scale) is None
-            a, b = 0, 1
-            for t, demand in _demand_table(items, max(deadlines), ticks.scale):
-                if demand * b > a * t:
-                    a, b = demand, t
-            least = kept[mask] = a, b
-        return q * least[0] <= p * least[1]
 
     groups: list[int] = []  # the shared processors opened so far
 
@@ -203,12 +255,12 @@ def brute_force_federated_oracle(ts: TaskSet, plat: Platform) -> bool:
             return True
         bit = 1 << i
         for g, mask in enumerate(groups):
-            if group_ok(mask | bit):
+            if _group_passes(ts, mask | bit, p, q):
                 groups[g] = mask | bit
                 if place(i + 1, free):
                     return True
                 groups[g] = mask
-        if free and group_ok(bit):
+        if free and _group_passes(ts, bit, p, q):
             groups.append(bit)
             if place(i + 1, free - 1):
                 return True
@@ -219,4 +271,80 @@ def brute_force_federated_oracle(ts: TaskSet, plat: Platform) -> bool:
                 return place(i + 1, free - size)
         return False
 
-    return place(0, plat.processors)
+    return place(0, processors)
+
+
+def _fewest_processors(ts: TaskSet, p: int, q: int) -> int:
+    """The fewest processors any configuration of the oracle's model uses
+    for ``ts`` at speed p/q, or 5 when that is over the cap of 4.
+
+    It applies to a set in the monotone domain (see :func:`_monotone`):
+    every task one-shot with deadline > 0 and acyclic, every wcet >= 0
+    and the subtask ids of each task distinct ints.  ``need`` is the
+    summed cluster sizes of the heavy tasks (q*work > p*deadline) plus
+    the fewest passing groups that partition the light ones.  This is
+    exact there:
+
+    1. A heavy task fits no group: every work is >= 0, so the group's
+       demand at the task's own deadline D is at least its work > s*D.
+    2. A light task's solo group passes (its one step instant is its
+       deadline), and it spends one processor, no more than any cluster
+       for the task; so every light task may be grouped.
+    3. One processor never idles in the list schedule of an acyclic job
+       whose subtask ids are distinct, so a 1-cluster's makespan is the
+       task's work, and a heavy task's smallest cluster has c >= 2.
+    4. The smallest passing cluster size does not depend on how many
+       processors are left, and a group whose tasks pass keeps passing
+       when a task leaves it (the demand only falls), so the search of
+       :func:`_search` at m processors succeeds iff need <= m.
+    5. Every cluster and group test is q*x <= p*y for fixed x, y >= 0, so
+       whatever passes at one speed passes at every higher one: need
+       never rises with the speed.
+
+    Outside the domain these fail: a recurring task with its deadline
+    beyond its period may fail its solo group and pass a 1-cluster, a
+    negative wcet breaks 1 and 4, a deadline <= 0 breaks 2, a repeated
+    subtask id breaks 3 (the list schedule keeps one wcet per id), and a
+    cycle or an id that is not an int can make a cluster raise.
+    """
+    ticks = ts._ticks
+    used, light = 0, []
+    for i, (work, deadline, _) in enumerate(ticks.items):
+        if q * work <= p * deadline:
+            light.append(1 << i)
+            continue
+        size = 2
+        while used + size <= 4 and q * _unit_makespan(ts, i, size) > p * deadline:
+            size += 1
+        used += size
+        if used > 4:
+            return 5
+    # branch and bound over the light tasks in index order: each joins an
+    # open group that still passes or opens one, while the groups open
+    # are fewer than the fewest found (5 - used stands for over the cap)
+    best = min(len(light), 5 - used)
+    groups: list[int] = []
+
+    def pack(k: int) -> bool:
+        # True once one group holds every light task: nothing can beat it
+        nonlocal best
+        if len(groups) >= best:
+            return False
+        if k == len(light):
+            best = len(groups)
+            return best == 1
+        bit = light[k]
+        for g, mask in enumerate(groups):
+            if _group_passes(ts, mask | bit, p, q):
+                groups[g] = mask | bit
+                if pack(k + 1):
+                    return True
+                groups[g] = mask
+        groups.append(bit)
+        if pack(k + 1):
+            return True
+        groups.pop()
+        return False
+
+    pack(0)
+    return used + best

@@ -8,6 +8,7 @@ a verdict, a recorded oracle decision) before a benchmark run does.
 
 import importlib
 import importlib.util
+import random
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -39,35 +40,67 @@ def test_one_pass_has_no_failed_check(name, tmp_path):
     assert problems == []
 
 
-# group demand scans of the oracle over the first 200 recorded sets, when
-# each call scanned its groups afresh
+# work of the oracle over the first 200 recorded sets, each decided on its
+# 15 platforms in the benchmark's order: the group demand scans when each
+# call scanned its groups afresh, and, measured on the code that decides
+# an all one-shot set by its fewest processors, the evaluations of that
+# number, the group demand scans and the cluster makespan lookups
 PER_CALL_SCANS = 21965
+NEEDS = 744
+SCANS = 2992
+LOOKUPS = 539
 
 
 def test_the_oracle_scans_each_group_about_once(monkeypatch):
-    # the 15 platforms of a set share its kept group speeds: a one-shot
-    # group's demand is tabulated once per set, and only a group with a
-    # recurring task or a deadline <= 0 is scanned again at each call
+    # the 15 platforms of a set share its kept group speeds and its kept
+    # fewest processors per speed: a one-shot group's demand is tabulated
+    # once per set, and about 4 of 15 decisions need a new search
     fs = SimpleNamespace(
         **{mod: importlib.import_module(f"fedsched.{mod}") for mod in workloads.MODULES}
     )
-    scans = 0
+    counts = {"scans": 0, "needs": 0, "lookups": 0}
 
-    def counted(scan):
+    def counted(key, fn):
         def call(*args):
-            nonlocal scans
-            scans += 1
-            return scan(*args)
+            counts[key] += 1
+            return fn(*args)
 
         return call
 
     for name in ("_first_violation", "_demand_table"):
-        monkeypatch.setattr(fs.explore, name, counted(getattr(fs.explore, name)))
+        monkeypatch.setattr(fs.explore, name, counted("scans", getattr(fs.explore, name)))
+    for key, name in (("needs", "_fewest_processors"), ("lookups", "_unit_makespan")):
+        monkeypatch.setattr(fs.explore, name, counted(key, getattr(fs.explore, name)))
     expected = workloads.load_expected()
     for seed in sorted(expected)[:200]:
         verdicts = workloads.decide(fs, workloads.oracle_instance(fs, seed))
         assert workloads.check_decisions(verdicts, expected[seed]) == []
-    assert 0 < scans <= 0.2 * PER_CALL_SCANS
+    assert counts["scans"] <= 0.2 * PER_CALL_SCANS
+    assert abs(counts["needs"] - NEEDS) <= 0.05 * NEEDS, counts
+    assert abs(counts["scans"] - SCANS) <= 0.05 * SCANS, counts
+    assert abs(counts["lookups"] - LOOKUPS) <= 0.05 * LOOKUPS, counts
+
+
+def test_the_oracle_matches_every_recorded_verdict_in_any_order():
+    # every recorded set on its 15 platforms, each set's platforms in a
+    # shuffled order, so that needs kept at some speeds decide the others
+    fs = SimpleNamespace(
+        **{mod: importlib.import_module(f"fedsched.{mod}") for mod in workloads.MODULES}
+    )
+    rng = random.Random(29)
+    order = list(range(len(workloads.ORACLE_CONFIGS)))
+    mismatches = []
+    expected = workloads.load_expected()
+    assert len(expected) == 2000
+    for seed, (_, oracle_bits) in expected.items():
+        ts = workloads.oracle_instance(fs, seed)
+        rng.shuffle(order)
+        for i in order:
+            m, speed = workloads.ORACLE_CONFIGS[i]
+            got = fs.explore.brute_force_federated_oracle(ts, fs.model.Platform(m, speed))
+            if got != (oracle_bits[i] == "1"):
+                mismatches.append((seed, m, speed))
+    assert mismatches == []
 
 
 def test_a_family_pass_resolves_each_partition_once(monkeypatch, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -396,3 +397,15 @@ def test_one_comparison_admission_needs_one_shot_items_on_both_sides():
     assert isinstance(result, Infeasible)
     assert result.retry_speed == 2 and result.processors_needed == 2
     assert allocate_federated(ts, Platform(2, Fraction(1))).light_partition == {1: 1, 2: 2}
+
+
+def test_first_fit_is_not_monotone_in_speed():
+    # first-fit fits seed 55's six one-shot tasks on 2 processors at 5/2,
+    # fails just above it at 41/16, and fits again from retry_speed on
+    ts = random_task_set(55, n_tasks=6)
+    ts = TaskSet(ts.name, tuple(dataclasses.replace(t, period=None) for t in ts))
+    assert isinstance(allocate_federated(ts, Platform(2, Fraction(5, 2))), FederatedAllocation)
+    above = allocate_federated(ts, Platform(2, Fraction(41, 16)))
+    assert isinstance(above, Infeasible)
+    assert above.retry_speed == Fraction(59, 23)
+    assert isinstance(allocate_federated(ts, Platform(2, above.retry_speed)), FederatedAllocation)

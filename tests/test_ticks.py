@@ -15,7 +15,7 @@ from collections import Counter
 from fractions import Fraction
 
 import fedsched.feasibility
-from fedsched.explore import brute_force_federated_oracle
+from fedsched.explore import _fewest_processors, _monotone, brute_force_federated_oracle
 from fedsched.feasibility import demand_profile, uniprocessor_edf_feasible
 from fedsched.federated import Infeasible, allocate_federated
 from fedsched.generate import random_task_set
@@ -168,11 +168,19 @@ def test_the_oracle_keeps_each_one_shot_groups_least_speed():
     # the kept (a, b) is the least speed a/b at which the group's demand
     # test passes: the reference passes there and fails just below, so
     # neither a violation found at some speed nor a speed that happened
-    # to pass will do.  Groups with a recurring task keep nothing.
+    # to pass will do.  Groups with a recurring task keep nothing.  An
+    # all one-shot set is decided by its fewest processors, which never
+    # scans a light task's solo group; the 200 sets after the first 300
+    # have recurring tasks, so the search scans their one-shot tasks'
+    # solo groups, and the last set's zero-work task keeps a least speed 0
     rng = random.Random(17)
     kinds = Counter()
-    for n in range(300):
-        ts = random_set(rng, recurring=n % 3 == 0)
+    sets = [random_set(rng, recurring=n % 3 == 0 or n >= 300) for n in range(500)]
+    sets.append(TaskSet("z", (
+        DagTask(1, 0, 2, None, (Subtask(1, 0),)),
+        DagTask(2, 1, 2, 3, (Subtask(1, 1),)),
+    )))
+    for ts in sets:
         for m in range(1, 5):
             for speed in SPEEDS:
                 brute_force_federated_oracle(ts, Platform(m, speed))
@@ -190,6 +198,81 @@ def test_the_oracle_keeps_each_one_shot_groups_least_speed():
                 kinds["not positive"] += 1
     assert min(kinds["one"], kinds["several"]) >= 200, kinds
     assert kinds["not positive"] >= 1, kinds
+
+
+def off_int_ids(task):
+    """``task`` with every subtask id, and each edge endpoint, moved up by
+    1/2: ids that are not ints."""
+    def moved(sid):
+        return sid + Fraction(1, 2)
+
+    return dataclasses.replace(
+        task,
+        subtasks=tuple(Subtask(moved(st.id), st.wcet) for st in task.subtasks),
+        edges=tuple((moved(a), moved(b)) for a, b in task.edges),
+    )
+
+
+# ways out of the oracle's monotone domain; a zero wcet stays inside it
+DOMAIN_KINDS = (
+    "deadline > period", "nonpositive deadline", "zero wcet", "negative wcet",
+    "cycle", "ids not ints", "duplicate subtask ids",
+)
+
+
+def test_the_fewest_processors_decide_the_oracle_inside_its_domain_only():
+    # each set is decided on every platform in a shuffled order, so kept
+    # needs answer later calls; every result or refusal must be the one a
+    # fresh copy gives on its first call, and the Fraction reference's
+    # wherever it lists the same schedules (it runs a cycle's acyclic part
+    # where the oracle refuses it).  Inside the domain the fewest
+    # processors must be the least m the reference accepts, or 5, and
+    # never rise with the speed.
+    rng = random.Random(23)
+    kinds = Counter()
+    configs = [(m, speed) for m in range(1, 5) for speed in SPEEDS]
+    for n in range(240):
+        ts = random_set(rng, recurring=False)
+        kind = "as drawn"
+        if n % 2:
+            kind = DOMAIN_KINDS[n // 2 % len(DOMAIN_KINDS)]
+            i = rng.randrange(len(ts))
+            task = ts.tasks[i]
+            if kind == "duplicate subtask ids" and len(task.subtasks) < 2:
+                task = dataclasses.replace(task, subtasks=task.subtasks * 2)
+            task = off_int_ids(task) if kind == "ids not ints" else mutated(rng, task, kind)
+            ts = TaskSet(ts.name, ts.tasks[:i] + (task,) + ts.tasks[i + 1:])
+        inside = _monotone(ts)
+        kinds[f"{kind}, {'inside' if inside else 'outside'}"] += 1
+        rng.shuffle(configs)
+        accepted = {}
+        for m, speed in configs:
+            plat = Platform(m, speed)
+            got = outcome(brute_force_federated_oracle, ts, plat)
+            assert got == outcome(brute_force_federated_oracle, dataclasses.replace(ts), plat)
+            if kind != "cycle":
+                assert got == outcome(ref_oracle, dataclasses.replace(ts), plat), (ts, plat)
+            accepted[m, speed] = got
+            kinds[got if isinstance(got, bool) else "refused"] += 1
+        assert ts._ticks.needs[0] is inside
+        if not inside:
+            assert ts._ticks.needs == [False]
+            continue
+        needs = []
+        for speed in sorted(SPEEDS):
+            fresh = dataclasses.replace(ts)
+            need = _fewest_processors(fresh, speed.numerator, speed.denominator)
+            assert need == min([m for m in range(1, 5) if accepted[m, speed]], default=5)
+            needs.append(need)
+        assert needs == sorted(needs, reverse=True), (ts, needs)
+        kinds["need falls"] += needs[0] > needs[-1]
+        kinds["need over the cap"] += 5 in needs
+    assert min(kinds[True], kinds[False], kinds["refused"]) >= 100, kinds
+    for kind in DOMAIN_KINDS:
+        side = "inside" if kind == "zero wcet" else "outside"
+        assert kinds[f"{kind}, {side}"] >= 10, kinds
+    assert kinds["as drawn, inside"] >= 100, kinds
+    assert min(kinds["need falls"], kinds["need over the cap"]) >= 50, kinds
 
 
 def test_list_schedule_matches_the_fraction_reference():
