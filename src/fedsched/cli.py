@@ -21,10 +21,11 @@ import sys
 from .explore import speedup_sweep
 from .feasibility import (
     _demand_table,
+    _groups_feasible,
     _horizon,
-    _item_groups,
+    _partition,
+    _tick_items,
     partition_by_subtask_index,
-    partitioned_feasible,
 )
 from .federated import Infeasible, allocate_federated
 from .generate import CounterexampleParams, build_counterexample
@@ -193,34 +194,30 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     ts = read_task_set(args.input)
     _require_valid(ts)
     plat = Platform(args.processors, parse_rational(args.speed))
-    pa = partition_by_subtask_index(ts, plat.processors)
-    feasible = partitioned_feasible(ts, pa, plat)
+    groups = _partition(ts, partition_by_subtask_index(ts, plat.processors), plat)
+    feasible = _groups_feasible(ts, groups, plat)
     verdict = "feasible" if feasible else "infeasible"
     speed = format_rational(plat.speed)
     # t and demand in ticks of 1/S; the capacity (p/q)*t as p*t ticks of 1/(q*S)
     scale = ts._ticks.scale
     p, wide = plat.speed.numerator, scale * plat.speed.denominator
-    # each distinct item list's points once, kept until its last processor
-    groups = _item_groups(ts, pa, plat)
-    items_of = {proc: items for items, procs in groups.items() for proc in procs}
-    last = {items: proc for proc, items in sorted(items_of.items())}
-    tables, kept = [], {}
-    for proc in sorted(items_of):
-        items = items_of[proc]
-        if items not in kept:
-            points = [
-                _POINT.format(
-                    format_ticks(t, scale),
-                    format_ticks(demand, scale),
-                    format_ticks(p * t, wide),
-                )
-                for t, demand in _demand_table(items, _horizon(items, scale), scale)
-            ]
-            kept[items] = _json_list(points, "      ")
-        # popped in the call, the last copy of a list's text goes with it
-        tables.append(
-            _TABLE.format(proc, kept.pop(items) if proc == last[items] else kept[items])
+    # each job shape's points once, written for each of its processors; held
+    # only by ``texts``, a shape's text goes with its last processor's table
+    texts = {}
+    for procs in groups.values():
+        items = _tick_items(ts, procs[0][1])
+        points = [
+            _POINT.format(
+                format_ticks(t, scale),
+                format_ticks(demand, scale),
+                format_ticks(p * t, wide),
+            )
+            for t, demand in _demand_table(items, _horizon(items, scale), scale)
+        ]
+        texts.update(
+            dict.fromkeys([proc for proc, _ in procs], _json_list(points, "      "))
         )
+    tables = [_TABLE.format(proc, texts.pop(proc)) for proc in sorted(texts)]
     sys.stdout.write(
         _ANALYZE_DOC.format(verdict, speed, plat.processors, _json_list(tables, "  "))
     )
@@ -273,8 +270,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     _require_valid(ts)
     plat = Platform(args.processors, parse_rational(args.speed))
     horizon = None if args.horizon is None else parse_rational(args.horizon)
-    pa = partition_by_subtask_index(ts, plat.processors)
-    scale, _, runs, missed = _simulate_ticks(ts, pa, plat, horizon)
+    groups = _partition(ts, partition_by_subtask_index(ts, plat.processors), plat)
+    scale, _, runs, missed = _simulate_ticks(ts, groups, plat, horizon)
     lines = ["processor,task,subtask,start,end"]
     lines += [
         f"{proc},{task},{subtask},"

@@ -17,15 +17,16 @@ from fractions import Fraction
 from .feasibility import (
     _demand_table,
     _first_violation,
+    _groups_feasible,
+    _partition,
     partition_by_subtask_index,
-    partitioned_feasible,
 )
 from .federated import (
     Infeasible,
     _cluster_size,
+    _demand_bound,
     _size_ratio,
     allocate_federated,
-    heavy_demand_lower_bound,
     speedup_lower_bound,
 )
 from .generate import CounterexampleParams, build_counterexample
@@ -109,22 +110,30 @@ def speedup_sweep(grid: list[CounterexampleParams]) -> list[SpeedupRow]:
     (demand analysis plus a simulated schedule with zero misses), compute
     the analytic bound, and find the allocator's exact threshold speed.
 
-    Raises RuntimeError if a threshold lies below the analytic bound:
-    the bound is proven, so that would mean a bug in this package.
+    Raises RuntimeError if a threshold lies below the analytic bound, or
+    a task is light at the probe of ``demand_at_probe``: the bound is
+    proven, so either would mean a bug in this package.
     """
     rows: list[SpeedupRow] = []
     for params in grid:
         ts = build_counterexample(params)
         m = params.processors
-        pa = partition_by_subtask_index(ts, m)
         unit = Platform(m, Fraction(1))
-        feasible_at_1 = partitioned_feasible(ts, pa, unit)
+        groups = _partition(ts, partition_by_subtask_index(ts, m), unit)
+        feasible_at_1 = _groups_feasible(ts, groups, unit)
         if feasible_at_1:
-            _, _, _, missed = _simulate_ticks(ts, pa, unit, None)
+            _, _, _, missed = _simulate_ticks(ts, groups, unit, None)
             feasible_at_1 = not missed
         bound = speedup_lower_bound(m, params.n_tasks, params.ratio)
         probe = bound * Fraction(999, 1000)
-        demand = sum(heavy_demand_lower_bound(task, probe) for task in ts)
+        p, q = probe.numerator, probe.denominator
+        times = list(zip(ts._ticks.work, ts._ticks.deadline))
+        if not all(0 < d and p * d < q * w for w, d in times):
+            raise RuntimeError(
+                f"sweep self-check failed on (M={m}, N={params.n_tasks}, "
+                f"K={params.ratio}): a task is not heavy at the probe {probe}"
+            )
+        demand = sum(_demand_bound(w, d, p, q) for w, d in times)
         threshold = min_feasible_speed_federated(ts, m)
         if threshold < bound:
             raise RuntimeError(

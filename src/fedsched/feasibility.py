@@ -54,11 +54,22 @@ def _scaled(
     return scale, [tuple(_in_ticks(v, scale) for v in it) for it in items]
 
 
+def _hyperperiod(items: Sequence[tuple[int, int, int | None]], scale: int) -> int:
+    """The lcm of the periods of the recurring int items, in their ticks
+    (the lcm of ticks is the tick count of the rationals' lcm); 1 when none
+    recurs.  Raises ValueError for a nonpositive period; ``scale`` is read
+    only for that message."""
+    periods = [per for _, _, per in items if per is not None]
+    for per in periods:
+        if per <= 0:
+            raise ValueError(f"period must be positive, got {Fraction(per, scale)}")
+    return lcm(*periods)
+
+
 def _horizon(items: Sequence[tuple[int, int, int | None]], scale: int) -> int:
     """How far a demand scan of int items in ticks of ``1/scale`` must
     look, in the same ticks: the largest deadline, plus two hyperperiods
-    when any item recurs (the lcm of ticks is the tick count of the
-    rationals' lcm).
+    (see :func:`_hyperperiod`) when any item recurs.
 
     Beyond one hyperperiod past every deadline, the demand pattern repeats
     with a fixed increment per hyperperiod, so (given the utilization
@@ -67,16 +78,11 @@ def _horizon(items: Sequence[tuple[int, int, int | None]], scale: int) -> int:
     demand table tabulates this far; the verdict of
     :func:`uniprocessor_edf_feasible` usually needs far less, since when
     utilization stays below the speed it stops at the sooner of this
-    horizon and the L_a bound.  Raises ValueError for a nonpositive
-    period; ``scale`` is read only for that message.
+    horizon and the L_a bound.  Raises ValueError for a nonpositive period.
     """
     horizon = max([d for _, d, _ in items], default=0)
-    periods = [per for _, _, per in items if per is not None]
-    for per in periods:
-        if per <= 0:
-            raise ValueError(f"period must be positive, got {Fraction(per, scale)}")
-    if periods:
-        horizon += 2 * lcm(*periods)
+    if any(per is not None for _, _, per in items):
+        horizon += 2 * _hyperperiod(items, scale)
     return horizon
 
 
@@ -188,23 +194,24 @@ def _first_violation(
     (a, b) such that it fails at every speed below a/b.  That is (demand,
     t) at the first instant where q*demand > p*t, or U as a pair when
     U > p/q (U is a ratio of ticks, so the scale cancels in both)."""
-    horizon = _horizon(items, scale)
+    hyper = _hyperperiod(items, scale)
     recurring = [item for item in items if item[2] is not None]
-    hyper = lcm(*(per for _, _, per in recurring))
     # U = used / hyper: each recurring item's work per hyperperiod
     used = sum(w * (hyper // per) for w, _, per in recurring)
     if q * used > p * hyper:
         return used, hyper
+    last = max([d for _, d, _ in items], default=0)
+    horizon = last + 2 * hyper if recurring else last
     slack = p * hyper - q * used  # (speed - U) * q * hyper
-    works = [w for w, _, _ in items]
-    if slack > 0 and min(works, default=0) >= 0:
+    # with no item recurring, L_a is never below the largest deadline
+    if recurring and slack > 0 and min(w for w, _, _ in items) >= 0:
         # N * hyper: all work, less min(deadline, period) * work/period per
         # recurring item (which leaves max(0, period - deadline) * work/period)
-        offset = hyper * sum(works) - sum(
+        offset = hyper * sum(w for w, _, _ in items) - sum(
             min(d, per) * w * (hyper // per) for w, d, per in recurring
         )
         if offset * q < horizon * slack:  # L_a = N / (speed - U) is nearer
-            horizon = max(max([d for _, d, _ in items]), Fraction(offset * q, slack))
+            horizon = max(last, Fraction(offset * q, slack))
     for t, demand in _demand_table(items, horizon, scale):
         if q * demand > p * t:
             return demand, t
@@ -293,34 +300,62 @@ def processor_items(
     }
 
 
-def _partition(
-    ts: TaskSet, pa: PartitionedAssignment, plat: Platform
-) -> dict[int, list[tuple[int, int]]]:
-    """:func:`_assigned`, after checking that a partitioned analysis or
-    simulation applies: every task edge-free (subtasks are placed as
-    independent items), and every processor within the platform.  ``pa``
-    keeps the result for the last task set it was resolved against, so the
-    test, the tables and the simulation of one (ts, pa) pair resolve once;
-    no caller mutates it."""
+# shape -> [(processor, placed), ...]: see :func:`_partition`
+_Groups = dict[tuple[tuple[int, int], ...] | int, list[tuple[int, list[tuple[int, int]]]]]
+
+
+def _partition(ts: TaskSet, pa: PartitionedAssignment, plat: Platform) -> _Groups:
+    """The processors of :func:`_assigned` grouped by job shape, shapes and
+    processors in the order the assignment first reaches them, after
+    checking that a partitioned analysis or simulation applies: every task
+    edge-free (subtasks are placed as independent items), every subtask
+    assigned, and every processor within the platform.  The checks run in
+    that order, and the set's ticks are read only after them.
+
+    A processor's job shape is the task index and wcet in ticks of each
+    of its placed subtasks, in placed order; or the processor itself, so
+    that it stands alone, where one task id holds two or more of them.
+    Processors of one shape carry one item list (see :func:`_tick_items`),
+    kept in placed order, unsorted, so that a scan of it raises as a scan
+    of each of them would: the demand test and table read only the list
+    and the tick.
+
+    They also give the same EDF runs but for their processor and subtask
+    ids.  Their job lists, built per placed subtask from its task's
+    releases, deadline and id and its own wcet, then stably sorted by
+    release, differ only in subtask ids.
+    :func:`fedsched.simulate._edf_on_one_processor` decides by comparing
+    (deadline, task id, subtask id, release, position), and a subtask id
+    decides a comparison only between two jobs of one task id and one
+    absolute deadline.  One task id is one task here, so they share a
+    relative deadline and hence a release, and as a period is positive a
+    subtask has one job per release: the two are one job.  So every choice
+    is the same; the stitching of back-to-back runs, which compares task
+    and subtask ids, matches too, since each task id stands for one
+    subtask; and ``late``, keyed by task id and release, gets entries a
+    second run would only repeat.
+    """
     for task in ts:
         if task.edges:
             raise ValueError(
                 f"task {task.id} has precedence edges; "
                 "the partitioned test handles edge-free tasks only"
             )
-    kept = pa.__dict__.get("_resolved")
-    if kept is not None and kept[0] is ts:
-        by_proc = kept[1]
-    else:
-        by_proc = _assigned(ts, pa)
-        pa.__dict__["_resolved"] = ts, by_proc, {}
+    by_proc = _assigned(ts, pa)
     for proc in by_proc:
         if not 1 <= proc <= plat.processors:
             raise ValueError(
                 f"assignment uses processor {proc}, "
                 f"platform has 1..{plat.processors}"
             )
-    return by_proc
+    tasks, wcets = ts.tasks, ts._ticks.wcets
+    groups: _Groups = {}
+    for proc, placed in by_proc.items():
+        shape = proc
+        if len({tasks[i].id for i, _ in placed}) == len(placed):
+            shape = tuple((i, wcets[i][k]) for i, k in placed)
+        groups.setdefault(shape, []).append((proc, placed))
+    return groups
 
 
 def _tick_items(
@@ -332,21 +367,16 @@ def _tick_items(
     return [(wcets[i][k], deadline[i], period[i]) for i, k in placed]
 
 
-def _item_groups(
-    ts: TaskSet, pa: PartitionedAssignment, plat: Platform
-) -> dict[tuple[tuple[int, int, int | None], ...], list[int]]:
-    """The processors of :func:`_partition` grouped by tick item list (see
-    :func:`_tick_items`), lists and processors in the order they first
-    appear there, kept beside the resolution on ``pa``.  A list keeps its
-    placed order, unsorted, so that a scan of it raises as a scan of each
-    of its processors would: the demand test and table read only the list
-    and the tick."""
-    by_proc = _partition(ts, pa, plat)
-    groups = pa.__dict__["_resolved"][2]
-    if not groups:
-        for proc, placed in by_proc.items():
-            groups.setdefault(tuple(_tick_items(ts, placed)), []).append(proc)
-    return groups
+def _groups_feasible(ts: TaskSet, groups: _Groups, plat: Platform) -> bool:
+    """:func:`partitioned_feasible` on the groups of :func:`_partition`:
+    one scan per shape, of its first processor's items, in the order the
+    shapes are placed, so the first that fails or raises is the one a
+    scan of every processor would stop at."""
+    p, q = plat.speed.numerator, plat.speed.denominator
+    return all(
+        _first_violation(_tick_items(ts, procs[0][1]), p, q, ts._ticks.scale) is None
+        for procs in groups.values()
+    )
 
 
 def partitioned_feasible(
@@ -356,14 +386,8 @@ def partitioned_feasible(
 
     Subtasks are treated as independent sequential items, which is only
     faithful when tasks have no precedence edges; tasks with edges are
-    rejected rather than analyzed optimistically.  Each distinct item list
-    runs the scan of :func:`uniprocessor_edf_feasible` once, on the set's
-    ticks, in the order its first processor is placed: the first processor
-    that fails or raises is the one a scan of every processor would stop
-    at, so the verdict and any error are the same.
+    rejected rather than analyzed optimistically.  Processors of one job
+    shape share one scan (see :func:`_groups_feasible`), so the verdict
+    and any error are those of a scan of every processor.
     """
-    p, q = plat.speed.numerator, plat.speed.denominator
-    return all(
-        _first_violation(items, p, q, ts._ticks.scale) is None
-        for items in _item_groups(ts, pa, plat)
-    )
+    return _groups_feasible(ts, _partition(ts, pa, plat), plat)

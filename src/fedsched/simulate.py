@@ -21,6 +21,7 @@ from typing import NamedTuple
 from .feasibility import (
     MAX_DEMAND_STEPS,
     PartitionedAssignment,
+    _Groups,
     _horizon,
     _partition,
 )
@@ -133,39 +134,9 @@ def _edf_on_one_processor(
     return out
 
 
-def _job_shape(
-    ts: TaskSet, proc: int, placed: list[tuple[int, int]]
-) -> tuple[tuple[int, int], ...] | int:
-    """The key under which processors share one EDF run: the task index
-    and wcet in ticks of each of the ``placed`` subtasks (from
-    :func:`fedsched.feasibility._assigned`), in placed order; or ``proc``
-    itself, so that the processor runs alone, where one task id holds two
-    or more of them.
-
-    Two processors with one key give the same runs but for their
-    processor and subtask ids.  Their job lists, built per placed subtask
-    from its task's releases, deadline and id and its own wcet, then
-    stably sorted by release, differ only in subtask ids.
-    :func:`_edf_on_one_processor` decides by comparing (deadline, task id,
-    subtask id, release, position), and a subtask id decides a comparison
-    only between two jobs of one task id and one absolute deadline.  One
-    task id is one task here, so they share a relative deadline and hence
-    a release, and as a period is positive a subtask has one job per
-    release: the two are one job.  So every choice is the same; the
-    stitching of back-to-back runs, which compares task and subtask ids,
-    matches too, since each task id stands for one subtask; and ``late``,
-    keyed by task id and release, gets entries a second run would only
-    repeat.
-    """
-    tasks, wcets = ts.tasks, ts._ticks.wcets
-    if len({tasks[i].id for i, _ in placed}) < len(placed):
-        return proc
-    return tuple((i, wcets[i][k]) for i, k in placed)
-
-
 def _simulate_ticks(
     ts: TaskSet,
-    pa: PartitionedAssignment,
+    groups: _Groups,
     plat: Platform,
     horizon: Fraction | None,
 ) -> tuple[
@@ -174,12 +145,13 @@ def _simulate_ticks(
     list[tuple[int, int, int, int, int]],
     list[tuple[int, int, int]],
 ]:
-    """:func:`simulate_partitioned_edf` on int ticks: the tick scale, the
-    horizon in effect, the runs as (processor, task id, subtask id, start,
-    end) in processor order and the misses as (deadline, task id,
-    completion) in (deadline, task id) order, every time in ticks of
-    ``1/scale``."""
-    by_proc = _partition(ts, pa, plat)
+    """:func:`simulate_partitioned_edf` on int ticks, on the groups of
+    :func:`fedsched.feasibility._partition`: the tick scale, the horizon in
+    effect, the runs as (processor, task id, subtask id, start, end) in
+    processor order and the misses as (deadline, task id, completion) in
+    (deadline, task id) order, every time in ticks of ``1/scale``.  EDF
+    runs once per job shape, on its first processor, and the others of
+    that shape take its runs relabelled."""
     ticks = ts._ticks
     for task, period, wcets in zip(ts, ticks.period, ticks.wcets):
         if period is not None and period <= 0:
@@ -219,30 +191,24 @@ def _simulate_ticks(
     # late exactly when one of them finishes late, and then it completes
     # at the latest of those
     late: dict[tuple[int, int], int] = {}
-    runs: list[tuple[int, int, int, int, int]] = []
-    shapes = {proc: _job_shape(ts, proc, placed) for proc, placed in by_proc.items()}
-    last = {shape: proc for proc, shape in sorted(shapes.items())}
-    kept = {}  # shape -> its first processor's runs, while a later one needs them
-    for proc in sorted(by_proc):
-        shape = shapes[proc]
-        if shape in kept:
-            first = kept.pop(shape) if proc == last[shape] else kept[shape]
-            # each task id here stands for one subtask: relabel by task id
-            sids = {ts.tasks[i].id: ts.tasks[i].subtasks[k].id for i, k in by_proc[proc]}
-            runs.extend((proc, t, sids[t], a, b) for _, t, _, a, b in first)
-            continue
+    runs_of: dict[int, list[tuple[int, int, int, int, int]]] = {}
+    for (first, placed), *others in groups.values():
         proc_jobs = []
-        for i, k in by_proc[proc]:
+        for i, k in placed:
             tid, deadline = ts.tasks[i].id, deadlines[i]
             sid, work = ts.tasks[i].subtasks[k].id, ticks.wcets[i][k] * q
             proc_jobs.extend(
                 (r, r + deadline, tid, sid, work) for r in release_table[i]
             )
         proc_jobs.sort(key=itemgetter(0))
-        proc_runs = _edf_on_one_processor(proc, proc_jobs, late)
-        runs.extend(proc_runs)
-        if proc != last[shape]:
-            kept[shape] = proc_runs
+        runs_of[first] = _edf_on_one_processor(first, proc_jobs, late)
+        for proc, placed in others:
+            # each task id here stands for one subtask: relabel by task id
+            sids = {ts.tasks[i].id: ts.tasks[i].subtasks[k].id for i, k in placed}
+            runs_of[proc] = [(proc, t, sids[t], a, b) for _, t, _, a, b in runs_of[first]]
+    runs: list[tuple[int, int, int, int, int]] = []
+    for proc in sorted(runs_of):
+        runs += runs_of[proc]
 
     missed: list[tuple[int, int, int]] = []
     for task, releases, deadline in zip(ts, release_table, deadlines):
@@ -279,7 +245,9 @@ def simulate_partitioned_edf(
     instant is an exact tick count; only the returned endpoints are
     built as ``Fraction``.
     """
-    scale, horizon, runs, missed = _simulate_ticks(ts, pa, plat, horizon)
+    scale, horizon, runs, missed = _simulate_ticks(
+        ts, _partition(ts, pa, plat), plat, horizon
+    )
     intervals = tuple(
         Interval(proc, task, subtask, Fraction(start, scale), Fraction(end, scale))
         for proc, task, subtask, start, end in runs

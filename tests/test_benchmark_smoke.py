@@ -105,7 +105,7 @@ def test_the_oracle_matches_every_recorded_verdict_in_any_order():
 
 def test_a_family_pass_resolves_each_partition_once(monkeypatch, tmp_path):
     # the partitioned test, analyze's tables and the simulation of one
-    # assignment share one resolution: at most one per assignment built
+    # assignment share one resolution: exactly one per assignment built
     fs = SimpleNamespace(
         **{mod: importlib.import_module(f"fedsched.{mod}") for mod in workloads.MODULES}
     )
@@ -129,8 +129,7 @@ def test_a_family_pass_resolves_each_partition_once(monkeypatch, tmp_path):
     ops = workloads.family(fs, tmp_path, 0)
     assert [msg for op in ops for msg in op.check(op.call())] == []
     # 3 sweep instances, analyze and simulate
-    assert counts["built"] == 5
-    assert 0 < counts["resolved"] <= counts["built"]
+    assert counts["resolved"] == counts["built"] == 5
 
 
 def test_a_family_pass_handles_each_distinct_processor_once(monkeypatch, tmp_path):

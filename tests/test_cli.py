@@ -8,12 +8,19 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 from fedsched import cli
 from fedsched.cli import main
+from fedsched.feasibility import (
+    _partition,
+    partition_by_subtask_index,
+    partitioned_feasible,
+)
 from fedsched.generate import CounterexampleParams, build_counterexample
-from fedsched.model import MAX_TICK_BITS, DagTask, Subtask, TaskSet
+from fedsched.model import MAX_TICK_BITS, DagTask, Platform, Subtask, TaskSet
+from fedsched.simulate import simulate_partitioned_edf
 from fedsched.taskio import read_task_set, save_task_set
 from reference import ref_analyze, ref_simulate
 
@@ -421,11 +428,35 @@ def test_twin_processors_write_what_each_processor_alone_would(tmp_path, monkeyp
         m = rng.randint(2, 4)
         ts = twin_cli_set(rng, m)
         analyze_and_simulate_as_the_references(rng, path, ts, m, kinds, n)
-        lists = Counter(
+        lists = [
             tuple(sorted(t.subtasks, key=lambda st: st.id)[k].wcet for t in ts) for k in range(m)
-        )
-        kinds["twin processors"] += max(lists.values()) > 1
+        ]
+        kinds["twin processors"] += len(set(lists)) < m
+        # processor k holds one subtask of each task, in task order, so
+        # equal item lists mean equal job shapes: no twin is split here
+        # (test_simulate's twins split some)
+        groups = _partition(ts, partition_by_subtask_index(ts, m), Platform(m, 1))
+        shape = {proc: key for key, procs in groups.items() for proc, _ in procs}
+        assert not any(
+            lists[a - 1] == lists[b - 1] and shape[a] != shape[b]
+            for a, b in combinations(shape, 2)
+        ), n
     assert min(kinds.values()) >= 50, kinds
+
+
+def test_an_assignment_keeps_no_state(tmp_path, monkeypatch):
+    # the test, analyze's tables and the simulation each resolve one
+    # assignment and leave it as it was built
+    path = write_reference(tmp_path, 4, 4, 2)
+    ts = read_task_set(path)
+    pa = partition_by_subtask_index(ts, 4)
+    assert partitioned_feasible(ts, pa, Platform(4, Fraction(1)))
+    assert not simulate_partitioned_edf(ts, pa, Platform(4, Fraction(1))).misses
+    monkeypatch.setattr(cli, "read_task_set", lambda _: ts)
+    monkeypatch.setattr(cli, "partition_by_subtask_index", lambda *_: pa)
+    for command in ("analyze", "simulate"):
+        assert main([command, "-i", path, "--speed", "1", "--processors", "4"]) == 0
+    assert vars(pa) == {"mapping": pa.mapping}
 
 
 def test_main_called_again_answers_as_a_fresh_process(tmp_path):

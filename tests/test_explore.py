@@ -14,6 +14,7 @@ from fedsched.federated import (
     Infeasible,
     _size_ratio,
     allocate_federated,
+    heavy_demand_lower_bound,
     speedup_lower_bound,
 )
 from fedsched.generate import CounterexampleParams, build_counterexample, random_task_set
@@ -180,6 +181,20 @@ def test_sweep_reference_row():
     assert row.min_speed == Fraction(645, 128)
     # demand certificate just below the bound exceeds the platform size
     assert row.demand_at_probe > 10
+
+
+def test_sweep_demand_at_probe_is_the_public_demand_bound_sum():
+    # the sweep sums the bound on the set's ticks; the public rule on its
+    # rationals, refusing any task that is light at the probe
+    grid = [
+        CounterexampleParams(10, 10, Fraction(2)),
+        CounterexampleParams(8, 12, Fraction(5, 2)),
+        CounterexampleParams(12, 6, Fraction(2)),
+    ]
+    for row, params in zip(speedup_sweep(grid), grid):
+        probe = row.speedup_bound * Fraction(999, 1000)
+        ts = build_counterexample(params)
+        assert row.demand_at_probe == sum(heavy_demand_lower_bound(t, probe) for t in ts)
 
 
 def test_sweep_bound_grows_with_platform():

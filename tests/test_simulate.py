@@ -1,11 +1,13 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from fedsched.feasibility import (
     PartitionedAssignment,
+    _partition,
     partition_by_subtask_index,
     partitioned_feasible,
     uniprocessor_edf_feasible,
@@ -536,6 +538,17 @@ def items_by_processor(ts, pa):
     return by_proc
 
 
+def split_twins(ts, pa, plat):
+    """Pairs of processors whose item lists match but whose job shapes
+    differ: the partitioned test and the simulator handle both apart."""
+    by_proc = items_by_processor(ts, pa)
+    shape = {proc: key for key, procs in _partition(ts, pa, plat).items() for proc, _ in procs}
+    return sum(
+        by_proc[a] == by_proc[b] and shape[a] != shape[b]
+        for a, b in combinations(by_proc, 2)
+    )
+
+
 def refusal(call, *args):
     try:
         return call(*args)
@@ -596,6 +609,7 @@ def test_twin_processors_match_a_scan_and_a_run_of_each(monkeypatch):
             assert got == expected, n
             kinds["simulation refused"] += 1
         kinds.update(twins)
+        kinds["equal items, other shape"] += split_twins(ts, pa, plat)
         kinds["feasible" if want is True else "infeasible" if want is False else "scan refused"] += 1
         kinds["step limit"] += limit < 10**6
         kinds["recurring"] += any(t.period for t in ts)
