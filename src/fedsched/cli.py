@@ -143,12 +143,13 @@ def _emit(doc: dict) -> None:
 
 # analyze's document as _emit lays it out.  Its shape is fixed and it holds
 # only ints and rational-strings, which need no escaping, so it is written
-# from these templates without the JSON encoder walking every point.
-_ANALYZE_DOC = (
+# piece by piece from these templates, with no JSON encoder walking every
+# point and no copy of the whole document.
+_ANALYZE_HEAD = (
     '{{\n  "verdict": "{}",\n  "speed": "{}",\n  "processors": {},\n'
-    '  "per_processor_demand": {}\n}}\n'
+    '  "per_processor_demand": ['
 )
-_TABLE = '    {{\n      "processor": {},\n      "points": {}\n    }}'
+_TABLE = '{}\n    {{\n      "processor": {},\n      "points": '
 _POINT = (
     '        {{\n          "t": "{}",\n          "demand": "{}",\n'
     '          "capacity": "{}"\n        }}'
@@ -217,10 +218,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         texts.update(
             dict.fromkeys([proc for proc, _ in procs], _json_list(points, "      "))
         )
-    tables = [_TABLE.format(proc, texts.pop(proc)) for proc in sorted(texts)]
-    sys.stdout.write(
-        _ANALYZE_DOC.format(verdict, speed, plat.processors, _json_list(tables, "  "))
-    )
+    order = sorted(texts)
+    write = sys.stdout.write
+    write(_ANALYZE_HEAD.format(verdict, speed, plat.processors))
+    for n, proc in enumerate(order):
+        write(_TABLE.format("\n    }," if n else "", proc))
+        write(texts.pop(proc))
+    write("\n    }\n  ]\n}\n" if order else "]\n}\n")
     print(
         f"{ts.name}: {verdict} at speed {speed} on {plat.processors} processor(s)",
         file=sys.stderr,

@@ -166,19 +166,23 @@ def brute_force_federated_oracle(ts: TaskSet, plat: Platform) -> bool:
     demand test over all partitions of the shared tasks.  Exponential, so
     capped at 5 tasks and 4 processors.
 
-    A set in the monotone domain (see :func:`_fewest_processors`) is
-    decided by the fewest processors any configuration needs at the
-    speed, ``need``, kept on the set's tick view as (p, q, need) for the
-    speed p/q, so that every later call on any platform can read it: the
-    answer is need <= processors.  ``need`` never rises with the speed
-    there, so a kept speed <= this one whose need fits, or a kept speed
-    >= this one whose need does not, decides the call with no new search.
-    Whether a set lies in the domain is decided on its first call and
-    kept; any other set runs :func:`_search`, which keeps no need.
+    The answer is need <= processors, where ``need`` is the fewest
+    processors any configuration needs at the speed (see
+    :func:`_fewest_processors`).  That is exact only on the oracle's
+    domain, the constrained-deadline sets; any other set is refused with
+    a ValueError that names its first task outside the domain and why
+    (see :func:`_refusal`).  The domain is decided on a set's first call
+    and kept on its tick view.  An all one-shot set keeps each (p, q,
+    need) for the speed p/q too: ``need`` never rises with the speed, so a
+    kept speed <= this one whose need fits, or a kept speed >= this one
+    whose need does not, decides any later call with no new search.  A
+    recurring group's scan may reach the step limit at one speed and not
+    at another, so a set with a recurring task keeps no need that could
+    hide such a refusal.
 
-    A group of one-shot tasks whose deadlines are all > 0 keeps its least
-    passing speed on the task set across calls, as the cluster makespans
-    are; see :func:`_group_passes`.
+    A group of one-shot tasks keeps its least passing speed on the task
+    set across calls, as the cluster makespans are; see
+    :func:`_group_passes`.
     """
     if len(ts) > 5:
         raise ValueError(f"oracle is capped at 5 tasks, got {len(ts)}")
@@ -187,54 +191,65 @@ def brute_force_federated_oracle(ts: TaskSet, plat: Platform) -> bool:
     p, q, m = plat.speed.numerator, plat.speed.denominator, plat.processors
     kept = ts._ticks.needs
     if not kept:  # the first call decides the domain, once per set
-        kept.append(_monotone(ts))
-    if not kept[0]:
-        return _search(ts, p, q, m)
+        kept.append(_refusal(ts))
+    if kept[0]:
+        raise ValueError(kept[0])
     for a, b, need in kept[1:]:  # need at the speed a/b
         if need <= m and q * a <= p * b:
             return True
         if need > m and q * a >= p * b:
             return False
     need = _fewest_processors(ts, p, q)
-    kept.append((p, q, need))
+    if ts._ticks.period.count(None) == len(ts):
+        kept.append((p, q, need))
     return need <= m
 
 
-def _monotone(ts: TaskSet) -> bool:
-    """Is ``ts`` in the oracle's monotone domain: every task one-shot with
-    deadline > 0 and acyclic, every wcet >= 0 and the subtask ids of each
-    task distinct ints?"""
+def _refusal(ts: TaskSet) -> str:
+    """Why ``ts`` lies outside the oracle's domain, naming its first task
+    that does, or "" when it lies inside: every deadline > 0 and, for a
+    recurring task, at most its period; every task acyclic, every wcet
+    >= 0 and the subtask ids of each task distinct ints."""
     ticks = ts._ticks
-    if any(per is not None for per in ticks.period) or None in ticks.span:
-        return False
-    if any(d <= 0 for d in ticks.deadline):
-        return False
-    if any(w < 0 for wcets in ticks.wcets for w in wcets):
-        return False
-    for task in ts:
+    for task, deadline, period, span, wcets in zip(
+        ts, ticks.deadline, ticks.period, ticks.span, ticks.wcets
+    ):
+        tag = f"oracle refuses task {task.id}"
+        if deadline <= 0:
+            return f"{tag}: nonpositive deadline {task.deadline}"
+        if period is not None and deadline > period:
+            return f"{tag}: deadline {task.deadline} exceeds period {task.period}"
+        if span is None:
+            return f"{tag}: dependency cycle among subtasks"
+        for st, wcet in zip(task.subtasks, wcets):
+            if wcet < 0:
+                return f"{tag}: negative wcet {st.wcet} on subtask {st.id}"
         ids = [st.id for st in task.subtasks]
-        if not all(map(_is_int, ids)) or len(set(ids)) < len(ids):
-            return False
-    return True
+        for sid in ids:
+            if not _is_int(sid):
+                return f"{tag}: subtask id {sid!r} is not an integer"
+        if len(set(ids)) < len(ids):
+            return f"{tag}: duplicate subtask ids: {ids}"
+    return ""
 
 
 def _group_passes(ts: TaskSet, mask: int, p: int, q: int) -> bool:
     """Does the group of tasks in ``mask`` (a bitmask of task indices)
     pass the demand test on one processor at speed p/q?
 
-    A group of one-shot tasks whose deadlines are all > 0 keeps its least
-    passing speed in the tick view's ``groups``: the largest demand/t over
-    its step instants, or 0 if none is positive, as (a, b) for a/b.  The
-    demand test at p/q is q*demand <= p*t at each instant t > 0, so it
-    passes iff q*a <= p*b.  Any other group (one with a recurring task or
-    a deadline <= 0) is scanned at each call and keeps nothing.
+    A group of one-shot tasks keeps its least passing speed in the tick
+    view's ``groups``: the largest demand/t over its step instants, or 0
+    if none is positive, as (a, b) for a/b.  Every deadline is > 0 on the
+    oracle's domain, so the demand test at p/q is q*demand <= p*t at each
+    instant t > 0, and it passes iff q*a <= p*b.  A group with a recurring
+    task is scanned at each call and keeps nothing.
     """
     ticks = ts._ticks
     least = ticks.groups.get(mask)
     if least is None:
         # the group's items, listed in index order
         items = [item for i, item in enumerate(ticks.items) if mask >> i & 1]
-        deadlines = [d for _, d, per in items if per is None and d > 0]
+        deadlines = [d for _, d, per in items if per is None]
         if len(deadlines) < len(items):
             return _first_violation(items, p, q, ticks.scale) is None
         a, b = 0, 1
@@ -245,76 +260,44 @@ def _group_passes(ts: TaskSet, mask: int, p: int, q: int) -> bool:
     return q * least[0] <= p * least[1]
 
 
-def _search(ts: TaskSet, p: int, q: int, processors: int) -> bool:
-    """The oracle's verdict at speed p/q by one depth-first search over the
-    tasks in index order, for any task set within its caps."""
-    ticks, n = ts._ticks, len(ts)
-
-    def cluster_ok(index: int, size: int) -> bool:
-        # the list schedule at speed p/q is the unit-speed one with every
-        # instant times q/p
-        return q * _unit_makespan(ts, index, size) <= p * ticks.deadline[index]
-
-    groups: list[int] = []  # the shared processors opened so far
-
-    def place(i: int, free: int) -> bool:
-        # task i joins an open shared processor, opens a new one or takes a
-        # cluster; free counts the processors neither shared nor clustered
-        if i == n:
-            return True
-        bit = 1 << i
-        for g, mask in enumerate(groups):
-            if _group_passes(ts, mask | bit, p, q):
-                groups[g] = mask | bit
-                if place(i + 1, free):
-                    return True
-                groups[g] = mask
-        if free and _group_passes(ts, bit, p, q):
-            groups.append(bit)
-            if place(i + 1, free - 1):
-                return True
-            groups.pop()
-        for size in range(1, free + 1):
-            if cluster_ok(i, size):
-                # a larger cluster only spends more processors on the same task
-                return place(i + 1, free - size)
-        return False
-
-    return place(0, processors)
-
-
 def _fewest_processors(ts: TaskSet, p: int, q: int) -> int:
     """The fewest processors any configuration of the oracle's model uses
     for ``ts`` at speed p/q, or 5 when that is over the cap of 4.
 
-    It applies to a set in the monotone domain (see :func:`_monotone`):
-    every task one-shot with deadline > 0 and acyclic, every wcet >= 0
-    and the subtask ids of each task distinct ints.  ``need`` is the
-    summed cluster sizes of the heavy tasks (q*work > p*deadline) plus
-    the fewest passing groups that partition the light ones.  This is
-    exact there:
+    It applies to a set in the oracle's domain (see :func:`_refusal`):
+    every deadline D > 0 and, for a recurring task, D <= its period T;
+    every task acyclic, every wcet >= 0 and the subtask ids of each task
+    distinct ints.  ``need`` is the summed cluster sizes of the heavy
+    tasks (q*work > p*deadline) plus the fewest passing groups that
+    partition the light ones.  This is exact there:
 
     1. A heavy task fits no group: every work is >= 0, so the group's
-       demand at the task's own deadline D is at least its work > s*D.
-    2. A light task's solo group passes (its one step instant is its
-       deadline), and it spends one processor, no more than any cluster
-       for the task; so every light task may be grouped.
+       demand at the task's own deadline D is at least its work w > s*D.
+    2. A light task's solo group passes, and it spends one processor, no
+       more than any cluster for the task; so every light task may be
+       grouped.  A one-shot task's one step instant is D; a recurring
+       task has U = w/T <= w/D <= s and, at each step instant D + k*T,
+       demand (k+1)*w <= (k+1)*s*D <= s*(D + k*T).
     3. One processor never idles in the list schedule of an acyclic job
        whose subtask ids are distinct, so a 1-cluster's makespan is the
-       task's work, and a heavy task's smallest cluster has c >= 2.
+       task's work, and a heavy task's smallest cluster has c >= 2.  A
+       job that meets D <= T is done before the next one is released, so
+       one job's makespan decides a cluster of a recurring task too.
     4. The smallest passing cluster size does not depend on how many
        processors are left, and a group whose tasks pass keeps passing
-       when a task leaves it (the demand only falls), so the search of
-       :func:`_search` at m processors succeeds iff need <= m.
-    5. Every cluster and group test is q*x <= p*y for fixed x, y >= 0, so
-       whatever passes at one speed passes at every higher one: need
-       never rises with the speed.
+       when a task leaves it (the demand only falls), so some
+       configuration fits m processors iff need <= m.
+    5. Every cluster and group test is a set of comparisons q*x <= p*y
+       for fixed x, y >= 0, so whatever passes at one speed passes at
+       every higher one: need never rises with the speed.
 
-    Outside the domain these fail: a recurring task with its deadline
-    beyond its period may fail its solo group and pass a 1-cluster, a
-    negative wcet breaks 1 and 4, a deadline <= 0 breaks 2, a repeated
-    subtask id breaks 3 (the list schedule keeps one wcet per id), and a
-    cycle or an id that is not an int can make a cluster raise.
+    The oracle refuses every other set, because there its model or this
+    proof does not hold: with D > T consecutive jobs overlap, so one
+    job's makespan no longer bounds a cluster's load, and the task may
+    fail its solo group yet pass a 1-cluster; a negative wcet breaks 1
+    and 4, a deadline <= 0 breaks 2, a repeated subtask id breaks 3 (the
+    list schedule keeps one wcet per id), and a cycle or an id that is
+    not an int can make a cluster raise.
     """
     ticks = ts._ticks
     used, light = 0, []

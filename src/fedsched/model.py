@@ -242,12 +242,12 @@ class _Ticks(NamedTuple):
     ``makespans`` caches the unit-speed list-schedule makespan, in ticks,
     of each (task index, cluster size) pair that has been asked for, and
     ``groups`` the least passing demand-test speed (a, b), for a/b, of each
-    group of one-shot tasks with deadlines > 0 (a bitmask of task indices)
-    the oracle has scanned.  ``needs`` is empty until the oracle first
-    decides the set; then its first entry says whether the set lies in the
-    oracle's monotone domain, and there each later entry is (p, q, need):
-    the fewest processors any configuration needs at speed p/q, or 5 when
-    over the cap of 4; see
+    group of one-shot tasks (a bitmask of task indices) the oracle has
+    scanned.  ``needs`` is empty until the oracle first decides the set;
+    then its first entry is the oracle's refusal of the set, or "" when
+    the set lies in the oracle's domain, and for an all one-shot set in
+    the domain each later entry is (p, q, need): the fewest processors any
+    configuration needs at speed p/q, or 5 when over the cap of 4; see
     :func:`fedsched.explore.brute_force_federated_oracle`.
     """
 
@@ -260,7 +260,7 @@ class _Ticks(NamedTuple):
     items: tuple[tuple[int, int, int | None], ...]  # (work, deadline, period)
     makespans: dict[tuple[int, int], int]
     groups: dict[int, tuple[int, int]]
-    needs: list[bool | tuple[int, int, int]]
+    needs: list[str | tuple[int, int, int]]
 
     @classmethod
     def of(cls, tasks: tuple[DagTask, ...]) -> _Ticks:

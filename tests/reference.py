@@ -259,6 +259,30 @@ def ref_allocate(ts, plat):
     return FederatedAllocation(grants, placement, used + len(shared))
 
 
+def ref_refusal(ts):
+    """The oracle's refusal of ``ts``: its first task outside the oracle's
+    domain and why, or None when ``ts`` lies inside (then ``ref_oracle``
+    gives its verdicts)."""
+    for task in ts:
+        tag = f"oracle refuses task {task.id}"
+        sids = [st.id for st in task.subtasks]
+        if task.deadline <= 0:
+            return f"{tag}: nonpositive deadline {task.deadline}"
+        if task.period is not None and task.deadline > task.period:
+            return f"{tag}: deadline {task.deadline} exceeds period {task.period}"
+        if task.topological_order is None:
+            return f"{tag}: dependency cycle among subtasks"
+        for st in task.subtasks:
+            if st.wcet < 0:
+                return f"{tag}: negative wcet {st.wcet} on subtask {st.id}"
+        for sid in sids:
+            if type(sid) is not int:
+                return f"{tag}: subtask id {sid!r} is not an integer"
+        if len(set(sids)) != len(sids):
+            return f"{tag}: duplicate subtask ids: {sids}"
+    return None
+
+
 def ref_oracle(ts, plat):
     speed, tasks, total = plat.speed, list(ts.tasks), plat.processors
     by_id = {t.id: t for t in tasks}

@@ -14,8 +14,10 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import pytest
+
 import fedsched.feasibility
-from fedsched.explore import _fewest_processors, _monotone, brute_force_federated_oracle
+from fedsched.explore import _fewest_processors, brute_force_federated_oracle
 from fedsched.feasibility import demand_profile, uniprocessor_edf_feasible
 from fedsched.federated import Infeasible, allocate_federated
 from fedsched.generate import random_task_set
@@ -28,6 +30,7 @@ from reference import (
     ref_first_violation,
     ref_list_schedule,
     ref_oracle,
+    ref_refusal,
     ref_validate,
 )
 
@@ -103,22 +106,30 @@ def test_allocator_and_oracle_match_the_fraction_reference():
                 assert got.retry_speed is None or type(got.retry_speed) is Fraction
             else:
                 kinds["allocated"] += 1
-            oracle = brute_force_federated_oracle(ts, plat)
+            p, q = plat.speed.numerator, plat.speed.denominator
+            kinds["p, q > 1" if p > 1 and q > 1 else "p or q = 1"] += 1
+            # outside the oracle's domain every call is refused, with the
+            # first task outside it named
+            oracle = outcome(brute_force_federated_oracle, ts, plat)
+            refusal = ref_refusal(ts)
+            if refusal is not None:
+                assert oracle == (ValueError, refusal), (n, plat)
+                kinds["oracle refused"] += 1
+                continue
             assert oracle is ref_oracle(ts, plat), (n, plat)
             kinds[f"oracle {oracle}"] += 1
-            p, q = plat.speed.numerator, plat.speed.denominator
             heavy = {q * work > p * deadline for work, deadline, _ in ts._ticks.items}
             if oracle and True in heavy:
                 # a heavy task can only run on a cluster: the mixed search
                 kinds["oracle True, heavy"] += 1
                 kinds["oracle True, heavy and light"] += heavy == {True, False}
-            kinds["p, q > 1" if p > 1 and q > 1 else "p or q = 1"] += 1
         kinds["recurring" if any(t.period for t in ts) else "one-shot"] += 1
         kinds["tick > 1" if ts._ticks.scale > 1 else "tick 1"] += 1
     # the three ways to fail: a critical path no cluster can carry ("task"),
     # heavy clusters alone ("heavy") and a light task that does not fit
     for kind in ("allocated", "task", "heavy", "light", "oracle True", "oracle False",
-                 "p, q > 1", "p or q = 1", "recurring", "one-shot", "tick > 1"):
+                 "oracle refused", "p, q > 1", "p or q = 1", "recurring", "one-shot",
+                 "tick > 1"):
         assert kinds[kind] >= 150, kinds
     assert kinds["oracle True, heavy"] >= 100, kinds
     assert kinds["oracle True, heavy and light"] >= 60, kinds
@@ -126,23 +137,30 @@ def test_allocator_and_oracle_match_the_fraction_reference():
 
 def test_oracle_verdicts_kept_across_calls_match_the_fraction_reference(monkeypatch):
     # one task set decided on every platform in a shuffled order, so its
-    # group verdicts kept from earlier calls decide later ones; each result
-    # must be the reference's on a fresh copy of the set
+    # group verdicts kept from earlier calls decide later ones; inside the
+    # oracle's domain each result must be the reference's on a fresh copy
+    # of the set, and outside it every call must be the same refusal
     rng = random.Random(13)
     kinds = Counter()
     configs = [(m, speed) for m in range(1, 5) for speed in SPEEDS]
 
     def decide(ts, reference):
+        refusal = ref_refusal(ts)
         rng.shuffle(configs)
         for m, speed in configs:
             plat = Platform(m, speed)
             got = outcome(brute_force_federated_oracle, ts, plat)
+            if refusal is not None:
+                assert got == (ValueError, refusal), (ts, plat)
+                kinds["outside"] += 1
+                continue
             assert got == outcome(reference, dataclasses.replace(ts), plat), (ts, plat)
             kinds[got if isinstance(got, bool) else "refused"] += 1
 
     for n in range(300):
         decide(random_set(rng, recurring=n % 2 == 0), ref_oracle)
     assert min(kinds[True], kinds[False]) >= 1000, kinds
+    assert kinds["outside"] >= 500, kinds
     # a small step limit: below a speed where a recurring group failed, its
     # scan may look further and be refused, which its kept violation must
     # not hide.  The reference searches in another order, so it may meet a
@@ -152,39 +170,43 @@ def test_oracle_verdicts_kept_across_calls_match_the_fraction_reference(monkeypa
     for n in range(150):
         decide(random_set(rng, recurring=True), brute_force_federated_oracle)
     assert kinds["refused"] >= 50, kinds
-    # a negative deadline: the group passes at speed 1 and fails at 6 on
-    # the instant -1, so a pass may not decide the higher speed
+    # a negative deadline lies outside the domain (the group would pass at
+    # speed 1 and fail at 6 on the instant -1): refused at every speed
     ts = TaskSet("n", (
         DagTask(1, -5, -1, None, (Subtask(1, -5),)),
         DagTask(2, 10, 20, None, (Subtask(1, 10),)),
     ))
-    for speed, verdict in ((1, True), (6, False)):
+    for speed in (1, 6, 1):
         plat = Platform(1, Fraction(speed))
-        assert brute_force_federated_oracle(ts, plat) is verdict
-        assert ref_oracle(dataclasses.replace(ts), plat) is verdict
+        got = outcome(brute_force_federated_oracle, ts, plat)
+        assert got == (ValueError, "oracle refuses task 1: nonpositive deadline -1")
 
 
 def test_the_oracle_keeps_each_one_shot_groups_least_speed():
     # the kept (a, b) is the least speed a/b at which the group's demand
     # test passes: the reference passes there and fails just below, so
     # neither a violation found at some speed nor a speed that happened
-    # to pass will do.  Groups with a recurring task keep nothing.  An
-    # all one-shot set is decided by its fewest processors, which never
-    # scans a light task's solo group; the 200 sets after the first 300
-    # have recurring tasks, so the search scans their one-shot tasks'
-    # solo groups, and the last set's zero-work task keeps a least speed 0
+    # to pass will do.  Groups with a recurring task keep nothing, and a
+    # set outside the oracle's domain keeps nothing at all.  The fewest
+    # processors never scan a light task's solo group, so no one-member
+    # group is kept; the last set's two zero-work tasks keep a least
+    # speed 0 for their pair
     rng = random.Random(17)
     kinds = Counter()
     sets = [random_set(rng, recurring=n % 3 == 0 or n >= 300) for n in range(500)]
     sets.append(TaskSet("z", (
         DagTask(1, 0, 2, None, (Subtask(1, 0),)),
-        DagTask(2, 1, 2, 3, (Subtask(1, 1),)),
+        DagTask(2, 0, 3, None, (Subtask(1, 0),)),
     )))
     for ts in sets:
         for m in range(1, 5):
             for speed in SPEEDS:
-                brute_force_federated_oracle(ts, Platform(m, speed))
+                outcome(brute_force_federated_oracle, ts, Platform(m, speed))
+        if ref_refusal(ts) is not None:
+            assert ts._ticks.groups == {}, ts
+            kinds["outside"] += 1
         for mask, (a, b) in ts._ticks.groups.items():
+            assert mask & (mask - 1), (ts, mask)  # two members or more
             items = [of_task(task) for i, task in enumerate(ts) if mask >> i & 1]
             assert all(period is None for _, _, period in items), (ts, mask)
             if a > 0:
@@ -192,11 +214,12 @@ def test_the_oracle_keeps_each_one_shot_groups_least_speed():
                 assert ref_first_violation(items, least) is None, (ts, mask)
                 below = least * Fraction(999999, 10**6)
                 assert ref_first_violation(items, below) is not None, (ts, mask)
-                kinds["several" if len(items) > 1 else "one"] += 1
+                kinds["several"] += 1
             else:
                 assert ref_first_violation(items, Fraction(1, 10**6)) is None, (ts, mask)
                 kinds["not positive"] += 1
-    assert min(kinds["one"], kinds["several"]) >= 200, kinds
+    assert kinds["several"] >= 200, kinds
+    assert kinds["outside"] >= 20, kinds
     assert kinds["not positive"] >= 1, kinds
 
 
@@ -213,51 +236,78 @@ def off_int_ids(task):
     )
 
 
-# ways out of the oracle's monotone domain; a zero wcet stays inside it
+# ways out of the oracle's domain; a zero wcet stays inside it
 DOMAIN_KINDS = (
     "deadline > period", "nonpositive deadline", "zero wcet", "negative wcet",
     "cycle", "ids not ints", "duplicate subtask ids",
 )
+# what the oracle's refusal says of each way out
+REFUSALS = {
+    "deadline > period": "exceeds period",
+    "nonpositive deadline": "nonpositive deadline",
+    "negative wcet": "negative wcet",
+    "cycle": "dependency cycle",
+    "ids not ints": "is not an integer",
+    "duplicate subtask ids": "duplicate subtask ids",
+}
+
+
+def broken(rng, ts, kind):
+    """``ts`` with one task, drawn at random, broken in the way ``kind``
+    of ``DOMAIN_KINDS`` names."""
+    i = rng.randrange(len(ts))
+    task = ts.tasks[i]
+    if kind == "duplicate subtask ids" and len(task.subtasks) < 2:
+        task = dataclasses.replace(task, subtasks=task.subtasks * 2)
+    task = off_int_ids(task) if kind == "ids not ints" else mutated(rng, task, kind)
+    return TaskSet(ts.name, ts.tasks[:i] + (task,) + ts.tasks[i + 1:])
+
+
+def constrained(ts):
+    """``ts`` with each recurring task's deadline cut to its period."""
+    return TaskSet(ts.name, tuple(
+        task if task.period is None or task.deadline <= task.period
+        else dataclasses.replace(task, deadline=task.period)
+        for task in ts
+    ))
 
 
 def test_the_fewest_processors_decide_the_oracle_inside_its_domain_only():
     # each set is decided on every platform in a shuffled order, so kept
-    # needs answer later calls; every result or refusal must be the one a
-    # fresh copy gives on its first call, and the Fraction reference's
-    # wherever it lists the same schedules (it runs a cycle's acyclic part
-    # where the oracle refuses it).  Inside the domain the fewest
-    # processors must be the least m the reference accepts, or 5, and
-    # never rise with the speed.
+    # needs answer later calls.  Outside the oracle's domain every call is
+    # the reference's refusal.  Inside it every result must be the one a
+    # fresh copy gives on its first call and the Fraction reference's,
+    # and the fewest processors must be the least m the reference accepts,
+    # or 5, and never rise with the speed.  Constrained recurring sets lie
+    # inside the domain and keep no need.
     rng = random.Random(23)
     kinds = Counter()
     configs = [(m, speed) for m in range(1, 5) for speed in SPEEDS]
-    for n in range(240):
-        ts = random_set(rng, recurring=False)
-        kind = "as drawn"
-        if n % 2:
-            kind = DOMAIN_KINDS[n // 2 % len(DOMAIN_KINDS)]
-            i = rng.randrange(len(ts))
-            task = ts.tasks[i]
-            if kind == "duplicate subtask ids" and len(task.subtasks) < 2:
-                task = dataclasses.replace(task, subtasks=task.subtasks * 2)
-            task = off_int_ids(task) if kind == "ids not ints" else mutated(rng, task, kind)
-            ts = TaskSet(ts.name, ts.tasks[:i] + (task,) + ts.tasks[i + 1:])
-        inside = _monotone(ts)
-        kinds[f"{kind}, {'inside' if inside else 'outside'}"] += 1
+
+    def decide(kind, ts):
+        refusal = ref_refusal(ts)
+        kinds[f"{kind}, {'inside' if refusal is None else 'outside'}"] += 1
+        if kind in REFUSALS and refusal is not None:
+            kinds[f"{kind}, said"] += REFUSALS[kind] in refusal
         rng.shuffle(configs)
         accepted = {}
         for m, speed in configs:
             plat = Platform(m, speed)
             got = outcome(brute_force_federated_oracle, ts, plat)
+            if refusal is not None:
+                assert got == (ValueError, refusal), (ts, plat)
+                kinds["refused"] += 1
+                continue
             assert got == outcome(brute_force_federated_oracle, dataclasses.replace(ts), plat)
-            if kind != "cycle":
-                assert got == outcome(ref_oracle, dataclasses.replace(ts), plat), (ts, plat)
+            assert got == outcome(ref_oracle, dataclasses.replace(ts), plat), (ts, plat)
             accepted[m, speed] = got
-            kinds[got if isinstance(got, bool) else "refused"] += 1
-        assert ts._ticks.needs[0] is inside
-        if not inside:
-            assert ts._ticks.needs == [False]
-            continue
+            kinds[got] += 1
+        if refusal is not None:
+            assert ts._ticks.needs == [refusal]
+            return
+        recurring = any(task.period is not None for task in ts)
+        assert ts._ticks.needs[0] == ""
+        assert len(ts._ticks.needs) == 1 or not recurring, ts._ticks.needs
         needs = []
         for speed in sorted(SPEEDS):
             fresh = dataclasses.replace(ts)
@@ -265,14 +315,48 @@ def test_the_fewest_processors_decide_the_oracle_inside_its_domain_only():
             assert need == min([m for m in range(1, 5) if accepted[m, speed]], default=5)
             needs.append(need)
         assert needs == sorted(needs, reverse=True), (ts, needs)
-        kinds["need falls"] += needs[0] > needs[-1]
-        kinds["need over the cap"] += 5 in needs
+        kinds[f"need falls{', recurring' * recurring}"] += needs[0] > needs[-1]
+        kinds[f"need over the cap{', recurring' * recurring}"] += 5 in needs
+
+    for n in range(240):
+        ts = random_set(rng, recurring=False)
+        kind = "as drawn"
+        if n % 2:
+            kind = DOMAIN_KINDS[n // 2 % len(DOMAIN_KINDS)]
+            ts = broken(rng, ts, kind)
+        decide(kind, ts)
+    for _ in range(100):
+        ts = constrained(random_set(rng, recurring=True))
+        decide("recurring" if any(task.period for task in ts) else "one-shot", ts)
     assert min(kinds[True], kinds[False], kinds["refused"]) >= 100, kinds
     for kind in DOMAIN_KINDS:
         side = "inside" if kind == "zero wcet" else "outside"
         assert kinds[f"{kind}, {side}"] >= 10, kinds
+        if kind in REFUSALS:
+            assert kinds[f"{kind}, said"] == kinds[f"{kind}, outside"], kinds
     assert kinds["as drawn, inside"] >= 100, kinds
+    assert kinds["recurring, inside"] >= 50, kinds
     assert min(kinds["need falls"], kinds["need over the cap"]) >= 50, kinds
+    assert min(kinds["need falls, recurring"], kinds["need over the cap, recurring"]) >= 20, kinds
+
+
+def test_the_oracle_refuses_a_set_outside_its_domain_before_any_scan():
+    # each way out of the domain but a zero wcet is refused before any
+    # group is scanned or any cluster's makespan kept, and the refusal,
+    # kept with the set, is repeated word for word
+    rng = random.Random(31)
+    for kind in DOMAIN_KINDS:
+        if kind == "zero wcet":
+            continue
+        for _ in range(20):
+            ts = broken(rng, random_set(rng, recurring=False), kind)
+            refusal = ref_refusal(ts)
+            assert refusal is not None and REFUSALS[kind] in refusal, (kind, ts)
+            for plat in (Platform(4, Fraction(4)), Platform(1, Fraction(1, 2))):
+                with pytest.raises(ValueError) as raised:
+                    brute_force_federated_oracle(ts, plat)
+                assert str(raised.value) == refusal
+                assert ts._ticks.groups == {} and ts._ticks.makespans == {}
 
 
 def test_list_schedule_matches_the_fraction_reference():
