@@ -129,6 +129,14 @@ def _integer(text: str) -> int:
     return int(text)
 
 
+def _platform_input(args: argparse.Namespace) -> tuple[TaskSet, Platform]:
+    """The task set of ``--input``, refused unless valid, and the platform
+    of ``--processors`` and ``--speed``."""
+    ts = read_task_set(args.input)
+    _require_valid(ts)
+    return ts, Platform(args.processors, parse_rational(args.speed))
+
+
 def _require_valid(ts: TaskSet) -> None:
     violations = validate_task_set(ts)
     if violations:
@@ -154,14 +162,6 @@ _POINT = (
     '        {{\n          "t": "{}",\n          "demand": "{}",\n'
     '          "capacity": "{}"\n        }}'
 )
-
-
-def _json_list(entries: list[str], indent: str) -> str:
-    """A JSON list of already encoded ``entries`` as ``json.dump(indent=2)``
-    lays it out, closing at ``indent``."""
-    if not entries:
-        return "[]"
-    return "[\n" + ",\n".join(entries) + f"\n{indent}]"
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -192,9 +192,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    ts = read_task_set(args.input)
-    _require_valid(ts)
-    plat = Platform(args.processors, parse_rational(args.speed))
+    ts, plat = _platform_input(args)
     groups = _partition(ts, partition_by_subtask_index(ts, plat.processors), plat)
     feasible = _groups_feasible(ts, groups, plat)
     verdict = "feasible" if feasible else "infeasible"
@@ -216,7 +214,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             for t, demand in _demand_table(items, _horizon(items, scale), scale)
         ]
         texts.update(
-            dict.fromkeys([proc for proc, _ in procs], _json_list(points, "      "))
+            dict.fromkeys([proc for proc, _ in procs], "[\n" + ",\n".join(points) + "\n      ]")
         )
     order = sorted(texts)
     write = sys.stdout.write
@@ -233,9 +231,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_federate(args: argparse.Namespace) -> int:
-    ts = read_task_set(args.input)
-    _require_valid(ts)
-    plat = Platform(args.processors, parse_rational(args.speed))
+    ts, plat = _platform_input(args)
     result = allocate_federated(ts, plat)
     if isinstance(result, Infeasible):
         _emit(
@@ -270,9 +266,7 @@ def _cmd_federate(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    ts = read_task_set(args.input)
-    _require_valid(ts)
-    plat = Platform(args.processors, parse_rational(args.speed))
+    ts, plat = _platform_input(args)
     horizon = None if args.horizon is None else parse_rational(args.horizon)
     groups = _partition(ts, partition_by_subtask_index(ts, plat.processors), plat)
     scale, _, runs, missed = _simulate_ticks(ts, groups, plat, horizon)

@@ -31,7 +31,12 @@ from .federated import (
 )
 from .generate import CounterexampleParams, build_counterexample
 from .model import Platform, TaskSet, _is_int, validate_task_set
-from .simulate import _simulate_ticks, _unit_makespan
+from .simulate import _list_schedule, _simulate_ticks
+
+# the brute-force oracle's caps; a need of _OVER_CAP stands for any above
+_MAX_TASKS = 5
+_MAX_PROCESSORS = 4
+_OVER_CAP = _MAX_PROCESSORS + 1
 
 
 @dataclass(frozen=True)
@@ -171,37 +176,35 @@ def brute_force_federated_oracle(ts: TaskSet, plat: Platform) -> bool:
     :func:`_fewest_processors`).  That is exact only on the oracle's
     domain, the constrained-deadline sets; any other set is refused with
     a ValueError that names its first task outside the domain and why
-    (see :func:`_refusal`).  The domain is decided on a set's first call
-    and kept on its tick view.  An all one-shot set keeps each (p, q,
-    need) for the speed p/q too: ``need`` never rises with the speed, so a
-    kept speed <= this one whose need fits, or a kept speed >= this one
-    whose need does not, decides any later call with no new search.  A
-    recurring group's scan may reach the step limit at one speed and not
-    at another, so a set with a recurring task keeps no need that could
-    hide such a refusal.
+    (see :func:`_refusal`).
 
-    A group of one-shot tasks keeps its least passing speed on the task
-    set across calls, as the cluster makespans are; see
-    :func:`_group_passes`.
+    The tick view's oracle fields, which only this module writes, keep
+    what each call learns: ``refusal`` on the first call; ``needs``, each
+    (p, q, need) of an all one-shot set, so that a kept speed <= this one
+    whose need fits, or one >= it whose need does not, decides the call
+    (``need`` never rises with the speed; a recurring group's scan may
+    reach the step limit at one speed and not another, so a set with a
+    recurring task keeps none); ``groups`` and ``makespans``, see
+    :func:`_group_passes` and :func:`_unit_makespan`.
     """
-    if len(ts) > 5:
-        raise ValueError(f"oracle is capped at 5 tasks, got {len(ts)}")
-    if plat.processors > 4:
-        raise ValueError(f"oracle is capped at 4 processors, got {plat.processors}")
     p, q, m = plat.speed.numerator, plat.speed.denominator, plat.processors
-    kept = ts._ticks.needs
-    if not kept:  # the first call decides the domain, once per set
-        kept.append(_refusal(ts))
-    if kept[0]:
-        raise ValueError(kept[0])
-    for a, b, need in kept[1:]:  # need at the speed a/b
+    if len(ts) > _MAX_TASKS:
+        raise ValueError(f"oracle is capped at {_MAX_TASKS} tasks, got {len(ts)}")
+    if m > _MAX_PROCESSORS:
+        raise ValueError(f"oracle is capped at {_MAX_PROCESSORS} processors, got {m}")
+    ticks = ts._ticks
+    if ticks.refusal is None:  # the first call decides the domain, once per set
+        ticks.refusal = _refusal(ts)
+    if ticks.refusal:
+        raise ValueError(ticks.refusal)
+    for a, b, need in ticks.needs:  # need at the speed a/b
         if need <= m and q * a <= p * b:
             return True
         if need > m and q * a >= p * b:
             return False
     need = _fewest_processors(ts, p, q)
-    if ts._ticks.period.count(None) == len(ts):
-        kept.append((p, q, need))
+    if ticks.period.count(None) == len(ts):
+        ticks.needs.append((p, q, need))
     return need <= m
 
 
@@ -260,9 +263,20 @@ def _group_passes(ts: TaskSet, mask: int, p: int, q: int) -> bool:
     return q * least[0] <= p * least[1]
 
 
+def _unit_makespan(ts: TaskSet, index: int, m: int) -> int:
+    """:func:`fedsched.simulate._list_schedule`'s makespan for task ``index``
+    on ``m`` processors, in the set's ticks, kept in ``makespans``."""
+    makespans = ts._ticks.makespans
+    key = (index, m)
+    if key not in makespans:
+        runs = _list_schedule(ts.tasks[index], ts._ticks.wcets[index], m)
+        makespans[key] = max((run[3] for run in runs), default=0)
+    return makespans[key]
+
+
 def _fewest_processors(ts: TaskSet, p: int, q: int) -> int:
     """The fewest processors any configuration of the oracle's model uses
-    for ``ts`` at speed p/q, or 5 when that is over the cap of 4.
+    for ``ts`` at speed p/q, or ``_OVER_CAP`` when over ``_MAX_PROCESSORS``.
 
     It applies to a set in the oracle's domain (see :func:`_refusal`):
     every deadline D > 0 and, for a recurring task, D <= its period T;
@@ -305,16 +319,16 @@ def _fewest_processors(ts: TaskSet, p: int, q: int) -> int:
         if q * work <= p * deadline:
             light.append(1 << i)
             continue
-        size = 2
-        while used + size <= 4 and q * _unit_makespan(ts, i, size) > p * deadline:
+        size, room = 2, _MAX_PROCESSORS - used
+        while size <= room and q * _unit_makespan(ts, i, size) > p * deadline:
             size += 1
         used += size
-        if used > 4:
-            return 5
+        if used > _MAX_PROCESSORS:
+            return _OVER_CAP
     # branch and bound over the light tasks in index order: each joins an
-    # open group that still passes or opens one, while the groups open
-    # are fewer than the fewest found (5 - used stands for over the cap)
-    best = min(len(light), 5 - used)
+    # open group that still passes or opens one, while fewer groups are
+    # open than the fewest found (_OVER_CAP - used is over the cap)
+    best = min(len(light), _OVER_CAP - used)
     groups: list[int] = []
 
     def pack(k: int) -> bool:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Mapping, NamedTuple
+from typing import Collection, Iterable, Mapping, Sequence
 
 
 def _exact(value) -> Fraction:
@@ -120,10 +120,14 @@ class DagTask:
     @cached_property
     def successors(self) -> Mapping[int, tuple[int, ...]]:
         """Subtask id -> ids of its successors, over the edges whose
-        endpoints are both known subtasks (a duplicate edge repeats)."""
-        if not self.edges:
-            return dict.fromkeys((st.id for st in self.subtasks), ())
-        succ: dict[int, list[int]] = {st.id: [] for st in self.subtasks}
+        endpoints are both known subtasks (a duplicate edge repeats; an id
+        that cannot key a dict is not known)."""
+        try:
+            if not self.edges:
+                return dict.fromkeys((st.id for st in self.subtasks), ())
+            succ: dict[int, list[int]] = {st.id: [] for st in self.subtasks}
+        except TypeError:  # an unhashable id among them
+            succ = {st.id: [] for st in self.subtasks if _can_key(st.id)}
         for a, b in self.edges:
             try:
                 if a in succ and b in succ:
@@ -155,18 +159,22 @@ class DagTask:
         scale = _tick(st.wcet for st in self.subtasks)
         return scale, [_in_ticks(st.wcet, scale) for st in self.subtasks]
 
-    def _span_in(self, wcets: Iterable[int]) -> int:
+    def _span_in(self, wcets: Sequence[int]) -> int:
         """The longest precedence path over ``wcets``, the subtask wcets as
         ints of one tick in subtask order; raises ValueError on a cycle."""
         order = self.topological_order
         if order is None:
             raise ValueError(f"task {self.id}: dependency cycle among subtasks")
-        wcet = dict(zip((st.id for st in self.subtasks), wcets))
+        ids = [st.id for st in self.subtasks]
+        try:
+            wcet, best = dict(zip(ids, wcets)), 0
+        except TypeError:  # a subtask no edge can name is a path alone
+            wcet = {sid: w for sid, w in zip(ids, wcets) if _can_key(sid)}
+            best = max(0, *(w for sid, w in zip(ids, wcets) if not _can_key(sid)))
         if not self.edges:  # the longest path is one subtask (or none)
-            return max(0, max(wcet.values(), default=0))
+            return max(best, max(wcet.values(), default=0))
         # reach[b]: the longest path ending at some predecessor of b
         reach: dict[int, int] = {}
-        best = 0
         for sid in order:
             end = reach.get(sid, 0) + wcet[sid]
             if end > best:
@@ -197,7 +205,7 @@ class TaskSet:
     def _ticks(self) -> _Ticks:
         """The set's times in ticks, built on first use and kept like
         ``DagTask``'s derived values."""
-        return _Ticks.of(self.tasks)
+        return _Ticks(self.tasks)
 
 
 # Most bits a tick view's values may take together, counted as the tick's
@@ -231,7 +239,7 @@ def _in_ticks(value: Fraction | int | None, scale: int) -> int | None:
     return None if value is None else value.numerator * (scale // value.denominator)
 
 
-class _Ticks(NamedTuple):
+class _Ticks:
     """Every time of some tasks as an int count of ticks of ``1/scale``.
 
     ``scale`` is the :func:`_tick` of every subtask wcet, deadline and
@@ -239,32 +247,16 @@ class _Ticks(NamedTuple):
     tuples run in task order, ``wcets`` in each task's subtask order, and
     ``span`` is None for a task with a dependency cycle.  A speed ``p/q``
     enters the decisions only as ``q * x <= p * y`` between tick counts.
-    ``makespans`` caches the unit-speed list-schedule makespan, in ticks,
-    of each (task index, cluster size) pair that has been asked for, and
-    ``groups`` the least passing demand-test speed (a, b), for a/b, of each
-    group of one-shot tasks (a bitmask of task indices) the oracle has
-    scanned.  ``needs`` is empty until the oracle first decides the set;
-    then its first entry is the oracle's refusal of the set, or "" when
-    the set lies in the oracle's domain, and for an all one-shot set in
-    the domain each later entry is (p, q, need): the fewest processors any
-    configuration needs at speed p/q, or 5 when over the cap of 4; see
-    :func:`fedsched.explore.brute_force_federated_oracle`.
+    The last four fields are what the brute-force oracle keeps on the set,
+    empty until its first call; only :mod:`fedsched.explore` writes them
+    (see :func:`fedsched.explore.brute_force_federated_oracle`).
     """
 
-    scale: int
-    work: tuple[int, ...]
-    span: tuple[int | None, ...]
-    deadline: tuple[int, ...]
-    period: tuple[int | None, ...]
-    wcets: tuple[tuple[int, ...], ...]
-    items: tuple[tuple[int, int, int | None], ...]  # (work, deadline, period)
-    makespans: dict[tuple[int, int], int]
-    groups: dict[int, tuple[int, int]]
-    needs: list[str | tuple[int, int, int]]
+    __slots__ = ("scale", "work", "span", "deadline", "period", "wcets", "items",
+                 "refusal", "needs", "groups", "makespans")
 
-    @classmethod
-    def of(cls, tasks: tuple[DagTask, ...]) -> _Ticks:
-        scale = _tick(
+    def __init__(self, tasks: tuple[DagTask, ...]) -> None:
+        self.scale = scale = _tick(
             v
             for task in tasks
             for v in (task.deadline, task.period, *(st.wcet for st in task.subtasks))
@@ -283,16 +275,19 @@ class _Ticks(NamedTuple):
                 out.append(memo[key])
             return tuple(out)
 
-        wcets = tuple(each(st.wcet for st in task.subtasks) for task in tasks)
-        work = tuple(map(sum, wcets))
-        deadline = each(task.deadline for task in tasks)
-        period = each(task.period for task in tasks)
-        span = tuple(
+        self.wcets = wcets = tuple(each(st.wcet for st in task.subtasks) for task in tasks)
+        self.work = work = tuple(map(sum, wcets))
+        self.deadline = deadline = each(task.deadline for task in tasks)
+        self.period = period = each(task.period for task in tasks)
+        self.span = tuple(
             None if task.topological_order is None else task._span_in(w)
             for task, w in zip(tasks, wcets)
         )
-        items = tuple(zip(work, deadline, period))
-        return cls(scale, work, span, deadline, period, wcets, items, {}, {}, [])
+        self.items = tuple(zip(work, deadline, period))
+        self.refusal: str | None = None  # "" when the set is in the oracle's domain
+        self.needs: list[tuple[int, int, int]] = []  # (p, q, need)
+        self.groups: dict[int, tuple[int, int]] = {}  # mask: (a, b)
+        self.makespans: dict[tuple[int, int], int] = {}  # (index, m): ticks
 
 
 @dataclass(frozen=True)
@@ -338,6 +333,24 @@ def _is_int(value) -> bool:
     return type(value) is int or (isinstance(value, int) and not isinstance(value, bool))
 
 
+def _can_key(value) -> bool:
+    """True when ``value`` can key a dict (a list, say, cannot)."""
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+def _distinct(values: Sequence) -> Collection:
+    """Each distinct value once, in order: by hash, or by equality alone
+    when one cannot be hashed."""
+    try:
+        return dict.fromkeys(values)
+    except TypeError:
+        return [v for i, v in enumerate(values) if v not in values[:i]]
+
+
 def _validate_task(task: DagTask, scale: int, wcets, work, deadline, period) -> list[str]:
     """``task``'s violations, its times given as ints of ``1/scale`` (see
     :class:`_Ticks`); a Fraction is built only to word a work mismatch."""
@@ -347,7 +360,7 @@ def _validate_task(task: DagTask, scale: int, wcets, work, deadline, period) -> 
     for sid in sids:
         if not _is_int(sid):
             v.append(f"{tag}: subtask id {sid!r} is not an integer")
-    if len(set(sids)) != len(sids):
+    if len(_distinct(sids)) != len(sids):
         v.append(f"{tag}: duplicate subtask ids: {sids}")
     for st, wcet in zip(task.subtasks, wcets):
         if wcet <= 0:
@@ -366,12 +379,7 @@ def _validate_task(task: DagTask, scale: int, wcets, work, deadline, period) -> 
         elif deadline > period:
             v.append(f"{tag}: deadline {task.deadline} exceeds period {task.period}")
     known = task.successors
-    edges = task.edges
-    try:
-        edges = dict.fromkeys(edges)  # each distinct edge once, in order
-    except TypeError:  # an unhashable endpoint: the same, by equality alone
-        edges = [edge for i, edge in enumerate(edges) if edge not in edges[:i]]
-    for a, b in edges:
+    for a, b in _distinct(task.edges):
         if not (_is_int(a) and _is_int(b)):
             v.append(f"{tag}: edge ({a!r}, {b!r}) has an endpoint that is not an integer")
         elif a not in known or b not in known:

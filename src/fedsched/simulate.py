@@ -264,7 +264,7 @@ def simulate_partitioned_edf(
 def _list_schedule(
     task: DagTask, wcets: tuple[int, ...], m: int
 ) -> list[tuple[int, int, int, int]]:
-    """Greedy list schedule of one job of ``task`` on ``m`` unit-speed
+    """Greedy list schedule of one job of ``task`` on ``m >= 1`` unit-speed
     processors, on int times: ``wcets`` are its subtask wcets in ticks, in
     subtask order.  Returns (start, processor, subtask, end) for every
     run of positive length, sorted by (start, processor).
@@ -290,8 +290,6 @@ def _list_schedule(
             heapq.heappush(running, (end, proc, sid))
             if end > time:
                 runs.append((time, proc, sid, end))
-        if not running:
-            break
         time = running[0][0]
         while running and running[0][0] == time:
             _, proc, sid = heapq.heappop(running)
@@ -302,17 +300,6 @@ def _list_schedule(
                     heapq.heappush(ready, nxt)
     runs.sort(key=itemgetter(0, 1))
     return runs
-
-
-def _unit_makespan(ts: TaskSet, index: int, m: int) -> int:
-    """Makespan of :func:`_list_schedule` for task ``index`` of ``ts`` on
-    ``m`` processors, in the set's ticks, kept in its tick view."""
-    ticks = ts._ticks
-    key = (index, m)
-    if key not in ticks.makespans:
-        runs = _list_schedule(ts.tasks[index], ticks.wcets[index], m)
-        ticks.makespans[key] = max((run[3] for run in runs), default=0)
-    return ticks.makespans[key]
 
 
 def simulate_list_schedule(task: DagTask, m: int, speed: Fraction) -> ScheduleTrace:
@@ -367,15 +354,23 @@ def check_trace(ts: TaskSet, trace: ScheduleTrace) -> list[str]:
     checks out.
     """
     v: list[str] = []
+    by_proc: dict[int, list[Interval]] = {}
+    duration: dict[tuple[int, int], Fraction] = {}
+    first_start: dict[tuple[int, int], Fraction] = {}
+    last_end: dict[tuple[int, int], Fraction] = {}
+    task_end: dict[int, Fraction] = {}
     for iv in trace.intervals:
         if iv.start >= iv.end:
             v.append(
                 f"interval for task {iv.task} subtask {iv.subtask} on processor "
                 f"{iv.processor}: start {iv.start} is not before end {iv.end}"
             )
-    by_proc: dict[int, list[Interval]] = {}
-    for iv in trace.intervals:
         by_proc.setdefault(iv.processor, []).append(iv)
+        key = (iv.task, iv.subtask)
+        duration[key] = duration.get(key, Fraction(0)) + (iv.end - iv.start)
+        first_start[key] = min(first_start.get(key, iv.start), iv.start)
+        last_end[key] = max(last_end.get(key, iv.end), iv.end)
+        task_end[iv.task] = max(task_end.get(iv.task, iv.end), iv.end)
     for proc in sorted(by_proc):
         ordered = sorted(by_proc[proc], key=lambda iv: (iv.start, iv.end))
         for a, b in zip(ordered, ordered[1:]):
@@ -386,19 +381,6 @@ def check_trace(ts: TaskSet, trace: ScheduleTrace) -> list[str]:
                     f"subtask {b.subtask} [{b.start}, {b.end})"
                 )
 
-    duration: dict[tuple[int, int], Fraction] = {}
-    first_start: dict[tuple[int, int], Fraction] = {}
-    last_end: dict[tuple[int, int], Fraction] = {}
-    task_end: dict[int, Fraction] = {}
-    for iv in trace.intervals:
-        key = (iv.task, iv.subtask)
-        duration[key] = duration.get(key, Fraction(0)) + (iv.end - iv.start)
-        if key not in first_start or iv.start < first_start[key]:
-            first_start[key] = iv.start
-        if key not in last_end or iv.end > last_end[key]:
-            last_end[key] = iv.end
-        if iv.task not in task_end or iv.end > task_end[iv.task]:
-            task_end[iv.task] = iv.end
     for task in ts:
         jobs = _job_count(task, trace.horizon)
         for st in task.subtasks:
@@ -421,15 +403,15 @@ def check_trace(ts: TaskSet, trace: ScheduleTrace) -> list[str]:
     for task in ts:
         if _job_count(task, trace.horizon) != 1:
             continue
-        starts = {st.id: first_start.get((task.id, st.id)) for st in task.subtasks}
-        ends = {st.id: last_end.get((task.id, st.id)) for st in task.subtasks}
-        for a, b in task.edges:
-            end_a, start_b = ends.get(a), starts.get(b)
-            if end_a is not None and start_b is not None and start_b < end_a:
-                v.append(
-                    f"task {task.id}: precedence violated: subtask {b} starts at "
-                    f"{start_b} before predecessor {a} ends at {end_a}"
-                )
+        for a, nexts in task.successors.items():
+            end_a = last_end.get((task.id, a))
+            for b in nexts:
+                start_b = first_start.get((task.id, b))
+                if end_a is not None and start_b is not None and start_b < end_a:
+                    v.append(
+                        f"task {task.id}: precedence violated: subtask {b} starts "
+                        f"at {start_b} before predecessor {a} ends at {end_a}"
+                    )
         completion = task_end.get(task.id, Fraction(0))
         late = completion > task.deadline
         entries = listed.get(task.id, [])

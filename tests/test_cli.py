@@ -66,6 +66,24 @@ def test_validate_clean_and_broken(tmp_path, capsys):
     assert "mismatch" in out
 
 
+def test_platform_commands_refuse_an_invalid_set(tmp_path, capsys):
+    # the first violation and how many follow; nothing on stdout
+    doc = json.loads(open(write_reference(tmp_path, 2, 2, 2)).read())
+    doc["tasks"][0]["wcet"] = "999"
+    doc["tasks"][1]["deadline"] = "0"
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
+    for command in ("analyze", "federate", "simulate"):
+        argv = [command, "-i", str(broken), "--speed", "1", "--processors", "2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: invalid task set: task 1: work mismatch: subtasks sum to "
+            "2, declared total is 999 (+1 more)\n"
+        ), command
+
+
 def test_analyze_verdicts(tmp_path, capsys):
     path = write_reference(tmp_path)
     assert main(["analyze", "-i", path, "--speed", "1", "--processors", "10"]) == 0

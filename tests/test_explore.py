@@ -253,8 +253,17 @@ def test_oracle_uses_clusters_when_sharing_fails():
 
 def test_oracle_enforces_size_caps():
     many = TaskSet(name="m", tasks=tuple(seq_task(i, 1, 100 + i) for i in range(1, 7)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^oracle is capped at 5 tasks, got 6$"):
         brute_force_federated_oracle(many, Platform(2, Fraction(1)))
     few = TaskSet(name="f", tasks=(seq_task(1, 1, 2),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^oracle is capped at 4 processors, got 5$"):
         brute_force_federated_oracle(few, Platform(5, Fraction(1)))
+
+
+def test_oracle_refuses_an_unhashable_subtask_id():
+    ts = TaskSet("x", (DagTask(1, 1, 5, None, (Subtask([1], 1),)),))
+    for _ in range(2):  # the refusal kept with the set is repeated
+        with pytest.raises(ValueError) as raised:
+            brute_force_federated_oracle(ts, Platform(1, Fraction(1)))
+        assert str(raised.value) == "oracle refuses task 1: subtask id [1] is not an integer"
+    assert ts._ticks.needs == [] and ts._ticks.groups == {} and ts._ticks.makespans == {}

@@ -259,6 +259,20 @@ def test_allocate_infeasible_when_critical_path_too_long():
     assert result.processors_needed is None
 
 
+def test_allocate_refuses_a_heavy_task_with_a_cycle():
+    loop = DagTask(
+        id=1,
+        wcet_total=4,
+        deadline=3,
+        period=None,
+        subtasks=(Subtask(1, Fraction(2)), Subtask(2, Fraction(2))),
+        edges=((1, 2), (2, 1)),
+    )
+    with pytest.raises(ValueError) as raised:
+        allocate_federated(TaskSet(name="c", tasks=(loop,)), Platform(4, Fraction(1)))
+    assert str(raised.value) == "task 1: dependency cycle among subtasks"
+
+
 def test_allocation_is_independently_recheckable():
     ts = reference_set()
     plat = Platform(10, Fraction(6))

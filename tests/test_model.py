@@ -260,6 +260,29 @@ def test_an_unhashable_edge_endpoint_is_reported_not_raised():
     ]
 
 
+def test_an_unhashable_subtask_id_is_reported_not_raised():
+    # no edge can name it, so it is no false cycle; it runs as a path alone
+    task = DagTask(1, 1, 5, None, (Subtask([1], 1),))
+    assert task.successors == {} and task.topological_order == ()
+    assert validate_task_set(TaskSet("x", (task,))) == [
+        "task 1: subtask id [1] is not an integer"
+    ]
+    pair = DagTask(1, 5, 9, None, (Subtask(1, 2), Subtask([2], 3)), ((1, [2]),))
+    assert span(pair) == 3
+    assert validate_task_set(TaskSet("y", (pair, dataclasses.replace(pair, id=2)))) == [
+        "task 1: subtask id [2] is not an integer",
+        "task 1: edge (1, [2]) has an endpoint that is not an integer",
+        "task 2: subtask id [2] is not an integer",
+        "task 2: edge (1, [2]) has an endpoint that is not an integer",
+    ]
+    twice = DagTask(1, 2, 5, None, (Subtask([1], 1), Subtask([1], 1)))
+    assert validate_task_set(TaskSet("z", (twice,))) == [
+        "task 1: subtask id [1] is not an integer",
+        "task 1: subtask id [1] is not an integer",
+        "task 1: duplicate subtask ids: [[1], [1]]",
+    ]
+
+
 def test_the_tick_view_has_a_size_limit(monkeypatch):
     # tick 6 (3 bits) over four values: two wcets and two deadlines
     tasks = (make_task(1, (Fraction(1, 2),)), make_task(2, (Fraction(1, 3),)))
@@ -425,8 +448,9 @@ def test_edge_free_dag_view_matches_the_general_walk():
         assert free.successors == general.successors
         assert free.topological_order == general.topological_order
         assert span(free) == span(general)
-        sets = TaskSet("f", (free,)), TaskSet("g", (general,))
-        assert sets[0]._ticks == sets[1]._ticks
+        views = TaskSet("f", (free,))._ticks, TaskSet("g", (general,))._ticks
+        for name in views[0].__slots__:
+            assert getattr(views[0], name) == getattr(views[1], name), name
         # a repeated id takes its last wcet; a negative one is no path
         assert span(free) == max([0, *dict(zip(ids, wcets)).values()])
 

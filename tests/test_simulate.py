@@ -377,6 +377,56 @@ def test_check_trace_flags_wrong_miss_list():
     assert check_trace(ts, late) != []
 
 
+def test_check_trace_words_each_tampering():
+    ts = TaskSet(name="one", tasks=(seq_task(1, 3, 5),))
+    trace = simulate_list_schedule(ts.tasks[0], 1, Fraction(1))
+    assert check_trace(ts, trace) == []
+    (run,) = trace.intervals
+    backwards = ScheduleTrace(
+        trace.speed, None, (run._replace(start=run.end, end=run.start),), ()
+    )
+    assert check_trace(ts, backwards) == [
+        "interval for task 1 subtask 1 on processor 1: start 3 is not before end 0",
+        "task 1 subtask 1: executed work -3 != expected 3 (1 job(s) of wcet 3)",
+    ]
+    on_time = ScheduleTrace(
+        trace.speed, None, trace.intervals, (DeadlineMiss(1, Fraction(5), Fraction(3)),)
+    )
+    assert check_trace(ts, on_time) == [
+        "miss entry for task 1: completion 3 is not after deadline 5",
+        "task 1: miss listed but the job completed at 3, within deadline 5",
+    ]
+    late_run = run._replace(start=Fraction(4), end=Fraction(7))
+    wrong = ScheduleTrace(
+        trace.speed, None, (late_run,), (DeadlineMiss(1, Fraction(5), Fraction(6)),)
+    )
+    assert check_trace(ts, wrong) == [
+        "task 1: miss entry (5, 6) disagrees with the trace (5, 7)"
+    ]
+
+
+def test_check_trace_reads_precedence_past_an_unhashable_edge():
+    # the edge ([1], 2) names no subtask, so only 1 -> 2 orders the job
+    task = DagTask(
+        id=1,
+        wcet_total=2,
+        deadline=5,
+        period=None,
+        subtasks=(Subtask(1, Fraction(1)), Subtask(2, Fraction(1))),
+        edges=(([1], 2), (1, 2)),
+    )
+    ts = TaskSet(name="u", tasks=(task,))
+    trace = simulate_list_schedule(task, 2, Fraction(1))
+    assert [(iv.subtask, iv.start) for iv in trace.intervals] == [(1, 0), (2, 1)]
+    assert check_trace(ts, trace) == []
+    swapped = trace.intervals[0]._replace(start=Fraction(1), end=Fraction(2))
+    second = trace.intervals[1]._replace(start=Fraction(0), end=Fraction(1))
+    bad = ScheduleTrace(trace.speed, None, (second, swapped), ())
+    assert check_trace(ts, bad) == [
+        "task 1: precedence violated: subtask 2 starts at 0 before predecessor 1 ends at 2"
+    ]
+
+
 def test_check_trace_accepts_generated_traces():
     for seed in range(25):
         ts = random_task_set(seed)

@@ -104,6 +104,23 @@ def test_error_on_malformed_edge():
         loaded(doc)
 
 
+@pytest.mark.parametrize(
+    "mangle, message",
+    [
+        (lambda doc: doc.update(tasks={"1": {}}), "tasks: expected a list"),
+        (lambda doc: doc["tasks"].append([1]), "tasks[1]: expected an object"),
+        (lambda doc: doc["tasks"][0].update(subtasks={}), "tasks[0].subtasks: expected a list"),
+        (lambda doc: doc["tasks"][0].update(edges=None), "tasks[0].edges: expected a list"),
+    ],
+)
+def test_each_shape_error_names_its_field(mangle, message):
+    doc = base_doc()
+    mangle(doc)
+    with pytest.raises(ValueError) as raised:
+        loaded(doc)
+    assert str(raised.value) == message
+
+
 def test_error_on_missing_name():
     with pytest.raises(ValueError, match="name"):
         loaded({"tasks": []})
