@@ -30,7 +30,7 @@ from .feasibility import (
 from .federated import Infeasible, allocate_federated
 from .generate import CounterexampleParams, build_counterexample
 from .model import Platform, TaskSet, validate_task_set
-from .rational import format_rational, format_ticks, parse_rational
+from .rational import _ticks_texts, format_rational, format_ticks, parse_rational
 from .simulate import _simulate_ticks
 from .taskio import dump_task_set, read_task_set, save_task_set
 
@@ -158,10 +158,14 @@ _ANALYZE_HEAD = (
     '  "per_processor_demand": ['
 )
 _TABLE = '{}\n    {{\n      "processor": {},\n      "points": '
-_POINT = (
-    '        {{\n          "t": "{}",\n          "demand": "{}",\n'
-    '          "capacity": "{}"\n        }}'
-)
+# one processor's points, written a column at a time: the pieces of the
+# layout before the first t, between a point's values, between two points
+# and after the last capacity
+_POINTS_OPEN = '[\n        {\n          "t": "'
+_DEMAND = '",\n          "demand": "'
+_CAPACITY = '",\n          "capacity": "'
+_NEXT_POINT = '"\n        },\n        {\n          "t": "'
+_POINTS_CLOSE = '"\n        }\n      ]'
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -199,23 +203,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     speed = format_rational(plat.speed)
     # t and demand in ticks of 1/S; the capacity (p/q)*t as p*t ticks of 1/(q*S)
     scale = ts._ticks.scale
-    p, wide = plat.speed.numerator, scale * plat.speed.denominator
+    p, q = plat.speed.numerator, plat.speed.denominator
     # each job shape's points once, written for each of its processors; held
     # only by ``texts``, a shape's text goes with its last processor's table
     texts = {}
     for procs in groups.values():
-        items = _tick_items(ts, procs[0][1])
-        points = [
-            _POINT.format(
-                format_ticks(t, scale),
-                format_ticks(demand, scale),
-                format_ticks(p * t, wide),
-            )
-            for t, demand in _demand_table(items, _horizon(items, scale), scale)
-        ]
-        texts.update(
-            dict.fromkeys([proc for proc, _ in procs], "[\n" + ",\n".join(points) + "\n      ]")
-        )
+        text = _points_text(_tick_items(ts, procs[0][1]), scale, p, q)
+        texts.update(dict.fromkeys([proc for proc, _ in procs], text))
     order = sorted(texts)
     write = sys.stdout.write
     write(_ANALYZE_HEAD.format(verdict, speed, plat.processors))
@@ -228,6 +222,27 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     return 0 if feasible else 1
+
+
+def _points_text(
+    items: list[tuple[int, int, int | None]], scale: int, p: int, q: int
+) -> str:
+    """The points of a processor with int ``items`` on tick ``1/scale`` at
+    speed p/q, as analyze writes them, in one join: the template's pieces
+    with a slot per value, each column formatted straight into its slots,
+    so that no column is held beside the text."""
+    steps = _demand_table(items, _horizon(items, scale), scale)
+    # every placed processor has a step, so there is a first point
+    parts = [_NEXT_POINT, None, _DEMAND, None, _CAPACITY, None] * len(steps)
+    parts.append(_POINTS_CLOSE)
+    parts[0] = _POINTS_OPEN
+    parts[1::6] = _ticks_texts([t for t, _ in steps], scale)
+    parts[3::6] = _ticks_texts([demand for _, demand in steps], scale)
+    # at speed 1 (p == q) the capacity column is the t column
+    wide = scale * q
+    parts[5::6] = parts[1::6] if p == q else _ticks_texts((p * t for t, _ in steps), wide)
+    del steps  # the step dict goes before the text is built
+    return "".join(parts)
 
 
 def _cmd_federate(args: argparse.Namespace) -> int:
@@ -270,10 +285,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     horizon = None if args.horizon is None else parse_rational(args.horizon)
     groups = _partition(ts, partition_by_subtask_index(ts, plat.processors), plat)
     scale, _, runs, missed = _simulate_ticks(ts, groups, plat, horizon)
+    # each time by _ticks_texts's rule, inline: columns of strings held
+    # beside the lines would add about 2 MB on the benchmark's recurring set
     lines = ["processor,task,subtask,start,end"]
     lines += [
         f"{proc},{task},{subtask},"
-        f"{format_ticks(start, scale)},{format_ticks(end, scale)}"
+        f"{format_ticks(start, scale) if start % scale else start // scale},"
+        f"{format_ticks(end, scale) if end % scale else end // scale}"
         for proc, task, subtask, start, end in runs
     ]
     lines.append(f"# misses={len(missed)}")

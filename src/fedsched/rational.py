@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd
+from typing import Iterable
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
@@ -52,3 +53,12 @@ def format_ticks(ticks: int, scale: int) -> str:
     if g == scale:
         return str(ticks // scale)
     return f"{ticks // g}/{scale // g}"
+
+
+def _ticks_texts(values: Iterable[int], scale: int) -> list[str]:
+    """``[format_ticks(v, scale) for v in values]``, a column at a time: on
+    tick 1 every value is a whole number, and on any other tick only the
+    values that are not a multiple of it need a gcd."""
+    if scale == 1:
+        return list(map(str, values))
+    return [format_ticks(v, scale) if v % scale else str(v // scale) for v in values]

@@ -25,7 +25,7 @@ from .feasibility import (
     _horizon,
     _partition,
 )
-from .model import DagTask, Platform, TaskSet, _is_int, _positive_speed
+from .model import DagTask, Platform, TaskSet, _can_key, _is_int, _positive_speed
 from .rational import format_rational
 
 
@@ -210,12 +210,22 @@ def _simulate_ticks(
     for proc in sorted(runs_of):
         runs += runs_of[proc]
 
-    missed: list[tuple[int, int, int]] = []
+    # an entry of ``late`` is a miss of the one task with its id; a task
+    # that shares its id, or has no subtask and so is done at release, is
+    # probed at each release
+    shared = Counter(task.id for task in ts)
+    deadline_of = {task.id: deadline for task, deadline in zip(ts, deadlines)}
+    missed = [
+        (r + deadline_of[tid], tid, done)
+        for (tid, r), done in late.items()
+        if shared[tid] == 1
+    ]
     for task, releases, deadline in zip(ts, release_table, deadlines):
-        for r in releases:
-            done = late.get((task.id, r), r)  # a job with no subtasks is done at release
-            if done > r + deadline:
-                missed.append((r + deadline, task.id, done))
+        if shared[task.id] > 1 or not task.subtasks:
+            for r in releases:
+                done = late.get((task.id, r), r)
+                if done > r + deadline:
+                    missed.append((r + deadline, task.id, done))
     missed.sort(key=itemgetter(0, 1))
     return ticks.scale * p, horizon, runs, missed
 
@@ -302,6 +312,15 @@ def _list_schedule(
     return runs
 
 
+def _require_keyed_ids(task: DagTask) -> None:
+    """Refuse, in :func:`fedsched.model.validate_task_set`'s words, a
+    subtask id that cannot key a dict: the list scheduler and
+    :func:`check_trace` keep their work per subtask id."""
+    for st in task.subtasks:
+        if not _can_key(st.id):
+            raise ValueError(f"task {task.id}: subtask id {st.id!r} is not an integer")
+
+
 def simulate_list_schedule(task: DagTask, m: int, speed: Fraction) -> ScheduleTrace:
     """Run one job of ``task`` on a dedicated cluster of ``m`` processors,
     greedily and non-preemptively.
@@ -320,6 +339,7 @@ def simulate_list_schedule(task: DagTask, m: int, speed: Fraction) -> ScheduleTr
     if not _is_int(m) or m < 1:
         raise ValueError(f"cluster size must be an integer of at least 1, got {m!r}")
     _positive_speed(speed)
+    _require_keyed_ids(task)
     tick, wcets = task._own_ticks()
     q, scale = speed.denominator, tick * speed.numerator
     runs = _list_schedule(task, wcets, m)
@@ -351,8 +371,10 @@ def check_trace(ts: TaskSet, trace: ScheduleTrace) -> list[str]:
         across releases, so the deep checks are skipped).
 
     Returns one message per violation; an empty list means the trace
-    checks out.
+    checks out.  Raises ValueError for a subtask id that cannot key a dict.
     """
+    for task in ts:
+        _require_keyed_ids(task)
     v: list[str] = []
     by_proc: dict[int, list[Interval]] = {}
     duration: dict[tuple[int, int], Fraction] = {}

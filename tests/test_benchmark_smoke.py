@@ -13,6 +13,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from reference import ref_analyze, ref_simulate
+from test_cli import captured
 
 WORKLOADS_FILE = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -38,6 +40,33 @@ def test_one_pass_has_no_failed_check(name, tmp_path):
     assert ops
     problems = [f"{op.kind}: {msg}" for op in ops for msg in op.check(op.call())]
     assert problems == []
+
+
+# each instance's file as its workload writes it, its processors and its tick
+INSTANCES = {
+    "recurring": ("recurring.json", 1, 2),
+    "family": (f"family-{workloads.FAMILY_SIZE}.json", workloads.FAMILY_SIZE, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_analyze_and_simulate_write_the_references_bytes_on_the_benchmark_sets(name, tmp_path):
+    # recurring's tick 2 has analyze read its t column again as the
+    # capacity at speed 1; the family's tick 1 writes every time whole,
+    # for 64 processors of one job shape
+    fs = SimpleNamespace(
+        **{mod: importlib.import_module(f"fedsched.{mod}") for mod in workloads.MODULES}
+    )
+    workloads.WORKLOADS[name](fs, tmp_path, 0)
+    file, processors, tick = INSTANCES[name]
+    path = str(tmp_path / file)
+    assert fs.taskio.read_task_set(path)._ticks.scale == tick
+    for speed in ("1", "7/3"):
+        at = ["-i", path, "--speed", speed, "--processors", str(processors)]
+        got = captured(lambda: fs.cli.main(["analyze", *at]))
+        assert got == captured(lambda: ref_analyze(path, speed, processors)), speed
+        got = captured(lambda: fs.cli.main(["simulate", *at]))
+        assert got == captured(lambda: ref_simulate(path, speed, processors, None)), speed
 
 
 # work of the oracle over the first 200 recorded sets, each decided on its

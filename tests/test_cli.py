@@ -378,10 +378,11 @@ def random_cli_set(rng, m):
 def analyze_and_simulate_as_the_references(rng, path, ts, m, kinds, n):
     """Write ``ts`` to ``path``, then require analyze and simulate on its
     ``m`` processors, at speeds and a horizon drawn from ``rng``, to give
-    ref_analyze's and ref_simulate's bytes and exit codes."""
+    ref_analyze's and ref_simulate's bytes and exit codes.  Returns the
+    speed analyze ran at."""
     save_task_set(ts, path)
     at = ["-i", path, "--processors", str(m)]
-    speed = rng.choice(CLI_SPEEDS)
+    speed = analyzed = rng.choice(CLI_SPEEDS)
     got = captured(lambda: main(["analyze", *at, "--speed", speed]))
     assert got == captured(lambda: ref_analyze(path, speed, m)), (n, "analyze", speed)
     kinds[{0: "feasible", 1: "infeasible", 2: "analyze refused"}[got[0]]] += 1
@@ -394,6 +395,17 @@ def analyze_and_simulate_as_the_references(rng, path, ts, m, kinds, n):
     kinds[f"speed {speed}"] += 1
     kinds[f"horizon {horizon}"] += 1
     kinds["recurring" if any(t.period for t in ts) else "one-shot"] += 1
+    return analyzed
+
+
+def in_whole_ticks(ts):
+    """``ts`` with every time multiplied by its tick, so that its tick is 1."""
+    scale = ts._ticks.scale
+    return TaskSet(ts.name, tuple(
+        DagTask(t.id, t.wcet_total * scale, t.deadline * scale, t.period and t.period * scale,
+                tuple(Subtask(st.id, st.wcet * scale) for st in t.subtasks))
+        for t in ts
+    ))
 
 
 def test_tick_output_matches_the_fraction_formatting(tmp_path, monkeypatch):
@@ -408,8 +420,16 @@ def test_tick_output_matches_the_fraction_formatting(tmp_path, monkeypatch):
         monkeypatch.setattr("fedsched.simulate.MAX_DEMAND_STEPS", limit)
         m = rng.randint(1, 3)
         ts = random_cli_set(rng, m)
-        analyze_and_simulate_as_the_references(rng, path, ts, m, kinds, n)
-        kinds["tick > 1"] += ts._ticks.scale > 1
+        if n % 5 == 0:
+            ts = in_whole_ticks(ts)
+        speed = analyze_and_simulate_as_the_references(rng, path, ts, m, kinds, n)
+        # each branch of analyze's column formatting: whole ticks, the t
+        # column read again as the capacity, and a capacity column its own
+        tick = ts._ticks.scale
+        kinds["tick > 1"] += tick > 1
+        kinds["tick 1"] += tick == 1
+        kinds["speed 1, tick > 1"] += speed == "1" and tick > 1
+        kinds["speed other than 1"] += speed != "1"
     assert min(kinds.values()) >= 15, kinds
 
 

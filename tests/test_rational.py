@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fedsched.rational import format_rational, parse_rational
+from fedsched.rational import _ticks_texts, format_rational, format_ticks, parse_rational
 
 
 def test_parse_integer():
@@ -74,3 +74,9 @@ def test_round_trip_random():
     for _ in range(300):
         value = Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9))
         assert parse_rational(format_rational(value)) == value
+
+
+def test_a_column_of_ticks_reads_as_each_tick_alone():
+    values = range(-50, 51)
+    for scale in range(1, 13):
+        assert _ticks_texts(values, scale) == [format_ticks(v, scale) for v in values], scale

@@ -427,6 +427,17 @@ def test_check_trace_reads_precedence_past_an_unhashable_edge():
     ]
 
 
+def test_an_unhashable_subtask_id_is_refused_in_the_validator_s_words():
+    task = DagTask(1, 1, 5, None, (Subtask([1], 1),))
+    message = "task 1: subtask id [1] is not an integer"
+    with pytest.raises(ValueError) as raised:
+        simulate_list_schedule(task, 1, Fraction(1))
+    assert str(raised.value) == message
+    with pytest.raises(ValueError) as raised:
+        check_trace(TaskSet("x", (task,)), ScheduleTrace(Fraction(1), None, (), ()))
+    assert str(raised.value) == message
+
+
 def test_check_trace_accepts_generated_traces():
     for seed in range(25):
         ts = random_task_set(seed)
@@ -518,6 +529,54 @@ def test_integer_ticks_match_the_fraction_reference():
         kinds[f"speed {plat.speed}"] += 1
     # every kind of case the generator aims for turns up often
     assert min(kinds.values()) >= 100, kinds
+
+
+def test_tasks_that_share_an_id_match_the_fraction_reference():
+    # validate_task_set refuses a repeated task id, but the simulator takes
+    # one; the reference keeps releases and completions per id, so each
+    # copy of an id here shares its task's deadline and period
+    rng = random.Random(4077)
+    kinds = Counter()
+    for n in range(400):
+        ts, pa, plat = random_partitioned_set(rng)
+        tasks, mapping, shared = list(ts.tasks), dict(pa.mapping), set()
+        for _ in range(rng.randint(1, 2)):
+            like = rng.choice(ts.tasks)
+            shared.add(like.id)
+            sids = rng.sample(range(1, 7), rng.randint(1, 2))
+            subtasks = tuple(Subtask(sid, Fraction(rng.randint(1, 6), 4)) for sid in sids)
+            tasks.insert(rng.randint(0, len(tasks)), DagTask(
+                like.id, sum(st.wcet for st in subtasks), like.deadline, like.period, subtasks
+            ))
+            for sid in sids:
+                mapping.setdefault((like.id, sid), rng.randint(1, plat.processors))
+        ts, pa = TaskSet("shared ids", tuple(tasks)), PartitionedAssignment(mapping)
+        horizon = random_horizon(rng, ts)
+        got = simulate_partitioned_edf(ts, pa, plat, horizon=horizon)
+        assert got == reference_partitioned_edf(ts, pa, plat, horizon=horizon), n
+        kinds["misses" if got.misses else "on time"] += 1
+        kinds["a shared id misses"] += any(miss.task in shared for miss in got.misses)
+        kinds["recurring" if any(t.period for t in ts) else "one-shot only"] += 1
+    assert min(kinds.values()) >= 50, kinds
+
+
+def test_a_shared_id_reads_the_latest_late_finish_of_its_release():
+    # the job of task 1 with deadline 5 ends at 3, its namesake's at 11,
+    # after deadline 10: both are late at 11; task 2 has no subtask, so
+    # each of its jobs is done at its release, after its deadline
+    ts = TaskSet("ids", (
+        DagTask(1, 3, 5, None, (Subtask(1, 3),)),
+        DagTask(1, 8, 10, None, (Subtask(2, 8),)),
+        DagTask(2, 0, -1, 4, ()),
+    ))
+    pa = PartitionedAssignment({(1, 1): 1, (1, 2): 1})
+    trace = simulate_partitioned_edf(ts, pa, Platform(1, Fraction(1)), Fraction(5))
+    assert trace.misses == (
+        DeadlineMiss(2, Fraction(-1), Fraction(0)),
+        DeadlineMiss(2, Fraction(3), Fraction(4)),
+        DeadlineMiss(1, Fraction(5), Fraction(11)),
+        DeadlineMiss(1, Fraction(10), Fraction(11)),
+    )
 
 
 # --- processors that share one item list ------------------------------------
