@@ -15,6 +15,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -134,6 +135,45 @@ def _edf_on_one_processor(
     return out
 
 
+def _replay(
+    proc: int,
+    jobs: list[tuple[int, int, int, int, int]],
+    hyper: int,
+    copies: int,
+    cut: int,
+    late: dict[tuple[int, int], int],
+) -> list[tuple[int, int, int, int, int]] | None:
+    """:func:`_edf_on_one_processor` over ``copies`` copies of ``jobs``,
+    all released before ``hyper``, the k-th shifted by ``k*hyper``, then
+    over those released by ``cut``, shifted by ``copies*hyper``: one run
+    of ``jobs`` and one of the cut, the rest copied (see
+    :func:`_simulate_ticks`).  None, with ``late`` untouched, when a job
+    of ``jobs`` would still be pending at ``hyper``: when the last run
+    ends after it, or at it with a job of no work that may wait there
+    behind the next copy's jobs."""
+    seg_late: dict[tuple[int, int], int] = {}
+    seg = _edf_on_one_processor(proc, jobs, seg_late)
+    end = seg[-1][4] if seg else 0
+    if end > hyper or end == hyper and any(job[4] == 0 for job in jobs):
+        return None
+    tail_late: dict[tuple[int, int], int] = {}
+    tail = _edf_on_one_processor(proc, [job for job in jobs if job[0] <= cut], tail_late)
+    out = seg.copy()
+    for k in range(copies + 1):
+        shift = k * hyper
+        part, part_late = (seg, seg_late) if k < copies else (tail, tail_late)
+        for (task, release), done in part_late.items():
+            key, done = (task, release + shift), done + shift
+            late[key] = max(late.get(key, done), done)
+        if k and part:
+            # the kernel's own stitch of back-to-back runs of one subtask
+            if out[-1][4] == part[0][3] + shift and out[-1][1:3] == part[0][1:3]:
+                out[-1] = (*out[-1][:4], part[0][4] + shift)
+                part = part[1:]
+            out += [(proc, t, s, a + shift, b + shift) for _, t, s, a, b in part]
+    return out
+
+
 def _simulate_ticks(
     ts: TaskSet,
     groups: _Groups,
@@ -151,7 +191,28 @@ def _simulate_ticks(
     processor order and the misses as (deadline, task id, completion) in
     (deadline, task id) order, every time in ticks of ``1/scale``.  EDF
     runs once per job shape, on its first processor, and the others of
-    that shape take its runs relabelled."""
+    that shape take its runs relabelled.
+
+    A first processor whose placed tasks all recur, with hyperperiod ``H``
+    (the lcm of their periods, in these ticks) up to the last release,
+    runs EDF only over the jobs released before ``H``.  If nothing is
+    left pending at ``H`` (see :func:`_replay`), that run is copied,
+    shifted by ``k*H``, for each whole hyperperiod, and one more run of
+    those jobs up to the leftover cut, shifted into place, ends the
+    trace.  That is the run over every job:
+
+    - EDF compares only instants and (deadline, task id, subtask id,
+      release, position), and a shift by ``H`` keeps every comparison;
+    - every period divides ``H``, so the jobs released in
+      ``[k*H, (k+1)*H)`` are the first ones shifted, in the same order;
+    - before ``H``, only the jobs released before ``H`` matter;
+    - with no backlog at ``H``, the state at ``H`` is the state at 0.
+
+    At each junction, back-to-back runs of one subtask are joined by the
+    kernel's own rule, and each entry of ``late`` is shifted with them,
+    keeping the larger completion where two meet.  A processor with a
+    backlog at ``H``, a one-shot task or a last release before ``H``
+    takes one run over all of its jobs."""
     ticks = ts._ticks
     for task, period, wcets in zip(ts, ticks.period, ticks.wcets):
         if period is not None and period <= 0:
@@ -182,10 +243,22 @@ def _simulate_ticks(
     p, q = plat.speed.numerator, plat.speed.denominator
     # release instants; a one-shot task's one job is released at 0
     release_table = [
-        [k * (period or 0) * p for k in range(_job_count(task, horizon))]
+        range(0, _job_count(task, horizon) * period * p, period * p) if period else range(1)
         for task, period in zip(ts, ticks.period)
     ]
     deadlines = [deadline * p for deadline in ticks.deadline]
+
+    def jobs_of(placed, until=0):
+        # the jobs of ``placed``, by release; if ``until`` is given, those
+        # released before it, which every placed task then releases
+        jobs = []
+        for i, k in placed:
+            tid, deadline = ts.tasks[i].id, deadlines[i]
+            sid, work = ts.tasks[i].subtasks[k].id, ticks.wcets[i][k] * q
+            releases = range(0, until, ticks.period[i] * p) if until else release_table[i]
+            jobs.extend((r, r + deadline, tid, sid, work) for r in releases)
+        jobs.sort(key=itemgetter(0))
+        return jobs
 
     # the subtask jobs of one task job share its deadline, so the job is
     # late exactly when one of them finishes late, and then it completes
@@ -193,15 +266,19 @@ def _simulate_ticks(
     late: dict[tuple[int, int], int] = {}
     runs_of: dict[int, list[tuple[int, int, int, int, int]]] = {}
     for (first, placed), *others in groups.values():
-        proc_jobs = []
-        for i, k in placed:
-            tid, deadline = ts.tasks[i].id, deadlines[i]
-            sid, work = ts.tasks[i].subtasks[k].id, ticks.wcets[i][k] * q
-            proc_jobs.extend(
-                (r, r + deadline, tid, sid, work) for r in release_table[i]
-            )
-        proc_jobs.sort(key=itemgetter(0))
-        runs_of[first] = _edf_on_one_processor(first, proc_jobs, late)
+        # the placed tasks' hyperperiod, 0 when one of them is one-shot
+        hyper = lcm(*(ticks.period[i] or 0 for i, _ in placed)) * p
+        last = max(release_table[i][-1] for i, _ in placed)
+        runs = None
+        if 0 < hyper <= last:
+            # the whole hyperperiods end by every task's first release
+            # past the horizon
+            copies = min(release_table[i].stop for i, _ in placed) // hyper
+            cut = last - copies * hyper
+            runs = _replay(first, jobs_of(placed, hyper), hyper, copies, cut, late)
+        if runs is None:
+            runs = _edf_on_one_processor(first, jobs_of(placed), late)
+        runs_of[first] = runs
         for proc, placed in others:
             # each task id here stands for one subtask: relabel by task id
             sids = {ts.tasks[i].id: ts.tasks[i].subtasks[k].id for i, k in placed}
@@ -254,6 +331,11 @@ def simulate_partitioned_edf(
     period) and ``p/q`` the speed, so every release, deadline and event
     instant is an exact tick count; only the returned endpoints are
     built as ``Fraction``.
+
+    On a processor whose tasks all recur, EDF runs over the first
+    hyperperiod only, when it leaves no job pending at the hyperperiod,
+    and the later whole hyperperiods copy that run, shifted: the trace
+    is the one a run over every job gives (see :func:`_simulate_ticks`).
     """
     scale, horizon, runs, missed = _simulate_ticks(
         ts, _partition(ts, pa, plat), plat, horizon
@@ -371,9 +453,12 @@ def check_trace(ts: TaskSet, trace: ScheduleTrace) -> list[str]:
         across releases, so the deep checks are skipped).
 
     Returns one message per violation; an empty list means the trace
-    checks out.  Raises ValueError for a subtask id that cannot key a dict.
+    checks out.  Raises ValueError for a task or subtask id that cannot key
+    a dict.
     """
     for task in ts:
+        if not _can_key(task.id):
+            raise ValueError(f"task set {ts.name!r}: task id {task.id!r} is not an integer")
         _require_keyed_ids(task)
     v: list[str] = []
     by_proc: dict[int, list[Interval]] = {}

@@ -187,3 +187,29 @@ def test_a_family_pass_handles_each_distinct_processor_once(monkeypatch, tmp_pat
     ops = workloads.family(fs, tmp_path, 0)
     assert [msg for op in ops for msg in op.check(op.call())] == []
     assert counts == {"_first_violation": 4, "_edf_on_one_processor": 4, "_demand_table": 1}
+
+
+def test_simulate_runs_the_kernel_over_one_hyperperiod_of_the_recurring_set(monkeypatch, tmp_path):
+    # the recurring set releases 14585 jobs up to its default horizon, the
+    # largest deadline plus two hyperperiods: the kernel runs the first
+    # hyperperiod and the few jobs after the last whole one.  The family's
+    # processors hold one-shot tasks only: one run of their one job shape
+    fs = SimpleNamespace(
+        **{mod: importlib.import_module(f"fedsched.{mod}") for mod in workloads.MODULES}
+    )
+    handed = []
+    kernel = fs.simulate._edf_on_one_processor
+
+    def counted(proc, jobs, late):
+        handed.append(len(jobs))
+        return kernel(proc, jobs, late)
+
+    monkeypatch.setattr(fs.simulate, "_edf_on_one_processor", counted)
+    for name, calls, most in (("recurring", 2, 7300), ("family", 1, 64)):
+        workloads.WORKLOADS[name](fs, tmp_path, 0)
+        file, processors, _ = INSTANCES[name]
+        for speed in ("1", "7/3"):
+            handed.clear()
+            at = ["-i", str(tmp_path / file), "--speed", speed, "--processors", str(processors)]
+            assert captured(lambda: fs.cli.main(["simulate", *at]))[0] == 0
+            assert len(handed) == calls and sum(handed) <= most, (name, speed, handed)

@@ -22,7 +22,7 @@ from fedsched.generate import CounterexampleParams, build_counterexample
 from fedsched.model import MAX_TICK_BITS, DagTask, Platform, Subtask, TaskSet
 from fedsched.simulate import simulate_partitioned_edf
 from fedsched.taskio import read_task_set, save_task_set
-from reference import ref_analyze, ref_simulate
+from reference import ref_analyze, ref_simulate, reference_partitioned_edf
 
 
 def write_reference(tmp_path, m=10, n=10, k=2):
@@ -396,6 +396,31 @@ def analyze_and_simulate_as_the_references(rng, path, ts, m, kinds, n):
     kinds[f"horizon {horizon}"] += 1
     kinds["recurring" if any(t.period for t in ts) else "one-shot"] += 1
     return analyzed
+
+
+def test_simulate_writes_the_reference_bytes_over_fifty_hyperperiods(tmp_path):
+    # hyperperiod 6 on a tick of 1/2, at 50 hyperperiods and one tick
+    # less: the simulator runs the first hyperperiod and copies it, the
+    # Fraction simulator runs every job
+    path, plat, half = str(tmp_path / "set.json"), Platform(1, Fraction(1)), Fraction(1, 2)
+
+    def task(tid, wcet, deadline, period):
+        return DagTask(tid, wcet, deadline, period, (Subtask(1, wcet),))
+
+    late = (task(1, 1, 1, 3 * half), task(2, half, 1, 2))
+    on_time = (task(1, half, 3 * half, 3 * half), task(2, half, 2, 2))
+    for tasks, code in ((late, 1), (on_time, 0)):
+        ts = TaskSet("long", tasks)
+        save_task_set(ts, path)
+        pa = partition_by_subtask_index(ts, 1)
+        for horizon in ("300", "599/2"):
+            at = ["-i", path, "--speed", "1", "--processors", "1", "--horizon", horizon]
+            got = captured(lambda: main(["simulate", *at]))
+            assert got[0] == code
+            assert got == captured(lambda: ref_simulate(path, "1", 1, horizon)), horizon
+            assert simulate_partitioned_edf(ts, pa, plat, Fraction(horizon)) == (
+                reference_partitioned_edf(ts, pa, plat, Fraction(horizon))
+            ), horizon
 
 
 def in_whole_ticks(ts):

@@ -2,6 +2,8 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
+from operator import itemgetter
 
 import pytest
 
@@ -19,6 +21,8 @@ from fedsched.simulate import (
     DeadlineMiss,
     Interval,
     ScheduleTrace,
+    _edf_on_one_processor,
+    _simulate_ticks,
     check_trace,
     simulate_list_schedule,
     simulate_partitioned_edf,
@@ -438,6 +442,13 @@ def test_an_unhashable_subtask_id_is_refused_in_the_validator_s_words():
     assert str(raised.value) == message
 
 
+def test_an_unhashable_task_id_is_refused_in_the_validator_s_words():
+    ts = TaskSet("x", (DagTask([1], 1, 5, None, (Subtask(1, 1),)),))
+    with pytest.raises(ValueError) as raised:
+        check_trace(ts, ScheduleTrace(Fraction(1), None, (), ()))
+    assert str(raised.value) == "task set 'x': task id [1] is not an integer"
+
+
 def test_check_trace_accepts_generated_traces():
     for seed in range(25):
         ts = random_task_set(seed)
@@ -725,3 +736,158 @@ def test_twin_processors_match_a_scan_and_a_run_of_each(monkeypatch):
         kinds["explicit horizon"] += horizon is not None
         kinds[f"speed {plat.speed}"] += 1
     assert min(kinds.values()) >= 50, kinds
+
+
+# --- one hyperperiod per recurring processor ----------------------------------
+#
+# The simulator runs EDF over one hyperperiod of a processor whose tasks all
+# recur and copies that run over the later whole hyperperiods, unless a job
+# is still pending at the hyperperiod.  The test below requires every trace
+# and miss list to be that of one kernel run over all of each processor's
+# jobs, and counts which way each processor went.
+
+REPLAY_PERIODS = tuple(map(Fraction, ("3/2", "2", "3", "4", "6", "5/2")))
+
+
+def plain_ticks(ts, groups, plat, horizon):
+    """:func:`_simulate_ticks`'s runs and misses from one kernel run over
+    every job of each processor, and each processor's job count."""
+    ticks, p, q = ts._ticks, plat.speed.numerator, plat.speed.denominator
+    releases = [
+        [0] if period is None else [k * period * p for k in range(horizon * ticks.scale // period + 1)]
+        for period in ticks.period
+    ]
+    late, runs, counts = {}, {}, {}
+    for procs in groups.values():
+        for proc, placed in procs:
+            jobs = sorted(
+                (
+                    (r, r + ticks.deadline[i] * p, ts.tasks[i].id, ts.tasks[i].subtasks[k].id,
+                     ticks.wcets[i][k] * q)
+                    for i, k in placed
+                    for r in releases[i]
+                ),
+                key=itemgetter(0),
+            )
+            runs[proc] = _edf_on_one_processor(proc, jobs, late)
+            counts[proc] = len(jobs)
+    missed = [
+        (r + ticks.deadline[i] * p, task.id, late.get((task.id, r), r))
+        for i, task in enumerate(ts)
+        for r in releases[i]
+        if late.get((task.id, r), r) > r + ticks.deadline[i] * p
+    ]
+    missed.sort(key=itemgetter(0, 1))
+    return [run for proc in sorted(runs) for run in runs[proc]], missed, counts
+
+
+def replay_case(rng):
+    """A recurring edge-free set, its partition, a platform and a horizon:
+    shared task ids, zero wcets, negative deadlines, several subtasks of
+    one task on one processor; now and then a one-shot task, and now and
+    then one processor loaded exactly to its speed."""
+    m = rng.randint(1, 3)
+    load = rng.choice((Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2)))
+    tasks = []
+    for n in range(rng.randint(1, 5)):
+        tid = n + 1 if rng.random() < 0.85 else rng.randint(1, n + 1)
+        period = rng.choice(REPLAY_PERIODS) if rng.random() < 0.9 else None
+        deadline = Fraction(rng.randint(-2, 16), rng.choice((1, 2, 3)))
+        if period is not None and rng.random() < 0.4:
+            deadline = period
+        subtasks = tuple(
+            Subtask(sid, Fraction(rng.randint(1, 4), rng.choice((2, 3, 5))) * load)
+            if rng.random() < 0.9 else Subtask(sid, 0)
+            for sid in rng.sample(range(1, 5), rng.randint(1, 3))
+        )
+        tasks.append(DagTask(tid, sum(st.wcet for st in subtasks), deadline, period, subtasks))
+    if rng.random() < 0.2:
+        # one processor of single-subtask tasks, filled to utilization 1,
+        # and a task of no work whose jobs wait behind the others
+        m, periods = 1, rng.sample(REPLAY_PERIODS, rng.randint(1, 3))
+        shares = [Fraction(rng.randint(1, 4)) for _ in periods]
+        wcets = [share / sum(shares) * period for share, period in zip(shares, periods)]
+        tasks = [
+            DagTask(tid, wcet, period * rng.choice((1, 2)) - 1, period, (Subtask(1, wcet),))
+            for tid, (wcet, period) in enumerate(zip(wcets, periods), start=1)
+        ]
+        period = rng.choice(REPLAY_PERIODS)
+        tasks.append(DagTask(len(tasks) + 1, 0, period + 1, period, (Subtask(1, 0),)))
+    ts = TaskSet("replay", tuple(tasks))
+    pa = PartitionedAssignment(
+        {(t.id, st.id): rng.randint(1, m) for t in ts for st in t.subtasks}
+    )
+    plat = Platform(m, rng.choice((Fraction(1), Fraction(1), Fraction(3, 2), Fraction(7, 3))))
+    # the lcm of the periods as rationals, 1 when none recurs
+    periods = [t.period for t in ts if t.period is not None] or [Fraction(1)]
+    hyper = Fraction(lcm(*(per.numerator for per in periods)),
+                     gcd(*(per.denominator for per in periods)))
+    choice = rng.random()
+    if choice < 0.25:
+        return ts, pa, plat, None
+    if choice < 0.8:
+        tick = Fraction(1, ts._ticks.scale)
+        return ts, pa, plat, max(0, hyper * rng.randint(1, 4) + rng.choice((-tick, 0, tick)))
+    return ts, pa, plat, Fraction(rng.randint(0, 60), rng.choice((1, 7)))
+
+
+def test_one_hyperperiod_replayed_matches_one_run_over_every_job(monkeypatch):
+    handed = {}
+
+    def counted(proc, jobs, late):
+        handed.setdefault(proc, []).append(len(jobs))
+        return _edf_on_one_processor(proc, jobs, late)
+
+    monkeypatch.setattr("fedsched.simulate._edf_on_one_processor", counted)
+    rng = random.Random(1980)
+    kinds = Counter()
+    for n in range(1500):
+        ts, pa, plat, horizon = replay_case(rng)
+        kinds["explicit horizon"] += horizon is not None
+        groups = _partition(ts, pa, plat)
+        handed.clear()
+        scale, horizon, runs, missed = _simulate_ticks(ts, groups, plat, horizon)
+        want_runs, want_missed, counts = plain_ticks(ts, groups, plat, horizon)
+        assert (runs, missed) == (want_runs, want_missed), n
+        assert scale == ts._ticks.scale * plat.speed.numerator
+        for (first, placed), *_ in groups.values():
+            calls, jobs = handed[first], counts[first]
+            if any(ts.tasks[i].period is None for i, _ in placed):
+                path = "one-shot"
+            elif calls == [jobs]:
+                path = "last release before the hyperperiod"
+            elif calls[-1] == jobs:
+                path = "backlog at the hyperperiod"
+            else:
+                path = "replayed"
+                assert sum(calls) <= jobs and len(calls) <= 2, n
+            kinds[path] += 1
+        kinds["misses" if missed else "on time"] += 1
+        kinds["tick > 1"] += ts._ticks.scale > 1
+        kinds["speed other than 1"] += plat.speed != 1
+        kinds["shared task id"] += len({t.id for t in ts}) < len(ts)
+        kinds["zero wcet"] += any(st.wcet == 0 for t in ts for st in t.subtasks)
+        kinds["negative deadline"] += any(t.deadline < 0 for t in ts)
+        kinds["subtasks of one task together"] += len(pa.mapping) > len(
+            {(tid, proc) for (tid, _), proc in pa.mapping.items()}
+        )
+    floors = {"replayed": 200, "backlog at the hyperperiod": 50,
+              "last release before the hyperperiod": 20}
+    assert all(kinds[path] >= floor for path, floor in floors.items()), kinds
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_a_job_of_no_work_waiting_at_the_hyperperiod_takes_one_run():
+    # task 1 fills the processor; task 2's first job, of no work, waits
+    # behind it until 2, where task 1's next job, of equal deadline and a
+    # lower id, goes first: it completes at 4, after its deadline 3
+    ts = TaskSet("wait", (
+        DagTask(1, 2, 1, 2, (Subtask(1, 2),)),
+        DagTask(2, 0, 3, 2, (Subtask(1, 0),)),
+    ))
+    pa, plat = one_processor(ts), Platform(1, Fraction(1))
+    trace = simulate_partitioned_edf(ts, pa, plat, Fraction(6))
+    assert trace == reference_partitioned_edf(ts, pa, plat, Fraction(6))
+    assert [miss for miss in trace.misses if miss.task == 2] == [
+        DeadlineMiss(2, Fraction(3 + 2 * k), Fraction(4 + 2 * k)) for k in range(3)
+    ]
