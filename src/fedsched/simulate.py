@@ -142,20 +142,14 @@ def _replay(
     copies: int,
     cut: int,
     late: dict[tuple[int, int], int],
-) -> list[tuple[int, int, int, int, int]] | None:
+) -> list[tuple[int, int, int, int, int]]:
     """:func:`_edf_on_one_processor` over ``copies`` copies of ``jobs``,
-    all released before ``hyper``, the k-th shifted by ``k*hyper``, then
-    over those released by ``cut``, shifted by ``copies*hyper``: one run
-    of ``jobs`` and one of the cut, the rest copied (see
-    :func:`_simulate_ticks`).  None, with ``late`` untouched, when a job
-    of ``jobs`` would still be pending at ``hyper``: when the last run
-    ends after it, or at it with a job of no work that may wait there
-    behind the next copy's jobs."""
+    all released before ``hyper`` and none of them pending there, the
+    k-th shifted by ``k*hyper``, then over those released by ``cut``,
+    shifted by ``copies*hyper``: one run of ``jobs`` and one of the cut,
+    the rest copied (see :func:`_simulate_ticks`)."""
     seg_late: dict[tuple[int, int], int] = {}
     seg = _edf_on_one_processor(proc, jobs, seg_late)
-    end = seg[-1][4] if seg else 0
-    if end > hyper or end == hyper and any(job[4] == 0 for job in jobs):
-        return None
     tail_late: dict[tuple[int, int], int] = {}
     tail = _edf_on_one_processor(proc, [job for job in jobs if job[0] <= cut], tail_late)
     out = seg.copy()
@@ -195,11 +189,11 @@ def _simulate_ticks(
 
     A first processor whose placed tasks all recur, with hyperperiod ``H``
     (the lcm of their periods, in these ticks) up to the last release,
-    runs EDF only over the jobs released before ``H``.  If nothing is
-    left pending at ``H`` (see :func:`_replay`), that run is copied,
-    shifted by ``k*H``, for each whole hyperperiod, and one more run of
-    those jobs up to the leftover cut, shifted into place, ends the
-    trace.  That is the run over every job:
+    runs EDF only over the jobs released before ``H`` when none of them
+    is left pending at ``H``; that run is copied, shifted by ``k*H``, for
+    each whole hyperperiod, and one more run of those jobs up to the
+    leftover cut, shifted into place, ends the trace.  That is the run
+    over every job:
 
     - EDF compares only instants and (deadline, task id, subtask id,
       release, position), and a shift by ``H`` keeps every comparison;
@@ -208,11 +202,17 @@ def _simulate_ticks(
     - before ``H``, only the jobs released before ``H`` matter;
     - with no backlog at ``H``, the state at ``H`` is the state at 0.
 
-    At each junction, back-to-back runs of one subtask are joined by the
-    kernel's own rule, and each entry of ``late`` is shifted with them,
-    keeping the larger completion where two meet.  A processor with a
-    backlog at ``H``, a one-shot task or a last release before ``H``
-    takes one run over all of its jobs."""
+    Whether a job is pending at ``H`` is known before any run from the
+    work ``W`` of the jobs released before ``H``.  EDF idles only on an
+    empty heap, and every period divides ``H``, so the work released in
+    ``[t, H)`` is at most ``(H - t)*W/H``.  For ``W < H`` the last run
+    thus ends before ``H``; for ``W == H`` it ends at ``H``, where a job
+    of no work may still wait behind the next copy's jobs; for ``W > H``
+    work is left at ``H``.  At each junction, back-to-back runs of one
+    subtask are joined by the kernel's own rule, and each entry of
+    ``late`` is shifted with them, keeping the larger completion where
+    two meet.  A processor with a backlog at ``H``, a one-shot task or a
+    last release before ``H`` takes one run over all of its jobs."""
     ticks = ts._ticks
     for task, period, wcets in zip(ts, ticks.period, ticks.wcets):
         if period is not None and period <= 0:
@@ -271,11 +271,15 @@ def _simulate_ticks(
         last = max(release_table[i][-1] for i, _ in placed)
         runs = None
         if 0 < hyper <= last:
-            # the whole hyperperiods end by every task's first release
-            # past the horizon
-            copies = min(release_table[i].stop for i, _ in placed) // hyper
-            cut = last - copies * hyper
-            runs = _replay(first, jobs_of(placed, hyper), hyper, copies, cut, late)
+            # the work of the jobs released before ``hyper``
+            wcets = [ticks.wcets[i][k] * q for i, k in placed]
+            work = sum(hyper // (ticks.period[i] * p) * w for (i, _), w in zip(placed, wcets))
+            if work < hyper or work == hyper and all(wcets):
+                # the whole hyperperiods end by every task's first
+                # release past the horizon
+                copies = min(release_table[i].stop for i, _ in placed) // hyper
+                cut = last - copies * hyper
+                runs = _replay(first, jobs_of(placed, hyper), hyper, copies, cut, late)
         if runs is None:
             runs = _edf_on_one_processor(first, jobs_of(placed), late)
         runs_of[first] = runs

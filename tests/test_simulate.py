@@ -744,7 +744,8 @@ def test_twin_processors_match_a_scan_and_a_run_of_each(monkeypatch):
 # recur and copies that run over the later whole hyperperiods, unless a job
 # is still pending at the hyperperiod.  The test below requires every trace
 # and miss list to be that of one kernel run over all of each processor's
-# jobs, and counts which way each processor went.
+# jobs, counts which way each processor went, and requires a processor that
+# is not replayed to take exactly that one run.
 
 REPLAY_PERIODS = tuple(map(Fraction, ("3/2", "2", "3", "4", "6", "5/2")))
 
@@ -850,17 +851,27 @@ def test_one_hyperperiod_replayed_matches_one_run_over_every_job(monkeypatch):
         want_runs, want_missed, counts = plain_ticks(ts, groups, plat, horizon)
         assert (runs, missed) == (want_runs, want_missed), n
         assert scale == ts._ticks.scale * plat.speed.numerator
+        ticks, p, q = ts._ticks, plat.speed.numerator, plat.speed.denominator
         for (first, placed), *_ in groups.values():
             calls, jobs = handed[first], counts[first]
-            if any(ts.tasks[i].period is None for i, _ in placed):
+            periods = [ticks.period[i] for i, _ in placed]
+            if None in periods:
                 path = "one-shot"
-            elif calls == [jobs]:
-                path = "last release before the hyperperiod"
-            elif calls[-1] == jobs:
-                path = "backlog at the hyperperiod"
             else:
-                path = "replayed"
-                assert sum(calls) <= jobs and len(calls) <= 2, n
+                # the work released before the hyperperiod, against it
+                hyper = lcm(*periods) * p
+                last = max(horizon * ticks.scale // period * period * p for period in periods)
+                wcets = [ticks.wcets[i][k] * q for i, k in placed]
+                work = sum(hyper // (period * p) * w for period, w in zip(periods, wcets))
+                if hyper > last:
+                    path = "last release before the hyperperiod"
+                elif work > hyper or work == hyper and 0 in wcets:
+                    path = "backlog at the hyperperiod"
+                else:
+                    path = "replayed"
+                    assert sum(calls) <= jobs and len(calls) == 2, n
+            if path != "replayed":
+                assert calls == [jobs], n
             kinds[path] += 1
         kinds["misses" if missed else "on time"] += 1
         kinds["tick > 1"] += ts._ticks.scale > 1
