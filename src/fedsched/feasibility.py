@@ -24,7 +24,15 @@ from math import lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .model import Platform, TaskSet, _in_ticks, _is_int, _positive_speed, _tick
+from .model import (
+    Platform,
+    TaskSet,
+    _in_ticks,
+    _is_int,
+    _positive_speed,
+    _require_keyed_ids,
+    _tick,
+)
 from .rational import format_rational
 
 # Most step instants one demand scan may enumerate, and most subtask jobs
@@ -265,8 +273,9 @@ def _assigned(
     ts: TaskSet, pa: PartitionedAssignment
 ) -> dict[int, list[tuple[int, int]]]:
     """Per processor, (task index, subtask index) of each subtask assigned
-    to it, in task order and then subtask order.  Raises if the assignment
-    misses any subtask."""
+    to it, in task order and then subtask order.  Raises ValueError if the
+    assignment misses any subtask, or, in the validator's words, if a task
+    or subtask id cannot key it."""
     mapping = pa.mapping
     by_proc: dict[int, list[tuple[int, int]]] = {}
     for i, task in enumerate(ts):
@@ -277,6 +286,9 @@ def _assigned(
                 raise ValueError(
                     f"assignment does not cover task {task.id} subtask {st.id}"
                 ) from None
+            except TypeError:  # an id that cannot key the mapping
+                _require_keyed_ids(task, ts.name)
+                raise
             by_proc.setdefault(proc, []).append((i, k))
     return by_proc
 
@@ -325,15 +337,15 @@ def _partition(ts: TaskSet, pa: PartitionedAssignment, plat: Platform) -> _Group
     releases, deadline and id and its own wcet, then stably sorted by
     release, differ only in subtask ids.
     :func:`fedsched.simulate._edf_on_one_processor` decides by comparing
-    (deadline, task id, subtask id, release, position), and a subtask id
-    decides a comparison only between two jobs of one task id and one
-    absolute deadline.  One task id is one task here, so they share a
+    (deadline, task id, subtask id, position), and a subtask id decides a
+    comparison only between two jobs of one task id and one absolute
+    deadline.  One task id is one task here, so they share a
     relative deadline and hence a release, and as a period is positive a
     subtask has one job per release: the two are one job.  So every choice
     is the same; the stitching of back-to-back runs, which compares task
     and subtask ids, matches too, since each task id stands for one
-    subtask; and ``late``, keyed by task id and release, gets entries a
-    second run would only repeat.
+    subtask; and ``late``, keyed by absolute deadline and task id, gets
+    entries a second run would only repeat.
     """
     for task in ts:
         if task.edges:

@@ -342,6 +342,18 @@ def _can_key(value) -> bool:
     return True
 
 
+def _require_keyed_ids(task: DagTask, set_name: str | None = None) -> None:
+    """Refuse, in :func:`validate_task_set`'s words, an id that cannot key
+    a dict: each subtask id of ``task``, and with the name of its set
+    given, the task's own id.  The partition, the list scheduler and
+    :func:`fedsched.simulate.check_trace` keep their work per id."""
+    if set_name is not None and not _can_key(task.id):
+        raise ValueError(f"task set {set_name!r}: task id {task.id!r} is not an integer")
+    for st in task.subtasks:
+        if not _can_key(st.id):
+            raise ValueError(f"task {task.id}: subtask id {st.id!r} is not an integer")
+
+
 def _distinct(values: Sequence) -> Collection:
     """Each distinct value once, in order: by hash, or by equality alone
     when one cannot be hashed."""

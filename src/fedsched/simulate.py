@@ -26,7 +26,7 @@ from .feasibility import (
     _horizon,
     _partition,
 )
-from .model import DagTask, Platform, TaskSet, _can_key, _is_int, _positive_speed
+from .model import DagTask, Platform, TaskSet, _is_int, _positive_speed, _require_keyed_ids
 from .rational import format_rational
 
 
@@ -88,13 +88,14 @@ def _edf_on_one_processor(
 
     Each job is (release, absolute deadline, task id, subtask id, ticks of
     execution), sorted by release.  Ties are broken by (absolute deadline,
-    task id, subtask id, release, position in ``jobs``); all jobs run to
-    completion.  Returns the runs as (proc, task id, subtask id, start,
-    end), back-to-back runs of one subtask merged, and records in
-    ``late``, per (task id, release), the latest tick at which one of its
-    subtask jobs finished after its deadline.
+    task id, subtask id, position in ``jobs``), and the position orders
+    jobs as their release does; all jobs run to completion.  Returns the
+    runs as (proc, task id, subtask id, start, end), back-to-back runs of
+    one subtask merged, and records in ``late``, per (absolute deadline,
+    task id), the latest tick at which one of its subtask jobs finished
+    after that deadline.
     """
-    heap: list[tuple[int, int, int, int, int]] = []
+    heap: list[tuple[int, int, int, int]] = []
     left = [job[4] for job in jobs]
     out: list[tuple[int, int, int, int, int]] = []
     run = None  # the open run: [proc, task, subtask, start, end]
@@ -106,10 +107,10 @@ def _edf_on_one_processor(
             # idle until the next release
             time = max(time, jobs[next_idx][0])
         while next_idx < n and jobs[next_idx][0] <= time:
-            release, deadline, task, subtask, _ = jobs[next_idx]
-            heapq.heappush(heap, (deadline, task, subtask, release, next_idx))
+            _, deadline, task, subtask, _ = jobs[next_idx]
+            heapq.heappush(heap, (deadline, task, subtask, next_idx))
             next_idx += 1
-        deadline, task, subtask, release, idx = heap[0]
+        deadline, task, subtask, idx = heap[0]
         run_until = time + left[idx]
         if next_idx < n and jobs[next_idx][0] < run_until:
             run_until = jobs[next_idx][0]  # re-evaluate priorities there
@@ -127,7 +128,7 @@ def _edf_on_one_processor(
         if left[idx] == 0:
             heapq.heappop(heap)
             if time > deadline:
-                key = (task, release)
+                key = (deadline, task)
                 if time > late.get(key, deadline):
                     late[key] = time
     if run is not None:
@@ -147,24 +148,27 @@ def _replay(
     all released before ``hyper`` and none of them pending there, the
     k-th shifted by ``k*hyper``, then over those released by ``cut``,
     shifted by ``copies*hyper``: one run of ``jobs`` and one of the cut,
-    the rest copied (see :func:`_simulate_ticks`)."""
-    seg_late: dict[tuple[int, int], int] = {}
-    seg = _edf_on_one_processor(proc, jobs, seg_late)
-    tail_late: dict[tuple[int, int], int] = {}
-    tail = _edf_on_one_processor(proc, [job for job in jobs if job[0] <= cut], tail_late)
-    out = seg.copy()
+    the rest copied (see :func:`_simulate_ticks`).  With no copies, that
+    is the one run over ``jobs``."""
+    seg, seg_late, tail_late = [], {}, {}
+    if copies:
+        seg = _edf_on_one_processor(proc, jobs, seg_late)
+        jobs = [job for job in jobs if job[0] <= cut]
+    tail = _edf_on_one_processor(proc, jobs, tail_late)
+    out: list[tuple[int, int, int, int, int]] = []
     for k in range(copies + 1):
         shift = k * hyper
         part, part_late = (seg, seg_late) if k < copies else (tail, tail_late)
-        for (task, release), done in part_late.items():
-            key, done = (task, release + shift), done + shift
+        for (deadline, task), done in part_late.items():
+            key, done = (deadline + shift, task), done + shift
             late[key] = max(late.get(key, done), done)
         if k and part:
             # the kernel's own stitch of back-to-back runs of one subtask
             if out[-1][4] == part[0][3] + shift and out[-1][1:3] == part[0][1:3]:
                 out[-1] = (*out[-1][:4], part[0][4] + shift)
                 part = part[1:]
-            out += [(proc, t, s, a + shift, b + shift) for _, t, s, a, b in part]
+            part = [(proc, t, s, a + shift, b + shift) for _, t, s, a, b in part]
+        out += part
     return out
 
 
@@ -196,7 +200,8 @@ def _simulate_ticks(
     over every job:
 
     - EDF compares only instants and (deadline, task id, subtask id,
-      release, position), and a shift by ``H`` keeps every comparison;
+      position), positions follow releases, and a shift by ``H`` keeps
+      every comparison;
     - every period divides ``H``, so the jobs released in
       ``[k*H, (k+1)*H)`` are the first ones shifted, in the same order;
     - before ``H``, only the jobs released before ``H`` matter;
@@ -212,7 +217,12 @@ def _simulate_ticks(
     subtask are joined by the kernel's own rule, and each entry of
     ``late`` is shifted with them, keeping the larger completion where
     two meet.  A processor with a backlog at ``H``, a one-shot task or a
-    last release before ``H`` takes one run over all of its jobs."""
+    last release before ``H`` takes no copies: one run over all of its
+    jobs.
+
+    The misses are the entries of ``late``, one per absolute deadline
+    and task id that a job finished after, at its latest such finish; a
+    task with no subtask is done at each release."""
     ticks = ts._ticks
     for task, period, wcets in zip(ts, ticks.period, ticks.wcets):
         if period is not None and period <= 0:
@@ -231,12 +241,6 @@ def _simulate_ticks(
             raise ValueError(
                 f"horizon must be nonnegative, got {format_rational(horizon)}"
             )
-    jobs = sum(len(task.subtasks) * _job_count(task, horizon) for task in ts)
-    if jobs > MAX_DEMAND_STEPS:
-        raise ValueError(
-            f"simulation to horizon {format_rational(horizon)} releases {jobs} "
-            f"subtask jobs, more than the limit of {MAX_DEMAND_STEPS}"
-        )
 
     # ticks of 1/(S*p) for the set's tick S and speed p/q: a time of x
     # ticks of 1/S is x*p of them, and wcet w runs for w*q of them
@@ -246,6 +250,13 @@ def _simulate_ticks(
         range(0, _job_count(task, horizon) * period * p, period * p) if period else range(1)
         for task, period in zip(ts, ticks.period)
     ]
+    # a range's length, which len() cannot give past sys.maxsize
+    count = sum(len(task.subtasks) * (r.stop // r.step) for task, r in zip(ts, release_table))
+    if count > MAX_DEMAND_STEPS:
+        raise ValueError(
+            f"simulation to horizon {format_rational(horizon)} releases {count} "
+            f"subtask jobs, more than the limit of {MAX_DEMAND_STEPS}"
+        )
     deadlines = [deadline * p for deadline in ticks.deadline]
 
     def jobs_of(placed, until=0):
@@ -269,7 +280,7 @@ def _simulate_ticks(
         # the placed tasks' hyperperiod, 0 when one of them is one-shot
         hyper = lcm(*(ticks.period[i] or 0 for i, _ in placed)) * p
         last = max(release_table[i][-1] for i, _ in placed)
-        runs = None
+        copies = 0
         if 0 < hyper <= last:
             # the work of the jobs released before ``hyper``
             wcets = [ticks.wcets[i][k] * q for i, k in placed]
@@ -278,11 +289,8 @@ def _simulate_ticks(
                 # the whole hyperperiods end by every task's first
                 # release past the horizon
                 copies = min(release_table[i].stop for i, _ in placed) // hyper
-                cut = last - copies * hyper
-                runs = _replay(first, jobs_of(placed, hyper), hyper, copies, cut, late)
-        if runs is None:
-            runs = _edf_on_one_processor(first, jobs_of(placed), late)
-        runs_of[first] = runs
+        jobs = jobs_of(placed, hyper if copies else 0)
+        runs_of[first] = _replay(first, jobs, hyper, copies, last - copies * hyper, late)
         for proc, placed in others:
             # each task id here stands for one subtask: relabel by task id
             sids = {ts.tasks[i].id: ts.tasks[i].subtasks[k].id for i, k in placed}
@@ -291,23 +299,12 @@ def _simulate_ticks(
     for proc in sorted(runs_of):
         runs += runs_of[proc]
 
-    # an entry of ``late`` is a miss of the one task with its id; a task
-    # that shares its id, or has no subtask and so is done at release, is
-    # probed at each release
-    shared = Counter(task.id for task in ts)
-    deadline_of = {task.id: deadline for task, deadline in zip(ts, deadlines)}
-    missed = [
-        (r + deadline_of[tid], tid, done)
-        for (tid, r), done in late.items()
-        if shared[tid] == 1
-    ]
     for task, releases, deadline in zip(ts, release_table, deadlines):
-        if shared[task.id] > 1 or not task.subtasks:
+        if deadline < 0 and not task.subtasks:
             for r in releases:
-                done = late.get((task.id, r), r)
-                if done > r + deadline:
-                    missed.append((r + deadline, task.id, done))
-    missed.sort(key=itemgetter(0, 1))
+                key = (r + deadline, task.id)
+                late[key] = max(late.get(key, r), r)
+    missed = sorted((deadline, tid, done) for (deadline, tid), done in late.items())
     return ticks.scale * p, horizon, runs, missed
 
 
@@ -328,7 +325,9 @@ def simulate_partitioned_edf(
     the platform's processors.  Raises ValueError for a negative horizon,
     and, before releasing any job, for a negative wcet (its job would
     never finish) or when the horizon admits more than
-    ``MAX_DEMAND_STEPS`` subtask jobs.
+    ``MAX_DEMAND_STEPS`` subtask jobs.  A miss is listed once per task id
+    and absolute deadline that one of its jobs finished after, at the
+    latest such finish.
 
     Events run on integer ticks of ``1/(S*p)``, where ``S`` is the task
     set's tick (the lcm of the denominators of every wcet, deadline and
@@ -398,15 +397,6 @@ def _list_schedule(
     return runs
 
 
-def _require_keyed_ids(task: DagTask) -> None:
-    """Refuse, in :func:`fedsched.model.validate_task_set`'s words, a
-    subtask id that cannot key a dict: the list scheduler and
-    :func:`check_trace` keep their work per subtask id."""
-    for st in task.subtasks:
-        if not _can_key(st.id):
-            raise ValueError(f"task {task.id}: subtask id {st.id!r} is not an integer")
-
-
 def simulate_list_schedule(task: DagTask, m: int, speed: Fraction) -> ScheduleTrace:
     """Run one job of ``task`` on a dedicated cluster of ``m`` processors,
     greedily and non-preemptively.
@@ -461,9 +451,7 @@ def check_trace(ts: TaskSet, trace: ScheduleTrace) -> list[str]:
     a dict.
     """
     for task in ts:
-        if not _can_key(task.id):
-            raise ValueError(f"task set {ts.name!r}: task id {task.id!r} is not an integer")
-        _require_keyed_ids(task)
+        _require_keyed_ids(task, ts.name)
     v: list[str] = []
     by_proc: dict[int, list[Interval]] = {}
     duration: dict[tuple[int, int], Fraction] = {}

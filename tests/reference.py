@@ -385,7 +385,7 @@ def _ref_edf_on_one_processor(proc, jobs, speed):
         time = run_until
         if job.remaining == 0:
             heapq.heappop(heap)
-            key = (job.task, job.release)
+            key = (job.deadline, job.task)
             prev = completion.get(key)
             if prev is None or time > prev:
                 completion[key] = time
@@ -402,15 +402,14 @@ def reference_partitioned_edf(ts, pa, plat, horizon=None):
             return 1
         return max(0, int(horizon // task.period) + 1)
 
-    release_table = {
-        task.id: [k * (task.period or Fraction(0)) for k in range(job_count(task))]
-        for task in ts
-    }
+    release_table = [
+        [k * (task.period or Fraction(0)) for k in range(job_count(task))] for task in ts
+    ]
     jobs_by_proc = {}
-    for task in ts:
+    for task, releases in zip(ts, release_table):
         for st in task.subtasks:
             proc = pa.mapping[(task.id, st.id)]
-            for r in release_table[task.id]:
+            for r in releases:
                 jobs_by_proc.setdefault(proc, []).append(
                     _RefJob(r + task.deadline, task.id, st.id, r, st.wcet)
                 )
@@ -425,12 +424,16 @@ def reference_partitioned_edf(ts, pa, plat, horizon=None):
             prev = completion.get(key)
             if prev is None or value > prev:
                 completion[key] = value
-    misses = []
-    for task in ts:
-        for r in release_table[task.id]:
-            done = completion.get((task.id, r), r)
-            if done > r + task.deadline:
-                misses.append(DeadlineMiss(task.id, r + task.deadline, done))
+    # every job finishes at or after its release; one of no subtask, there
+    for task, releases in zip(ts, release_table):
+        for r in releases:
+            key = (r + task.deadline, task.id)
+            completion[key] = max(completion.get(key, r), r)
+    misses = [
+        DeadlineMiss(task, deadline, done)
+        for (deadline, task), done in completion.items()
+        if done > deadline
+    ]
     misses.sort(key=lambda m: (m.deadline, m.task))
     return ScheduleTrace(
         speed=plat.speed,

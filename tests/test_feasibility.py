@@ -20,7 +20,7 @@ from fedsched.generate import (
     build_counterexample,
     random_task_set,
 )
-from fedsched.model import DagTask, Platform, Subtask, TaskSet, work
+from fedsched.model import DagTask, Platform, Subtask, TaskSet, validate_task_set, work
 from reference import ref_default_horizon, reference_set
 
 
@@ -206,6 +206,18 @@ def test_partitioned_rejects_uncovered_assignment():
     partial = PartitionedAssignment({(1, 1): 1, (1, 2): 2, (2, 1): 1})
     with pytest.raises(ValueError):
         partitioned_feasible(ts, partial, Platform(2, Fraction(1)))
+
+
+def test_partitioned_refuses_an_unhashable_id_in_the_validator_s_words():
+    empty, plat = PartitionedAssignment({}), Platform(1, Fraction(1))
+    for task in (
+        DagTask([1], 1, 5, None, (Subtask(1, 1),)),
+        DagTask(1, 1, 5, None, (Subtask([2], 1),)),
+    ):
+        ts = TaskSet("x", (task,))
+        with pytest.raises(ValueError) as raised:
+            partitioned_feasible(ts, empty, plat)
+        assert [str(raised.value)] == validate_task_set(ts)
 
 
 def test_partitioned_rejects_out_of_range_processor():

@@ -15,7 +15,7 @@ from fedsched.feasibility import (
     uniprocessor_edf_feasible,
 )
 from fedsched.generate import CounterexampleParams, build_counterexample, random_task_set
-from fedsched.model import DagTask, Platform, Subtask, TaskSet, span, work
+from fedsched.model import DagTask, Platform, Subtask, TaskSet, span, validate_task_set, work
 from fedsched.rational import format_rational
 from fedsched.simulate import (
     DeadlineMiss,
@@ -449,6 +449,18 @@ def test_an_unhashable_task_id_is_refused_in_the_validator_s_words():
     assert str(raised.value) == "task set 'x': task id [1] is not an integer"
 
 
+def test_the_partitioned_simulator_refuses_an_unhashable_id_in_the_validator_s_words():
+    empty, plat = PartitionedAssignment({}), Platform(1, Fraction(1))
+    for task in (
+        DagTask([1], 1, 5, None, (Subtask(1, 1),)),
+        DagTask(1, 1, 5, None, (Subtask([2], 1),)),
+    ):
+        ts = TaskSet("x", (task,))
+        with pytest.raises(ValueError) as raised:
+            simulate_partitioned_edf(ts, empty, plat)
+        assert [str(raised.value)] == validate_task_set(ts)
+
+
 def test_check_trace_accepts_generated_traces():
     for seed in range(25):
         ts = random_task_set(seed)
@@ -544,8 +556,8 @@ def test_integer_ticks_match_the_fraction_reference():
 
 def test_tasks_that_share_an_id_match_the_fraction_reference():
     # validate_task_set refuses a repeated task id, but the simulator takes
-    # one; the reference keeps releases and completions per id, so each
-    # copy of an id here shares its task's deadline and period
+    # one; a namesake here has a deadline and period of its own, now and
+    # then those of the task whose id it repeats
     rng = random.Random(4077)
     kinds = Counter()
     for n in range(400):
@@ -556,8 +568,12 @@ def test_tasks_that_share_an_id_match_the_fraction_reference():
             shared.add(like.id)
             sids = rng.sample(range(1, 7), rng.randint(1, 2))
             subtasks = tuple(Subtask(sid, Fraction(rng.randint(1, 6), 4)) for sid in sids)
+            deadline, period = like.deadline, like.period
+            if rng.random() < 0.7:
+                deadline = Fraction(rng.randint(1, 30), rng.choice((1, 2, 3, 5)))
+                period = rng.choice(PERIODS + (None,)) if like.period else None
             tasks.insert(rng.randint(0, len(tasks)), DagTask(
-                like.id, sum(st.wcet for st in subtasks), like.deadline, like.period, subtasks
+                like.id, sum(st.wcet for st in subtasks), deadline, period, subtasks
             ))
             for sid in sids:
                 mapping.setdefault((like.id, sid), rng.randint(1, plat.processors))
@@ -567,14 +583,23 @@ def test_tasks_that_share_an_id_match_the_fraction_reference():
         assert got == reference_partitioned_edf(ts, pa, plat, horizon=horizon), n
         kinds["misses" if got.misses else "on time"] += 1
         kinds["a shared id misses"] += any(miss.task in shared for miss in got.misses)
+        kinds["namesakes with different deadlines"] += any(
+            len({t.deadline for t in ts if t.id == tid}) > 1 for tid in shared
+        )
+        kinds["namesakes with different periods"] += any(
+            len({t.period for t in ts if t.id == tid}) > 1 for tid in shared
+        )
         kinds["recurring" if any(t.period for t in ts) else "one-shot only"] += 1
+    floors = {"namesakes with different deadlines": 200, "a shared id misses": 100}
+    assert all(kinds[kind] >= floor for kind, floor in floors.items()), kinds
     assert min(kinds.values()) >= 50, kinds
 
 
-def test_a_shared_id_reads_the_latest_late_finish_of_its_release():
-    # the job of task 1 with deadline 5 ends at 3, its namesake's at 11,
-    # after deadline 10: both are late at 11; task 2 has no subtask, so
-    # each of its jobs is done at its release, after its deadline
+def test_a_shared_id_misses_once_per_late_absolute_deadline():
+    # the job of task 1 with deadline 5 ends at 3, on time, and its
+    # namesake's at 11, after deadline 10: one miss, at 10; task 2 has no
+    # subtask, so each of its jobs is done at its release, after its
+    # deadline
     ts = TaskSet("ids", (
         DagTask(1, 3, 5, None, (Subtask(1, 3),)),
         DagTask(1, 8, 10, None, (Subtask(2, 8),)),
@@ -585,7 +610,6 @@ def test_a_shared_id_reads_the_latest_late_finish_of_its_release():
     assert trace.misses == (
         DeadlineMiss(2, Fraction(-1), Fraction(0)),
         DeadlineMiss(2, Fraction(3), Fraction(4)),
-        DeadlineMiss(1, Fraction(5), Fraction(11)),
         DeadlineMiss(1, Fraction(10), Fraction(11)),
     )
 
@@ -772,12 +796,12 @@ def plain_ticks(ts, groups, plat, horizon):
             )
             runs[proc] = _edf_on_one_processor(proc, jobs, late)
             counts[proc] = len(jobs)
-    missed = [
-        (r + ticks.deadline[i] * p, task.id, late.get((task.id, r), r))
-        for i, task in enumerate(ts)
-        for r in releases[i]
-        if late.get((task.id, r), r) > r + ticks.deadline[i] * p
-    ]
+    # every job finishes at or after its release; one of no subtask, there
+    for i, task in enumerate(ts):
+        for r in releases[i]:
+            key = (r + ticks.deadline[i] * p, task.id)
+            late[key] = max(late.get(key, r), r)
+    missed = [(deadline, tid, done) for (deadline, tid), done in late.items() if done > deadline]
     missed.sort(key=itemgetter(0, 1))
     return [run for proc in sorted(runs) for run in runs[proc]], missed, counts
 
