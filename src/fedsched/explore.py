@@ -325,32 +325,35 @@ def _fewest_processors(ts: TaskSet, p: int, q: int) -> int:
         used += size
         if used > _MAX_PROCESSORS:
             return _OVER_CAP
-    # branch and bound over the light tasks in index order: each joins an
-    # open group that still passes or opens one, while fewer groups are
-    # open than the fewest found (_OVER_CAP - used is over the cap)
-    best = min(len(light), _OVER_CAP - used)
-    groups: list[int] = []
+    # the light tasks packed from no group up; _OVER_CAP - used groups
+    # would be over the cap
+    return used + _fewest_groups(ts, light, 0, [], min(len(light), _OVER_CAP - used), p, q)
 
-    def pack(k: int) -> bool:
-        # True once one group holds every light task: nothing can beat it
-        nonlocal best
-        if len(groups) >= best:
-            return False
-        if k == len(light):
-            best = len(groups)
-            return best == 1
-        bit = light[k]
-        for g, mask in enumerate(groups):
-            if _group_passes(ts, mask | bit, p, q):
-                groups[g] = mask | bit
-                if pack(k + 1):
-                    return True
-                groups[g] = mask
-        groups.append(bit)
-        if pack(k + 1):
-            return True
-        groups.pop()
-        return False
 
-    pack(0)
-    return used + best
+def _fewest_groups(
+    ts: TaskSet, light: list[int], k: int, groups: list[int], best: int, p: int, q: int
+) -> int:
+    """Branch and bound over the light tasks from ``light[k]`` on (each a
+    bit of a task index, in index order), the earlier ones packed in
+    ``groups``: each joins an open group that still passes or opens one,
+    while fewer groups are open than ``best``, the fewest found.  Returns
+    the fewest found, and stops at 1, when one group holds every light
+    task.  ``groups`` is as it was when this returns.  The arguments are
+    explicit, so no closure refers to itself and a set this decides is
+    freed as soon as it is dropped."""
+    if len(groups) >= best:
+        return best
+    if k == len(light):
+        return len(groups)
+    bit = light[k]
+    for g, mask in enumerate(groups):
+        if _group_passes(ts, mask | bit, p, q):
+            groups[g] = mask | bit
+            best = _fewest_groups(ts, light, k + 1, groups, best, p, q)
+            groups[g] = mask
+            if best == 1:
+                return best
+    groups.append(bit)
+    best = _fewest_groups(ts, light, k + 1, groups, best, p, q)
+    groups.pop()
+    return best

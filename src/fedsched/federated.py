@@ -190,9 +190,82 @@ def allocate_federated(
     demand/t at each instant t.  So the run stays the same up to the
     least r of the decisions that failed, which Infeasible reports as
     retry_speed.
+
+    The processor count enters only where first-fit stops, so one run
+    per speed, with no limit on processors, decides every count (see
+    :func:`_first_fit`).  The clusters are sized before any shared
+    processor is opened, and each newcomer tries the open processors in
+    order before it opens one; none of that reads the count.  So the run
+    on ``m`` processors makes the run's choices, failed tests and flips
+    included, until it needs more than ``m``: the clusters alone when
+    ``used > m``, else the light task that opens shared processor
+    ``m - used + 1``, with the flips recorded before that opening.  A run
+    that opens at most ``m - used`` fits, with the run's allocation.  A
+    scan that raises is reached exactly by the counts with room for every
+    opening before it, and raises only for them.
     """
-    speed, ticks = plat.speed, ts._ticks
+    speed, m = plat.speed, plat.processors
     p, q = speed.numerator, speed.denominator
+    ticks = ts._ticks
+    run = ticks.firstfit.get((p, q)) or _first_fit(ts, p, q, m)
+    demand, stuck, used, least, opened, allocation = run
+    if stuck is None and allocation is None and used + len(opened) <= m:
+        # the run was cut by a scan that this count reaches
+        demand, stuck, used, least, opened, allocation = _first_fit(ts, p, q, m)
+    if stuck is not None:
+        task, work, deadline = ts.tasks[stuck], ticks.work[stuck], ticks.deadline[stuck]
+        # below this retry speed the task alone needs the whole platform
+        return Infeasible(
+            reason=(
+                f"task {task.id}: critical path {task.span} is not shorter than "
+                f"the deadline budget {speed * task.deadline}; "
+                "no cluster size suffices"
+            ),
+            processors_needed=None,
+            demand_lower_bound=demand,
+            retry_speed=(
+                Fraction(*_size_ratio(work, ticks.span[stuck], deadline, m))
+                if deadline > 0
+                else None
+            ),
+        )
+    if used > m:
+        return Infeasible(
+            reason=f"heavy clusters alone need {used} processors, platform has {m}",
+            processors_needed=used,
+            demand_lower_bound=demand,
+            retry_speed=None if least is None else Fraction(*least),
+        )
+    if m - used < len(opened):
+        tid, least = opened[m - used]
+        return Infeasible(
+            reason=(
+                f"light task {tid} does not fit: {used} processors "
+                f"granted exclusively, {m - used} shared processors "
+                f"full, platform has {m}"
+            ),
+            processors_needed=m + 1,
+            demand_lower_bound=demand,
+            retry_speed=None if least is None else Fraction(*least),
+        )
+    return allocation
+
+
+def _first_fit(ts: TaskSet, p: int, q: int, m: int) -> tuple:
+    """First-fit at speed p/q with no processor limit, kept in the tick
+    view's ``firstfit`` as (demand, stuck, used, least, opened,
+    allocation): only ints, pairs and the one allocation every fitting
+    count shares.  ``stuck`` is the index of the first heavy task no
+    cluster size suffices for, if any; ``least`` is the least flip of the
+    heavy tasks, a pair (a, b) for a/b, or None; ``opened`` lists, for
+    each shared processor in the order first-fit opens them, the id of
+    the light task that opened it and the least flip up to that opening.
+
+    A cycle in a heavy task raises and keeps nothing.  When a light
+    task's scan raises, the run on ``m`` processors reaches the scan only
+    with room for every opening before it: then it raises too, and
+    otherwise the run is kept cut there, with no allocation."""
+    ticks = ts._ticks
     # is_heavy's rule, work > speed * deadline, on the set's ticks
     heavy = [i for i, (w, d, _) in enumerate(ticks.items) if q * w > p * d]
     light = [i for i, (w, d, _) in enumerate(ticks.items) if q * w <= p * d]
@@ -200,21 +273,11 @@ def allocate_federated(
     # a heavy task with a nonpositive deadline fits on no count of processors
     if heavy and all(ticks.deadline[i] > 0 for i in heavy):
         demand = sum(_demand_bound(ticks.work[i], ticks.deadline[i], p, q) for i in heavy)
-    # each decision that failed, as the pair (a, b) of the speed a/b from
-    # which it holds; retry_speed is the least of them
-    flips: list[tuple[int, int]] = []
-
-    def retry_speed() -> Fraction | None:
-        if not flips:
-            return None
-        # every b is positive (a granted cluster's deadline is, and a light
-        # task's flip is kept only at an instant > 0): c/d < a/b iff c*b < a*d
-        a, b = flips[0]
-        for c, d in flips[1:]:
-            if c * b < a * d:
-                a, b = c, d
-        return Fraction(a, b)
-
+    # each decision that failed is the pair (a, b) of the speed a/b from
+    # which it holds, and ``least`` the least of them so far.  Every b is
+    # positive (a granted cluster's deadline is, and a light task's flip is
+    # kept only at an instant > 0): c/d < a/b iff c*b < a*d
+    least = None
     grants: dict[int, int] = {}
     for i in heavy:
         task, work, deadline = ts.tasks[i], ticks.work[i], ticks.deadline[i]
@@ -223,76 +286,66 @@ def allocate_federated(
             task.span  # raises: the task has a dependency cycle
         size = _cluster_size(work, span_ticks, deadline, p, q)
         if size is None:
-            # below this retry speed the task alone needs the whole platform
-            return Infeasible(
-                reason=(
-                    f"task {task.id}: critical path {task.span} is not shorter than "
-                    f"the deadline budget {speed * task.deadline}; "
-                    "no cluster size suffices"
-                ),
-                processors_needed=None,
-                demand_lower_bound=demand,
-                retry_speed=(
-                    Fraction(*_size_ratio(work, span_ticks, deadline, plat.processors))
-                    if deadline > 0
-                    else None
-                ),
-            )
+            run = ticks.firstfit[p, q] = (demand, i, 0, None, (), None)
+            return run
         grants[task.id] = size
         # the cluster (size >= 2) first shrinks here, by work/deadline at latest
-        flips.append(_size_ratio(work, span_ticks, deadline, size - 1))
-    used = sum(grants.values())
-    if used > plat.processors:
-        return Infeasible(
-            reason=(
-                f"heavy clusters alone need {used} processors, "
-                f"platform has {plat.processors}"
-            ),
-            processors_needed=used,
-            demand_lower_bound=demand,
-            retry_speed=retry_speed(),
-        )
+        c, d = _size_ratio(work, span_ticks, deadline, size - 1)
+        if least is None or c * least[1] < least[0] * d:
+            least = c, d
+    used, heavy_least = sum(grants.values()), least
 
     shared: list[list[tuple[int, int, int | None]]] = []
     # each shared processor's summed work while all its items are one-shot,
     # None once a recurring item lands on it
     loads: list[int | None] = []
     placement: dict[int, int] = {}
-    for i in sorted(light, key=lambda i: (ticks.deadline[i], ts.tasks[i].id)):
-        task, item = ts.tasks[i], ticks.items[i]
-        work, deadline, period = item
-        for idx, items in enumerate(shared):
-            load = loads[idx]
-            if load is not None and period is None:
-                load += work
-                violation = (load, deadline) if q * load > p * deadline else None
-            else:
+    opened: list[tuple[int, tuple[int, int] | None]] = []
+    try:
+        for i in sorted(light, key=lambda i: (ticks.deadline[i], ts.tasks[i].id)):
+            task, item = ts.tasks[i], ticks.items[i]
+            work, deadline, period = item
+            # a one-shot refusal's flip (load, deadline) is below ``least``
+            # = (a, b) iff load*b < a*deadline, that is load < bar for this
+            # ceiling: one int comparison per refusal
+            bar = None if least is None else -(-least[0] * deadline // least[1])
+            for idx, items in enumerate(shared):
+                load = loads[idx]
+                if load is not None and period is None:
+                    load += work
+                    if q * load <= p * deadline:
+                        break
+                    if deadline > 0 and (bar is None or load < bar):
+                        least, bar = (load, deadline), load
+                    continue
                 load = None
                 violation = _first_violation(items + [item], p, q, ticks.scale)
-            if violation is None:
-                items.append(item)
-                loads[idx] = load
-                placement[task.id] = idx + 1
-                break
-            if violation[1] > 0:
-                flips.append(violation)
-        else:
-            if used + len(shared) + 1 > plat.processors:
-                return Infeasible(
-                    reason=(
-                        f"light task {task.id} does not fit: {used} processors "
-                        f"granted exclusively, {len(shared)} shared processors "
-                        f"full, platform has {plat.processors}"
-                    ),
-                    processors_needed=used + len(shared) + 1,
-                    demand_lower_bound=demand,
-                    retry_speed=retry_speed(),
-                )
-            shared.append([item])
-            loads.append(work if period is None else None)
-            placement[task.id] = len(shared)
-    return FederatedAllocation(
-        heavy_grants=grants,
-        light_partition=placement,
-        total_processors_used=used + len(shared),
-    )
+                if violation is None:
+                    break
+                c, d = violation
+                if d > 0 and (least is None or c * least[1] < least[0] * d):
+                    least, bar = violation, -(-c * deadline // d)
+            else:
+                opened.append((task.id, least))
+                shared.append([item])
+                loads.append(work if period is None else None)
+                placement[task.id] = len(shared)
+                continue
+            items.append(item)
+            loads[idx] = load
+            placement[task.id] = idx + 1
+    except Exception:
+        # any exception: the run on m processors meets it only with room
+        # for every opening before it, and a smaller count gets its verdict
+        if used + len(opened) <= m:
+            raise
+        allocation = None
+    else:
+        allocation = FederatedAllocation(
+            heavy_grants=grants,
+            light_partition=placement,
+            total_processors_used=used + len(opened),
+        )
+    run = ticks.firstfit[p, q] = (demand, None, used, heavy_least, tuple(opened), allocation)
+    return run
+

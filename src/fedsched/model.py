@@ -16,7 +16,6 @@ built only where values enter and leave the package.
 
 from __future__ import annotations
 
-from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -142,17 +141,19 @@ class DagTask:
         algorithm), or None when the known-id edges contain a cycle."""
         if not self.edges:  # nothing to order: the ids as they come
             return tuple(self.successors)
-        indegree = Counter(b for nexts in self.successors.values() for b in nexts)
-        queue = deque(sid for sid in self.successors if indegree[sid] == 0)
-        order: list[int] = []
-        while queue:
-            node = queue.popleft()
-            order.append(node)
-            for nxt in self.successors[node]:
+        succ = self.successors
+        indegree = dict.fromkeys(succ, 0)
+        for nexts in succ.values():
+            for b in nexts:
+                indegree[b] += 1
+        # the queue: read while it grows, it is the order itself
+        order = [sid for sid, n in indegree.items() if n == 0]
+        for sid in order:
+            for nxt in succ[sid]:
                 indegree[nxt] -= 1
                 if indegree[nxt] == 0:
-                    queue.append(nxt)
-        return tuple(order) if len(order) == len(self.successors) else None
+                    order.append(nxt)
+        return tuple(order) if len(order) == len(succ) else None
 
     def _own_ticks(self) -> tuple[int, list[int]]:
         """The task's own tick and its subtask wcets in it, in subtask order."""
@@ -247,13 +248,16 @@ class _Ticks:
     tuples run in task order, ``wcets`` in each task's subtask order, and
     ``span`` is None for a task with a dependency cycle.  A speed ``p/q``
     enters the decisions only as ``q * x <= p * y`` between tick counts.
-    The last four fields are what the brute-force oracle keeps on the set,
-    empty until its first call; only :mod:`fedsched.explore` writes them
-    (see :func:`fedsched.explore.brute_force_federated_oracle`).
+    ``firstfit`` keeps the allocator's first-fit run at each speed (p, q);
+    only :mod:`fedsched.federated` writes it (see
+    :func:`fedsched.federated.allocate_federated`).  The last four fields
+    are what the brute-force oracle keeps on the set, empty until its
+    first call; only :mod:`fedsched.explore` writes them (see
+    :func:`fedsched.explore.brute_force_federated_oracle`).
     """
 
     __slots__ = ("scale", "work", "span", "deadline", "period", "wcets", "items",
-                 "refusal", "needs", "groups", "makespans")
+                 "firstfit", "refusal", "needs", "groups", "makespans")
 
     def __init__(self, tasks: tuple[DagTask, ...]) -> None:
         self.scale = scale = _tick(
@@ -284,6 +288,7 @@ class _Ticks:
             for task, w in zip(tasks, wcets)
         )
         self.items = tuple(zip(work, deadline, period))
+        self.firstfit: dict = {}  # (p, q): federated._FirstFit
         self.refusal: str | None = None  # "" when the set is in the oracle's domain
         self.needs: list[tuple[int, int, int]] = []  # (p, q, need)
         self.groups: dict[int, tuple[int, int]] = {}  # mask: (a, b)

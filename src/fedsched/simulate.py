@@ -12,7 +12,6 @@ too.  Both are deterministic: identical inputs produce identical traces.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -250,8 +249,12 @@ def _simulate_ticks(
         range(0, _job_count(task, horizon) * period * p, period * p) if period else range(1)
         for task, period in zip(ts, ticks.period)
     ]
-    # a range's length, which len() cannot give past sys.maxsize
-    count = sum(len(task.subtasks) * (r.stop // r.step) for task, r in zip(ts, release_table))
+    # a range's length, which len() cannot give past sys.maxsize; a task
+    # with no subtask and a negative deadline misses at each release
+    count = sum(
+        max(len(task.subtasks), deadline < 0) * (r.stop // r.step)
+        for task, r, deadline in zip(ts, release_table, ticks.deadline)
+    )
     if count > MAX_DEMAND_STEPS:
         raise ValueError(
             f"simulation to horizon {format_rational(horizon)} releases {count} "
@@ -325,9 +328,10 @@ def simulate_partitioned_edf(
     the platform's processors.  Raises ValueError for a negative horizon,
     and, before releasing any job, for a negative wcet (its job would
     never finish) or when the horizon admits more than
-    ``MAX_DEMAND_STEPS`` subtask jobs.  A miss is listed once per task id
-    and absolute deadline that one of its jobs finished after, at the
-    latest such finish.
+    ``MAX_DEMAND_STEPS`` subtask jobs (each release of a task with no
+    subtask and a negative deadline, a miss, counts as one).  A miss is
+    listed once per task id and absolute deadline that one of its jobs
+    finished after, at the latest such finish.
 
     Events run on integer ticks of ``1/(S*p)``, where ``S`` is the task
     set's tick (the lcm of the denominators of every wcet, deadline and
@@ -371,7 +375,10 @@ def _list_schedule(
         raise ValueError(f"task {task.id}: dependency cycle among subtasks")
     wcet = dict(zip((st.id for st in task.subtasks), wcets))
     succ = task.successors
-    pending = Counter(b for nexts in succ.values() for b in nexts)
+    pending = dict.fromkeys(succ, 0)
+    for nexts in succ.values():
+        for b in nexts:
+            pending[b] += 1
     ready = [sid for sid in sorted(succ) if pending[sid] == 0]  # sorted: a heap
     free = list(range(1, m + 1))
     running: list[tuple[int, int, int]] = []  # (end, processor, subtask)

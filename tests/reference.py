@@ -5,14 +5,16 @@ ticks as they were on ``Fraction`` arithmetic: task validation, the demand
 test, the allocator, the oracle, the list scheduler, the partitioned
 simulator, and the ``analyze`` and ``simulate`` commands.  The differential tests in
 ``test_ticks.py``, ``test_simulate.py`` and ``test_cli.py`` require
-identical results from the package and from these.
+identical results from the package and from these.  The topological order
+and the list scheduler are also kept as they were written with a
+``Counter`` and a ``deque``, for ``test_model.py``.
 """
 
 import heapq
 import json
 import math
 import sys
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -153,6 +155,23 @@ def ref_first_violation(items, speed):
         if demand > speed * t:
             return demand, t
     return None
+
+
+def ref_topological_order(task):
+    """Kahn's algorithm over ``task.successors`` with a Counter of
+    indegrees and a deque for the queue."""
+    succ = task.successors
+    indegree = Counter(b for nexts in succ.values() for b in nexts)
+    queue = deque(sid for sid in succ if indegree[sid] == 0)
+    order = []
+    while queue:
+        node = queue.popleft()
+        order.append(node)
+        for nxt in succ[node]:
+            indegree[nxt] -= 1
+            if indegree[nxt] == 0:
+                queue.append(nxt)
+    return tuple(order) if len(order) == len(succ) else None
 
 
 def ref_list_schedule(task, m, speed):

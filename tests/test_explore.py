@@ -1,3 +1,4 @@
+import gc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -267,3 +268,23 @@ def test_oracle_refuses_an_unhashable_subtask_id():
             brute_force_federated_oracle(ts, Platform(1, Fraction(1)))
         assert str(raised.value) == "oracle refuses task 1: subtask id [1] is not an integer"
     assert ts._ticks.needs == [] and ts._ticks.groups == {} and ts._ticks.makespans == {}
+
+
+def test_a_decided_set_is_freed_without_the_cycle_collector():
+    # nothing a decision keeps on the set (the first-fit runs, the
+    # oracle's fields) refers back to itself, so dropping the set frees
+    # it by reference counting and the collector finds nothing
+    gc.collect()
+    gc.disable()
+    try:
+        for seed in range(10):
+            ts = one_shot_set(seed)
+            for m in (2, 3, 4):
+                for speed in ("1", "3/2", "2", "5/2", "3"):
+                    plat = Platform(m, Fraction(speed))
+                    allocate_federated(ts, plat)
+                    brute_force_federated_oracle(ts, plat)
+            del ts
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -423,3 +423,51 @@ def test_first_fit_is_not_monotone_in_speed():
     assert isinstance(above, Infeasible)
     assert above.retry_speed == Fraction(59, 23)
     assert isinstance(allocate_federated(ts, Platform(2, above.retry_speed)), FederatedAllocation)
+
+
+def test_a_scan_that_raises_raises_only_for_the_counts_that_reach_it():
+    # task 3's period 0 raises in the scan that tries it on task 1's
+    # processor, after task 2 opened a second one: on one processor
+    # first-fit stops at that opening and never reaches the scan.  So
+    # whichever count is decided first, 1 gets its verdict and 2 and 3 raise
+    infeasible = Infeasible(
+        reason=(
+            "light task 2 does not fit: 0 processors granted exclusively, "
+            "1 shared processors full, platform has 1"
+        ),
+        processors_needed=2,
+        demand_lower_bound=None,
+        retry_speed=Fraction(4, 3),
+    )
+    for order in ((1, 2, 3), (2, 1, 3), (3, 2, 1, 2)):
+        ts = TaskSet(name="z", tasks=(
+            seq_task(1, 2, 2), seq_task(2, 2, 3), seq_task(3, 1, 4, period=Fraction(0)),
+        ))
+        for m in order:
+            plat = Platform(m, Fraction(1))
+            if m == 1:
+                assert allocate_federated(ts, plat) == infeasible
+            else:
+                with pytest.raises(ValueError, match="^period must be positive, got 0$"):
+                    allocate_federated(ts, plat)
+
+
+def test_one_first_fit_run_per_speed_decides_every_platform_size():
+    # the benchmark's 15 configurations keep 5 runs, one per speed, and a
+    # speed's allocation is one object, shared by every count it fits
+    speeds = [Fraction(s) for s in ("1", "3/2", "2", "5/2", "3")]
+    shared = 0
+    for seed in range(20):
+        ts = random_task_set(seed, n_tasks=5)
+        ts = TaskSet(ts.name, tuple(dataclasses.replace(t, period=None) for t in ts))
+        for speed in speeds:
+            fitted = []
+            for m in (2, 3, 4):
+                result = allocate_federated(ts, Platform(m, speed))
+                assert result == ref_allocate(ts, Platform(m, speed))
+                if isinstance(result, FederatedAllocation):
+                    fitted.append(result)
+            assert all(result is fitted[0] for result in fitted)
+            shared += len(fitted) > 1
+        assert len(ts._ticks.firstfit) == 5
+    assert shared >= 60

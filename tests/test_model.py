@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from fedsched.model import (
 )
 from fedsched.simulate import check_trace, simulate_list_schedule
 from fedsched.taskio import dump_task_set, load_task_set
+from reference import ref_list_schedule, ref_topological_order
 
 
 def make_task(tid=1, wcets=(1,), edges=(), deadline=None, period=None, total=None):
@@ -428,6 +430,44 @@ def test_cached_dag_view_follows_replace():
     flipped = dataclasses.replace(task, edges=((3, 2), (2, 1)))
     assert flipped.topological_order == (3, 2, 1)
     assert task.topological_order == (1, 2, 3)
+
+
+def test_kahn_order_and_list_schedule_match_the_counter_and_deque_code():
+    # duplicate edges, repeated and unhashable ids and cycles: the order
+    # and, on the acyclic tasks the list scheduler takes, every schedule
+    # must be what the Counter and deque code gave
+    rng = random.Random(406)
+    kinds = Counter()
+    for _ in range(3000):
+        ids = [rng.randint(1, 7) for _ in range(rng.randint(0, 7))]
+        if rng.random() < 0.1:
+            ids.append([rng.randint(1, 7)])  # an id that cannot key a dict
+        wcets = [Fraction(rng.randint(0, 9), rng.randint(1, 3)) for _ in ids]
+        edges = []
+        for _ in range(rng.randint(0, 12)):
+            a, b = rng.randint(0, 8), rng.randint(0, 8)
+            if rng.random() < 0.75 and a > b:
+                a, b = b, a  # mostly forward edges, so most DAGs are acyclic
+            if rng.random() < 0.05:
+                a = [a]
+            edges += [(a, b)] * rng.choice((1, 1, 1, 2))
+        task = DagTask(1, sum(wcets, Fraction(0)), 10, None,
+                       tuple(map(Subtask, ids, wcets)), tuple(edges))
+        order = task.topological_order
+        assert order == ref_topological_order(task), task
+        kinds["cycle" if order is None else "order"] += 1
+        kinds["duplicate edge"] += len(set(map(repr, edges))) < len(edges)
+        if order is None or not all(type(sid) is int for sid in ids):
+            kinds["unhashable id"] += order is not None
+            continue
+        kinds["repeated id"] += len(set(ids)) < len(ids)
+        for m in (1, 2, 3):
+            speed = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+            assert simulate_list_schedule(task, m, speed) == ref_list_schedule(task, m, speed)
+            kinds["schedule"] += 1
+    floors = {"order": 2000, "duplicate edge": 1500, "repeated id": 800, "cycle": 400,
+              "unhashable id": 150, "schedule": 6000}
+    assert all(kinds[kind] >= floor for kind, floor in floors.items()), kinds
 
 
 def test_edge_free_dag_view_matches_the_general_walk():

@@ -126,6 +126,24 @@ def test_release_table_has_a_budget(monkeypatch):
                 run(period, horizon)
 
 
+def test_the_budget_counts_the_misses_of_a_task_with_no_subtask(monkeypatch):
+    # each release of a task with no subtask and a negative deadline is a
+    # miss, so it counts toward the limit as a one-subtask job does
+    monkeypatch.setattr("fedsched.simulate.MAX_DEMAND_STEPS", 10)
+    for task in (DagTask(1, 0, -1, 1, ()), seq_task(1, 1, 1, period=Fraction(1))):
+        ts = TaskSet(name="e", tasks=(task,))
+        with pytest.raises(ValueError, match="horizon 1000 releases 1001 subtask jobs"):
+            simulate_partitioned_edf(
+                ts, one_processor(ts), Platform(1, Fraction(1)), horizon=Fraction(1000)
+            )
+    # at the limit: ten releases, ten misses
+    ts = TaskSet(name="e", tasks=(DagTask(1, 0, -1, 1, ()),))
+    trace = simulate_partitioned_edf(
+        ts, one_processor(ts), Platform(1, Fraction(1)), horizon=Fraction(9)
+    )
+    assert [miss.deadline for miss in trace.misses] == [Fraction(k - 1) for k in range(10)]
+
+
 def test_negative_wcet_is_an_error_not_a_hang():
     # a job with negative work never finishes: refused before any release
     ts = TaskSet(name="n", tasks=(seq_task(1, -1, 5),))

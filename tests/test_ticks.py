@@ -135,6 +135,40 @@ def test_allocator_and_oracle_match_the_fraction_reference():
     assert kinds["oracle True, heavy and light"] >= 60, kinds
 
 
+def test_each_platform_size_reads_the_fraction_reference_from_one_run(monkeypatch):
+    # one task set object per seed, decided at every (m, speed) pair in a
+    # shuffled order, so most calls read the first-fit run an earlier call
+    # at another m kept for their speed.  A small step limit makes some
+    # scans raise: a count whose run stops at an earlier opening must
+    # still get its verdict, and only the others raise
+    monkeypatch.setattr("fedsched.feasibility.MAX_DEMAND_STEPS", 12)
+    rng = random.Random(29)
+    kinds = Counter()
+    for n in range(300):
+        ts = random_set(rng, recurring=n % 2 == 0)
+        # each task's work/deadline, where it turns light
+        speeds = {*SPEEDS, *(t.work / t.deadline for t in ts if t.work > 0 and t.deadline > 0)}
+        configs = [(m, speed) for m in range(1, 9) for speed in speeds]
+        rng.shuffle(configs)
+        raised = Counter()
+        for m, speed in configs:
+            plat = Platform(m, speed)
+            got = outcome(allocate_federated, ts, plat)
+            assert got == outcome(ref_allocate, ts, plat), (n, plat)
+            if isinstance(got, tuple):
+                kinds["raise"] += 1
+            elif isinstance(got, Infeasible):
+                kinds[got.reason.split(" ")[0]] += 1
+            else:
+                kinds["allocated"] += 1
+            raised[speed, isinstance(got, tuple)] += 1
+        # a speed at which some counts raise and others get a verdict
+        kinds["mixed"] += sum(raised[speed, True] < 8 for speed, hit in raised if hit)
+    floors = {"allocated": 10000, "task": 9000, "heavy": 1500, "light": 1000,
+              "raise": 150, "mixed": 15}
+    assert all(kinds[kind] >= floor for kind, floor in floors.items()), kinds
+
+
 def test_oracle_verdicts_kept_across_calls_match_the_fraction_reference(monkeypatch):
     # one task set decided on every platform in a shuffled order, so its
     # group verdicts kept from earlier calls decide later ones; inside the
