@@ -19,9 +19,6 @@ from .federated import (
     FederatedAllocation,
     Infeasible,
     allocate_federated,
-    heavy_demand_lower_bound,
-    heavy_processor_allocation,
-    is_heavy,
     speedup_lower_bound,
 )
 from .generate import CounterexampleParams, build_counterexample, random_task_set
@@ -69,9 +66,6 @@ __all__ = [
     "check_trace",
     "dump_task_set",
     "format_rational",
-    "heavy_demand_lower_bound",
-    "heavy_processor_allocation",
-    "is_heavy",
     "load_task_set",
     "min_feasible_speed_federated",
     "parse_rational",

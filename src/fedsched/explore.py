@@ -115,9 +115,14 @@ def speedup_sweep(grid: list[CounterexampleParams]) -> list[SpeedupRow]:
     (demand analysis plus a simulated schedule with zero misses), compute
     the analytic bound, and find the allocator's exact threshold speed.
 
+    ``demand_at_probe`` certifies that no federated configuration fits
+    at the probe s = 999/1000 of the bound: every task is heavy there, so
+    the summed demand bound is at least sum of w_i/(D_i*s) = M*(N - (N-1)/K)/s,
+    which exceeds M because s < bound <= N - (N-1)/K.
+
     Raises RuntimeError if a threshold lies below the analytic bound, or
-    a task is light at the probe of ``demand_at_probe``: the bound is
-    proven, so either would mean a bug in this package.
+    a task is light at the probe, or the demand there is at most M: each
+    is proven not to happen, so it would mean a bug in this package.
     """
     rows: list[SpeedupRow] = []
     for params in grid:
@@ -139,6 +144,12 @@ def speedup_sweep(grid: list[CounterexampleParams]) -> list[SpeedupRow]:
                 f"K={params.ratio}): a task is not heavy at the probe {probe}"
             )
         demand = sum(_demand_bound(w, d, p, q) for w, d in times)
+        if demand <= m:
+            raise RuntimeError(
+                f"sweep self-check failed on (M={m}, N={params.n_tasks}, "
+                f"K={params.ratio}): demand {demand} at the probe {probe} "
+                f"does not exceed {m} processors"
+            )
         threshold = min_feasible_speed_federated(ts, m)
         if threshold < bound:
             raise RuntimeError(

@@ -186,8 +186,12 @@ def uniprocessor_edf_feasible(items: Iterable[Sequence], speed: Fraction) -> boo
     max(0, period - deadline)*work/period and a one-shot item's at most
     its work, so total demand is at most U*t + N, which stays within
     speed*t from L on: no violation can first appear at or after L.
-    When U == speed, or some work is negative (the bound then fails),
-    the scan runs to that horizon.
+    When N == 0 as well, and no deadline is negative, demand never
+    exceeds U*t <= speed*t, so the test passes with no scan, even at U ==
+    speed (Liu and Layland 1973 for deadlines equal to periods; a
+    negative deadline is a step at some t < 0, where it always fails).
+    Otherwise, when U == speed, or some work is negative (the bound then
+    fails), the scan runs to that horizon.
     """
     speed = _positive_speed(speed)
     scale, ticks = _scaled(items)
@@ -212,13 +216,16 @@ def _first_violation(
     horizon = last + 2 * hyper if recurring else last
     slack = p * hyper - q * used  # (speed - U) * q * hyper
     # with no item recurring, L_a is never below the largest deadline
-    if recurring and slack > 0 and min(w for w, _, _ in items) >= 0:
+    if recurring and min(w for w, _, _ in items) >= 0:
         # N * hyper: all work, less min(deadline, period) * work/period per
         # recurring item (which leaves max(0, period - deadline) * work/period)
         offset = hyper * sum(w for w, _, _ in items) - sum(
             min(d, per) * w * (hyper // per) for w, d, per in recurring
         )
-        if offset * q < horizon * slack:  # L_a = N / (speed - U) is nearer
+        if offset == 0 and min(d for _, d, _ in items) >= 0:
+            return None  # demand <= U*t <= speed*t at every t >= 0
+        # L_a = N / (speed - U) is nearer
+        if slack > 0 and offset * q < horizon * slack:
             horizon = max(last, Fraction(offset * q, slack))
     for t, demand in _demand_table(items, horizon, scale):
         if q * demand > p * t:

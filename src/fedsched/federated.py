@@ -1,11 +1,13 @@
 """Federated allocation of processors to DAG tasks.
 
 A federated scheduler gives every *heavy* task (one that cannot finish
-sequentially by its deadline) a cluster of processors for its exclusive
-use, and runs each *light* task sequentially on a shared processor.  This
-module provides the classification, the information-theoretic lower bounds
-on how many processors heavy tasks force, the analytic speedup penalty of
-the whole approach on the adversarial family, and a concrete allocator.
+sequentially by its deadline: work > speed * deadline, so a task at
+equality, which finishes exactly on time, is light) a cluster of
+processors for its exclusive use, and runs each *light* task sequentially
+on a shared processor.  This module provides the rules that size a heavy
+task's cluster and bound from below how many processors it forces, the
+analytic speedup penalty of the whole approach on the adversarial family,
+and a concrete allocator.
 """
 
 from __future__ import annotations
@@ -16,53 +18,22 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .feasibility import _first_violation
-from .model import DagTask, Platform, TaskSet, _is_int, _positive_speed
-
-
-def is_heavy(task: DagTask, speed: Fraction) -> bool:
-    """Heavy iff the task cannot run sequentially: work > speed * deadline.
-
-    The boundary work == speed * deadline is light (it finishes exactly on
-    time on one processor).  The strictness matters: several identities in
-    this package sit exactly on it.  Raises ValueError for a speed that is
-    not positive, at which every task with positive work would be heavy.
-    """
-    return task.work > _positive_speed(speed) * task.deadline
-
-
-def _heavy_speed(task: DagTask, speed: Fraction, why: str) -> Fraction:
-    """``speed`` as a Fraction, after refusing a task that is light at it
-    (and, through :func:`is_heavy`, a speed that is not positive): the
-    checked public rules below apply to heavy tasks only."""
-    speed = Fraction(speed)
-    if not is_heavy(task, speed):
-        raise ValueError(f"task {task.id} is light at speed {speed}; {why}")
-    return speed
-
-
-def heavy_demand_lower_bound(task: DagTask, speed: Fraction) -> int:
-    """Fewest processors that could possibly meet a heavy task's deadline.
-
-    Within a window of length deadline, m speed-``speed`` processors supply
-    at most m * speed * deadline execution, so m >= work/(deadline * speed);
-    the bound is the exact ceiling of that ratio.  Light tasks are rejected:
-    for them the ratio degenerates to 1 and says nothing.  So is a task
-    whose deadline is not positive, which no count of processors meets.
-    """
-    if task.deadline <= 0:
-        raise ValueError(f"task {task.id}: deadline {task.deadline} is not positive")
-    speed = _heavy_speed(task, speed, "the demand bound applies to heavy tasks only")
-    return _demand_bound(task.work, task.deadline, speed.numerator, speed.denominator)
+from .model import Platform, TaskSet, _is_int
 
 
 # The rules below take a task's times as numbers on one scale (ints in
-# ticks from the allocator, rationals from the public forms) and a speed
-# p/q as two ints; they only multiply and floor-divide, so ints stay ints.
+# ticks from the engines, rationals in the tests) and a speed p/q as two
+# ints; they only multiply and floor-divide, so ints stay ints.  Each
+# applies to a task already classified heavy.
 
 
 def _demand_bound(work, deadline, p: int, q: int) -> int:
-    """ceil(work / (deadline * speed)): heavy_demand_lower_bound for a
-    task already classified heavy."""
+    """Fewest processors that could possibly meet a heavy task's deadline:
+    ceil(work / (deadline * speed)), for a positive deadline.
+
+    Within a window of length deadline, m speed-``speed`` processors supply
+    at most m * speed * deadline execution, so m >= work/(deadline * speed).
+    For a light task the ratio degenerates to 1 and says nothing."""
     return -(-q * work // (p * deadline))
 
 
@@ -90,26 +61,12 @@ def speedup_lower_bound(processors: int, n_tasks: int, ratio: Fraction) -> Fract
     )
 
 
-def heavy_processor_allocation(task: DagTask, speed: Fraction) -> int | None:
-    """Cluster size granted to a heavy task: the smallest m whose greedy
-    list-schedule guarantee meets the deadline.
-
-    Greedy execution on m processors finishes within
-    span + (work - span)/m time, so m = ceil((work - span)/(s*D - span))
-    with s*D the deadline budget.  Returns None when the critical path
-    alone overruns the budget (s*D <= span): no cluster size can help.
-    Rejects light tasks; they are never granted clusters.
-    """
-    speed = _heavy_speed(task, speed, "clusters are for heavy tasks")
-    return _cluster_size(
-        task.work, task.span, task.deadline, speed.numerator, speed.denominator
-    )
-
-
 def _cluster_size(work, span, deadline, p: int, q: int) -> int | None:
-    """ceil((work - span) / (speed * deadline - span)), at least 1, or None
-    when speed * deadline <= span: heavy_processor_allocation for a task
-    already classified heavy."""
+    """Cluster size granted to a heavy task: the smallest m whose greedy
+    list-schedule guarantee, span + (work - span)/m, fits in speed *
+    deadline.  That is ceil((work - span) / (speed * deadline - span)), at
+    least 1, or None when speed * deadline <= span: the critical path alone
+    overruns the budget and no cluster size can help."""
     budget = p * deadline - q * span  # (speed * deadline - span) * q
     if budget <= 0:
         return None
@@ -266,7 +223,7 @@ def _first_fit(ts: TaskSet, p: int, q: int, m: int) -> tuple:
     with room for every opening before it: then it raises too, and
     otherwise the run is kept cut there, with no allocation."""
     ticks = ts._ticks
-    # is_heavy's rule, work > speed * deadline, on the set's ticks
+    # the heavy rule, work > speed * deadline, on the set's ticks
     heavy = [i for i, (w, d, _) in enumerate(ticks.items) if q * w > p * d]
     light = [i for i, (w, d, _) in enumerate(ticks.items) if q * w <= p * d]
     demand = None

@@ -15,7 +15,7 @@ import json
 import math
 import sys
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import fedsched.feasibility
@@ -52,6 +52,11 @@ def seq_task(tid, wcet, deadline, period=None):
         subtasks=(Subtask(1, Fraction(wcet)),),
         edges=(),
     )
+
+
+def implicit_deadlines(ts):
+    """``ts`` with every task's period set to its deadline."""
+    return replace(ts, tasks=tuple(replace(t, period=t.deadline) for t in ts))
 
 
 # --- reference: the decision layers on Fraction arithmetic -----------------
@@ -136,6 +141,15 @@ def ref_demand_profile(items):
     return tuple(points)
 
 
+def ref_la_numerator(items):
+    """N of the L_a bound: max(0, period - deadline) * work/period summed
+    over recurring items, plus the work of the one-shot ones."""
+    return sum(
+        (w if p is None else max(0, p - d) * w / p for w, d, p in items),
+        Fraction(0),
+    )
+
+
 def ref_first_violation(items, speed):
     recurring = [it for it in items if it[2] is not None]
     utilization = sum((w / p for w, _, p in recurring), Fraction(0))
@@ -143,10 +157,7 @@ def ref_first_violation(items, speed):
         return utilization, Fraction(1)
     horizon = ref_default_horizon(items)
     if recurring and utilization < speed and all(w >= 0 for w, _, _ in items):
-        offset = sum(
-            (w if p is None else max(0, p - d) * w / p for w, d, p in items),
-            Fraction(0),
-        )
+        offset = ref_la_numerator(items)
         deadline = max(d for _, d, _ in items)
         horizon = min(horizon, max(deadline, offset / (speed - utilization)))
     demand = Fraction(0)
@@ -210,25 +221,41 @@ def of_task(task):
     return (task.work, task.deadline, task.period)
 
 
+def ref_is_heavy(task, speed):
+    return task.work > speed * task.deadline
+
+
+def ref_demand_bound(task, speed):
+    return math.ceil(task.work / (task.deadline * speed))
+
+
+def ref_cluster_size(task, speed):
+    """None when the critical path fills the budget speed * deadline."""
+    budget = speed * task.deadline
+    if budget <= task.span:
+        return None
+    return max(1, math.ceil((task.work - task.span) / (budget - task.span)))
+
+
 def ref_allocate(ts, plat):
     speed = plat.speed
-    heavy = [t for t in ts if t.work > speed * t.deadline]
-    light = [t for t in ts if not t.work > speed * t.deadline]
+    heavy = [t for t in ts if ref_is_heavy(t, speed)]
+    light = [t for t in ts if not ref_is_heavy(t, speed)]
     demand = None
     if heavy:
-        demand = sum(math.ceil(t.work / (t.deadline * speed)) for t in heavy)
+        demand = sum(ref_demand_bound(t, speed) for t in heavy)
 
     def size_speed(task, k):
         return (task.span + (task.work - task.span) / k) / task.deadline
 
     flips, grants = [], {}
     for task in heavy:
-        budget = speed * task.deadline
-        if budget <= task.span:
+        size = ref_cluster_size(task, speed)
+        if size is None:
             return Infeasible(
                 reason=(
                     f"task {task.id}: critical path {task.span} is not shorter than "
-                    f"the deadline budget {budget}; no cluster size suffices"
+                    f"the deadline budget {speed * task.deadline}; no cluster size suffices"
                 ),
                 processors_needed=None,
                 demand_lower_bound=demand,
@@ -236,7 +263,6 @@ def ref_allocate(ts, plat):
                     size_speed(task, plat.processors) if task.deadline > 0 else None
                 ),
             )
-        size = max(1, math.ceil((task.work - task.span) / (budget - task.span)))
         grants[task.id] = size
         flips.append(size_speed(task, size - 1))
     used = sum(grants.values())

@@ -20,16 +20,15 @@ from fedsched.feasibility import (
 from fedsched.federated import (
     FederatedAllocation,
     Infeasible,
+    _cluster_size,
+    _demand_bound,
     allocate_federated,
-    heavy_demand_lower_bound,
-    heavy_processor_allocation,
-    is_heavy,
     speedup_lower_bound,
 )
 from fedsched.generate import CounterexampleParams, build_counterexample, random_task_set
 from fedsched.model import DagTask, Platform, Subtask, TaskSet, span, work
 from fedsched.simulate import simulate_list_schedule, simulate_partitioned_edf
-from reference import reference_set
+from reference import ref_is_heavy, reference_set
 
 
 def full_grid():
@@ -88,9 +87,10 @@ def test_criterion_03_simulation_confirms_the_analysis():
 def test_criterion_04_demand_certificate_concrete_values():
     ts = reference_set()
     speed = Fraction(4999, 1000)
-    assert sum(heavy_demand_lower_bound(t, speed) for t in ts) == 21
+    assert allocate_federated(ts, Platform(10, speed)).demand_lower_bound == 21
     assert 21 > 10
-    per_task = [heavy_demand_lower_bound(task, speed) for task in ts]
+    p, q = speed.numerator, speed.denominator
+    per_task = [_demand_bound(t.work, t.deadline, p, q) for t in ts]
     assert per_task == [3] + [2] * 9
     print("criterion 4: PASS - demand lower bound 21 = 3 + 9*2 > 10 processors")
 
@@ -103,8 +103,9 @@ def test_criterion_05_demand_bound_holds_across_the_grid():
         for j in range(1, 9):
             speed = density * j / 9
             for task in ts:
-                assert is_heavy(task, speed)
-            demand = sum(heavy_demand_lower_bound(t, speed) for t in ts)
+                assert ref_is_heavy(task, speed)
+            p, q = speed.numerator, speed.denominator
+            demand = sum(_demand_bound(t.work, t.deadline, p, q) for t in ts)
             floor_bound = (m / speed) * (n - (n - 1) / k)
             assert demand >= floor_bound
             checked += 1
@@ -194,8 +195,9 @@ def test_criterion_08_greedy_makespan_bound_and_cluster_sizing():
             if total > path:
                 # midpoint budget: heavy by a strict margin, sizable cluster
                 heavy_speed = (path + total) / (2 * task.deadline)
-                assert is_heavy(task, heavy_speed)
-                size = heavy_processor_allocation(task, heavy_speed)
+                assert ref_is_heavy(task, heavy_speed)
+                p, q = heavy_speed.numerator, heavy_speed.denominator
+                size = _cluster_size(total, path, task.deadline, p, q)
                 assert size is not None
                 trace = simulate_list_schedule(task, size, heavy_speed)
                 assert trace.makespan <= task.deadline

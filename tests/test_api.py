@@ -12,8 +12,7 @@ EXPECTED = {
     "PartitionedAssignment", "Platform", "ScheduleTrace", "SpeedupRow",
     "Subtask", "TaskSet", "allocate_federated",
     "brute_force_federated_oracle", "build_counterexample", "check_trace",
-    "dump_task_set", "format_rational", "heavy_demand_lower_bound",
-    "heavy_processor_allocation", "is_heavy", "load_task_set",
+    "dump_task_set", "format_rational", "load_task_set",
     "min_feasible_speed_federated", "parse_rational",
     "partition_by_subtask_index", "partitioned_feasible",
     "random_task_set", "read_task_set", "save_task_set",
@@ -39,7 +38,7 @@ TRACED = {(module, name) for module, name, _ in load_tracer().TARGETS}
 def test_all_is_sorted_unique_and_exactly_the_expected_names():
     names = fedsched.__all__
     assert names == sorted(names)
-    assert len(set(names)) == len(names) == 35
+    assert len(set(names)) == len(names) == 32
     assert set(names) == EXPECTED
     for name in names:
         assert getattr(fedsched, name) is not None

@@ -18,11 +18,11 @@ from fedsched.feasibility import (
     partition_by_subtask_index,
     partitioned_feasible,
 )
-from fedsched.generate import CounterexampleParams, build_counterexample
+from fedsched.generate import CounterexampleParams, build_counterexample, random_task_set
 from fedsched.model import MAX_TICK_BITS, DagTask, Platform, Subtask, TaskSet
 from fedsched.simulate import simulate_partitioned_edf
 from fedsched.taskio import read_task_set, save_task_set
-from reference import ref_analyze, ref_simulate, reference_partitioned_edf
+from reference import implicit_deadlines, ref_analyze, ref_simulate, reference_partitioned_edf
 
 
 def write_reference(tmp_path, m=10, n=10, k=2):
@@ -57,7 +57,7 @@ def test_validate_clean_and_broken(tmp_path, capsys):
     path = write_reference(tmp_path, 2, 2, 2)
     assert main(["validate", "-i", path]) == 0
     capsys.readouterr()
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     doc["tasks"][0]["wcet"] = "999"  # no longer the sum of subtask wcets
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps(doc))
@@ -68,7 +68,7 @@ def test_validate_clean_and_broken(tmp_path, capsys):
 
 def test_platform_commands_refuse_an_invalid_set(tmp_path, capsys):
     # the first violation and how many follow; nothing on stdout
-    doc = json.loads(open(write_reference(tmp_path, 2, 2, 2)).read())
+    doc = json.loads(Path(write_reference(tmp_path, 2, 2, 2)).read_text())
     doc["tasks"][0]["wcet"] = "999"
     doc["tasks"][1]["deadline"] = "0"
     broken = tmp_path / "broken.json"
@@ -278,6 +278,17 @@ def test_federate_decides_a_huge_hyperperiod(tmp_path, capsys):
     assert doc["verdict"] == "feasible"
     assert doc["light_partition"] == {"1": 1, "2": 1}
     assert len(captured.err.splitlines()) == 1
+
+
+def test_federate_decides_a_zero_slack_implicit_deadline_set(tmp_path, capsys):
+    # the shared processor's utilization equals the speed and every deadline
+    # its period: a verdict, not a scan refused at the step limit
+    path = tmp_path / "implicit.json"
+    save_task_set(implicit_deadlines(random_task_set(1463, 8)), path)
+    for speed, code in (("1442663/340340", 1), ("1721123/340340", 0)):
+        assert main(["federate", "-i", str(path), "--speed", speed, "--processors", "1"]) == code
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdict"] == ("feasible" if code == 0 else "infeasible")
 
 
 def test_malformed_input_names_the_field(tmp_path, capsys):

@@ -11,16 +11,16 @@ from fedsched.explore import (
     min_feasible_speed_federated,
     speedup_sweep,
 )
+from fedsched.feasibility import uniprocessor_edf_feasible
 from fedsched.federated import (
     Infeasible,
     _size_ratio,
     allocate_federated,
-    heavy_demand_lower_bound,
     speedup_lower_bound,
 )
 from fedsched.generate import CounterexampleParams, build_counterexample, random_task_set
 from fedsched.model import DagTask, Platform, Subtask, TaskSet
-from reference import seq_task
+from reference import implicit_deadlines, ref_allocate, ref_is_heavy, seq_task
 
 
 def one_shot_set(seed):
@@ -185,17 +185,45 @@ def test_sweep_reference_row():
 
 
 def test_sweep_demand_at_probe_is_the_public_demand_bound_sum():
-    # the sweep sums the bound on the set's ticks; the public rule on its
-    # rationals, refusing any task that is light at the probe
+    # the sweep sums the bound on the set's ticks; the allocator's
+    # certificate, and the Fraction reference's, at the probe, where every
+    # task is heavy and the allocation fails
     grid = [
         CounterexampleParams(10, 10, Fraction(2)),
         CounterexampleParams(8, 12, Fraction(5, 2)),
         CounterexampleParams(12, 6, Fraction(2)),
     ]
     for row, params in zip(speedup_sweep(grid), grid):
-        probe = row.speedup_bound * Fraction(999, 1000)
+        plat = Platform(params.processors, row.speedup_bound * Fraction(999, 1000))
         ts = build_counterexample(params)
-        assert row.demand_at_probe == sum(heavy_demand_lower_bound(t, probe) for t in ts)
+        assert all(ref_is_heavy(t, plat.speed) for t in ts)
+        verdict = allocate_federated(ts, plat)
+        assert isinstance(verdict, Infeasible)
+        assert row.demand_at_probe == verdict.demand_lower_bound
+        assert row.demand_at_probe == ref_allocate(ts, plat).demand_lower_bound
+
+
+def test_sweep_refuses_a_demand_at_the_probe_within_the_platform(monkeypatch):
+    # the proof in speedup_sweep's docstring puts the demand above M at
+    # every grid point; a demand rule that broke it would be caught
+    monkeypatch.setattr("fedsched.explore._demand_bound", lambda *args: 0)
+    message = r"^sweep self-check failed on \(M=4, N=4, K=2\): demand 0 at the probe "
+    with pytest.raises(RuntimeError, match=message):
+        speedup_sweep([CounterexampleParams(4, 4, Fraction(2))])
+
+
+def test_a_zero_slack_implicit_deadline_set_is_decided_without_a_scan():
+    # seed 1463 with deadlines equal to periods on one processor: first-fit
+    # retries at the utilization of tasks 2..8, then at the whole set's.  At
+    # both, speed == U and the L_a numerator is 0, so the demand test passes
+    # with no scan instead of refusing a scan to two hyperperiods
+    ts = implicit_deadlines(random_task_set(1463, 8))
+    total = sum(t.work / t.period for t in ts)
+    assert total == Fraction(1721123, 340340)
+    assert min_feasible_speed_federated(ts, 1) == total
+    below = allocate_federated(ts, Platform(1, Fraction(1442663, 340340)))
+    assert isinstance(below, Infeasible) and below.retry_speed == total
+    assert uniprocessor_edf_feasible([(t.work, t.deadline, t.period) for t in ts], total)
 
 
 def test_sweep_bound_grows_with_platform():

@@ -411,6 +411,20 @@ def test_huge_hyperperiod_is_decided_below_the_l_a_bound():
     assert uniprocessor_edf_feasible(items, Fraction(1, 6)) is False
 
 
+def test_zero_numerator_passes_at_utilization_without_a_scan(monkeypatch):
+    # deadlines at or past their periods and no one-shot work: N = 0, so
+    # demand stays within U*t <= speed*t even at speed == U, where no L_a
+    # cut applies
+    items = [(1, 3, 3), (2, 7, 7), (1, 6, 5), (0, 4)]
+    u = Fraction(1, 3) + Fraction(2, 7) + Fraction(1, 5)
+    # a zero-work item due before its release still fails, at its deadline
+    assert uniprocessor_edf_feasible(items + [(0, -1)], u) is False
+    # the full scan to two hyperperiods needs more steps than this limit
+    monkeypatch.setattr("fedsched.feasibility.MAX_DEMAND_STEPS", 10)
+    assert uniprocessor_edf_feasible(items, u) is True
+    assert uniprocessor_edf_feasible(items, u - Fraction(1, 10**9)) is False
+
+
 def test_demand_profile_coerces_its_breakpoints():
     profile = DemandProfile(breakpoints=[(1, "3/2"), ("5/2", Fraction(4))])
     assert profile.breakpoints == (

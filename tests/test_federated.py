@@ -8,97 +8,88 @@ import pytest
 from fedsched.federated import (
     FederatedAllocation,
     Infeasible,
+    _cluster_size,
+    _demand_bound,
     _size_ratio,
     allocate_federated,
-    heavy_demand_lower_bound,
-    heavy_processor_allocation,
-    is_heavy,
     speedup_lower_bound,
 )
 from fedsched.feasibility import uniprocessor_edf_feasible
 from fedsched.generate import CounterexampleParams, build_counterexample, random_task_set
 from fedsched.model import DagTask, Platform, Subtask, TaskSet, work
 from fedsched.simulate import simulate_list_schedule
-from reference import ref_allocate, reference_set, seq_task
+from reference import ref_allocate, ref_demand_bound, ref_is_heavy, reference_set, seq_task
+
+
+def demand_bound(task, speed):
+    return _demand_bound(task.work, task.deadline, speed.numerator, speed.denominator)
+
+
+def cluster_size(task, speed):
+    return _cluster_size(task.work, task.span, task.deadline, speed.numerator, speed.denominator)
+
+
+def alone(task, speed):
+    """The allocator's verdict on ``task`` alone on one processor: a light
+    one-shot task shares it; a heavy one has a demand bound."""
+    return allocate_federated(TaskSet("one", (task,)), Platform(1, speed))
 
 
 def test_classify_heavy():
-    assert is_heavy(seq_task(1, 10, 1), Fraction(4))
+    assert alone(seq_task(1, 10, 1), Fraction(4)).demand_lower_bound == 3
 
 
 def test_classify_boundary_is_light():
     # work == speed * deadline finishes exactly on time on one processor
-    assert not is_heavy(seq_task(1, 10, 2), Fraction(5))
+    assert alone(seq_task(1, 10, 2), Fraction(5)).light_partition == {1: 1}
 
 
 def test_classify_with_slack_is_light():
     task = seq_task(1, 7, 3)
-    assert not is_heavy(task, 2 * Fraction(7, 3))
+    assert alone(task, 2 * Fraction(7, 3)).light_partition == {1: 1}
 
 
 def test_heavy_demand_bound_reference_values():
     ts = reference_set()
     s = Fraction(5) - Fraction(1, 1000)
-    assert heavy_demand_lower_bound(ts.tasks[0], s) == 3
+    assert demand_bound(ts.tasks[0], s) == 3
     for task in ts.tasks[1:]:
-        assert heavy_demand_lower_bound(task, s) == 2
+        assert demand_bound(task, s) == 2
 
 
 def test_heavy_demand_bound_exact_division():
-    assert heavy_demand_lower_bound(seq_task(1, 4, 1), Fraction(2)) == 2
-
-
-def test_heavy_demand_bound_rejects_light_tasks():
-    with pytest.raises(ValueError):
-        heavy_demand_lower_bound(seq_task(1, 2, 2), Fraction(1))
+    assert demand_bound(seq_task(1, 4, 1), Fraction(2)) == 2
 
 
 def test_heavy_rules_refuse_a_nonpositive_speed():
-    # at such a speed every task with positive work counts as heavy: a
-    # ValueError, not True from is_heavy, a bound of -4 at -1, a
-    # ZeroDivisionError at 0 or a cluster size of None ("no cluster
-    # suffices")
-    task = build_counterexample(CounterexampleParams(4, 3, 2)).tasks[0]
+    # at such a speed every task with positive work would count as heavy:
+    # the platform and the demand test refuse it with a ValueError
     for speed in (-1, 0, Fraction(-1, 2)):
         message = rf"^speed must be positive, got {Fraction(speed)}$"
         with pytest.raises(ValueError, match=message):
-            is_heavy(task, speed)
+            Platform(1, speed)
         with pytest.raises(ValueError, match=message):
-            heavy_demand_lower_bound(task, speed)
-        with pytest.raises(ValueError, match=message):
-            heavy_processor_allocation(task, speed)
+            uniprocessor_edf_feasible([(1, 1)], speed)
 
 
 def test_demand_bound_refuses_a_nonpositive_deadline():
-    # no count of processors meets such a deadline: a ValueError, not a
+    # no count of processors meets such a deadline: no demand bound, not a
     # ZeroDivisionError at 0 or a negative count at -1
     for deadline in (0, -1):
         task = seq_task(3, 2, deadline)
-        message = rf"^task 3: deadline {deadline} is not positive$"
-        with pytest.raises(ValueError, match=message):
-            heavy_demand_lower_bound(task, Fraction(1))
-        with pytest.raises(ValueError, match=message):
-            sum(heavy_demand_lower_bound(t, Fraction(1)) for t in (seq_task(1, 9, 1), task))
         verdict = allocate_federated(TaskSet("d", (task,)), Platform(2, Fraction(1)))
         assert isinstance(verdict, Infeasible) and verdict.demand_lower_bound is None
 
 
 def test_total_demand_reference_values():
     ts = reference_set()
-    assert sum(heavy_demand_lower_bound(t, Fraction(4999, 1000)) for t in ts) == 21
-    assert sum(heavy_demand_lower_bound(t, Fraction(1)) for t in ts) == 55
-    assert sum(heavy_demand_lower_bound(t, Fraction(4)) for t in ts) == 21
+    for speed, demand in ((Fraction(4999, 1000), 21), (Fraction(1), 55), (Fraction(4), 21)):
+        assert allocate_federated(ts, Platform(10, speed)).demand_lower_bound == demand
 
 
 def test_total_demand_smallest_instance():
     ts = build_counterexample(CounterexampleParams(2, 2, Fraction(2)))
-    assert sum(heavy_demand_lower_bound(t, Fraction(1, 2)) for t in ts) == 6
-
-
-def test_total_demand_rejects_sets_with_light_tasks():
-    ts = reference_set()
-    with pytest.raises(ValueError):
-        sum(heavy_demand_lower_bound(t, Fraction(10)) for t in ts)
+    assert allocate_federated(ts, Platform(2, Fraction(1, 2))).demand_lower_bound == 6
 
 
 def test_speedup_lower_bound_values():
@@ -129,7 +120,7 @@ def test_speedup_lower_bound_rejects_invalid():
 def test_cluster_sizing_reference_value():
     # work 10, span 1, deadline 2 at unit speed: ceil(9 / (2 - 1)) = 9
     ts = reference_set()
-    assert heavy_processor_allocation(ts.tasks[1], Fraction(1)) == 9
+    assert cluster_size(ts.tasks[1], Fraction(1)) == 9
     trace = simulate_list_schedule(ts.tasks[1], 9, Fraction(1))
     assert trace.makespan <= ts.tasks[1].deadline
 
@@ -144,7 +135,7 @@ def test_cluster_sizing_none_when_path_too_long():
         edges=((1, 2),),
     )
     # span 4 > deadline 3 at unit speed: no cluster size can help
-    assert heavy_processor_allocation(chain, Fraction(1)) is None
+    assert cluster_size(chain, Fraction(1)) is None
 
 
 def test_infeasible_reason_holds_when_the_path_fills_the_budget():
@@ -160,7 +151,7 @@ def test_infeasible_reason_holds_when_the_path_fills_the_budget():
     )
     ts = TaskSet(name="eq", tasks=(pair,))
     plat = Platform(4, Fraction(1))
-    assert heavy_processor_allocation(pair, Fraction(1)) is None
+    assert cluster_size(pair, Fraction(1)) is None
     result = allocate_federated(ts, plat)
     assert isinstance(result, Infeasible)
     assert result.reason == (
@@ -170,23 +161,18 @@ def test_infeasible_reason_holds_when_the_path_fills_the_budget():
     assert ref_allocate(ts, plat) == result
 
 
-def test_cluster_sizing_rejects_light_tasks():
-    with pytest.raises(ValueError):
-        heavy_processor_allocation(seq_task(1, 2, 2), Fraction(1))
-
-
 def test_cluster_sizing_dominates_demand_bound():
     rng = random.Random(5)
     checked = 0
     for seed in range(80):
         for task in random_task_set(seed):
             speed = work(task) / task.deadline * Fraction(rng.randint(1, 3), 4)
-            if speed <= 0 or not is_heavy(task, speed):
+            if speed <= 0 or not ref_is_heavy(task, speed):
                 continue
-            size = heavy_processor_allocation(task, speed)
+            size = cluster_size(task, speed)
             if size is None:
                 continue
-            assert size >= heavy_demand_lower_bound(task, speed)
+            assert size >= demand_bound(task, speed)
             checked += 1
     assert checked > 50
 
@@ -314,10 +300,10 @@ def test_size_speed_inverts_the_cluster_size():
                 if k == 1 or task.span == work(task):
                     # a chain's steps all sit at work/deadline, where it turns light
                     assert speed == work(task) / task.deadline
-                    assert not is_heavy(task, speed)
+                    assert not ref_is_heavy(task, speed)
                     continue
-                assert heavy_processor_allocation(task, speed) <= k
-                below = heavy_processor_allocation(task, speed - Fraction(1, 10**12))
+                assert cluster_size(task, speed) <= k
+                below = cluster_size(task, speed - Fraction(1, 10**12))
                 assert below is None or below > k
                 checked += 1
     assert checked > 500
@@ -334,7 +320,7 @@ def test_allocator_splits_heavy_from_light_as_classify_does():
         for task in ts:
             boundary = task.work / task.deadline
             for speed in (boundary - eps, boundary, boundary + eps):
-                heavy = [t for t in ts if is_heavy(t, speed)]
+                heavy = [t for t in ts if ref_is_heavy(t, speed)]
                 heavy_ids = {t.id for t in heavy}
                 result = allocate_federated(ts, Platform(rng.randint(1, 6), speed))
                 if isinstance(result, FederatedAllocation):
@@ -342,7 +328,7 @@ def test_allocator_splits_heavy_from_light_as_classify_does():
                     assert set(result.light_partition) == {t.id for t in ts} - heavy_ids
                     kinds["allocated"] += 1
                 else:
-                    demand = sum(heavy_demand_lower_bound(t, speed) for t in heavy)
+                    demand = sum(ref_demand_bound(t, speed) for t in heavy)
                     assert result.demand_lower_bound == (demand if heavy else None)
                     kinds["infeasible"] += 1
     assert kinds["allocated"] > 300 and kinds["infeasible"] > 900, kinds

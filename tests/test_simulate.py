@@ -30,6 +30,7 @@ from fedsched.simulate import (
 from reference import (
     ref_default_horizon,
     ref_first_violation,
+    ref_la_numerator,
     reference_partitioned_edf,
     seq_task,
 )
@@ -754,9 +755,20 @@ def test_twin_processors_match_a_scan_and_a_run_of_each(monkeypatch):
         )
         assert got == want, n
         if type(want) is bool:
-            assert want == all(
-                ref_first_violation(items, plat.speed) is None for items in by_proc.values()
-            ), n
+            verdicts = []
+            for items in by_proc.values():
+                verdict = refusal(lambda: ref_first_violation(items, plat.speed) is None)
+                if type(verdict) is str:
+                    # the engine passes N == 0 with no scan; the reference
+                    # reaches a verdict only past the step limit
+                    assert "step instants" in verdict and ref_la_numerator(items) == 0, n
+                    with monkeypatch.context() as lifted:
+                        lifted.setattr("fedsched.feasibility.MAX_DEMAND_STEPS", 10**9)
+                        verdict = ref_first_violation(items, plat.speed) is None
+                verdicts.append(verdict)
+                if not verdict:
+                    break
+            assert want == all(verdicts), n
         if "nonpositive period" in twins:
             horizon = rng.choice((None, Fraction(10)))
         else:

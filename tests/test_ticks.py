@@ -28,6 +28,7 @@ from reference import (
     ref_allocate,
     ref_demand_profile,
     ref_first_violation,
+    ref_la_numerator,
     ref_list_schedule,
     ref_oracle,
     ref_refusal,
@@ -442,7 +443,19 @@ def test_demand_test_matches_the_fraction_reference(monkeypatch):
 
     def check(items, speed, used):
         got = outcome(uniprocessor_edf_feasible, items, speed)
-        want = outcome(lambda: ref_first_violation(items, speed) is None)
+        want_pair = outcome(ref_first_violation, items, speed)
+        refused = want_pair is not None and isinstance(want_pair[0], type)
+        if refused and type(got) is bool:
+            # the engine passes a set whose L_a numerator N is 0 with no
+            # scan; the reference reaches a verdict only past the step limit
+            assert "step instants" in want_pair[1], (items, speed)
+            assert ref_la_numerator(items) == 0, (items, speed)
+            with monkeypatch.context() as lifted:
+                lifted.setattr("fedsched.feasibility.MAX_DEMAND_STEPS", 10**9)
+                want_pair = ref_first_violation(items, speed)
+            refused = False
+            kinds["N = 0 past the step limit"] += 1
+        want = want_pair if refused else want_pair is None
         assert got == want, (items, speed)
         # the engine's pair on ticks, scaled back: (demand, t) at the first
         # violation, or the utilization U as a ratio when U > speed
@@ -451,7 +464,6 @@ def test_demand_test_matches_the_fraction_reference(monkeypatch):
             fedsched.feasibility._first_violation,
             ticks, speed.numerator, speed.denominator, scale,
         )
-        want_pair = outcome(ref_first_violation, items, speed)
         if pair is None or type(pair[0]) is not int:  # passed, or refused
             assert pair == want_pair, (items, speed)
         elif used > speed:
@@ -496,6 +508,17 @@ def test_demand_test_matches_the_fraction_reference(monkeypatch):
         items = mixed_ties(rng)
         check(items, rng.choice(SPEEDS), sum(w / p for w, _, p in items if p is not None))
         kinds["mixed tie"] += 1
+    rng = random.Random(10)
+    for _ in range(300):
+        # deadlines equal to periods at speed U, where no L_a cut applies;
+        # periods whose lcm keeps the reference's scan past the limit short
+        items = []
+        for _ in range(rng.randint(1, 5)):
+            period = rng.choice(PERIODS[2:]) * rng.randint(1, 2)
+            work = Fraction(rng.randint(0, 12), rng.choice(WCET_DENOMINATORS))
+            items.append((work, period, period))
+        used = sum(w / p for w, _, p in items)
+        check(items, used or rng.choice(SPEEDS), used)
     assert min(kinds.values()) >= 100, kinds
 
 
