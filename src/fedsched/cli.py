@@ -17,6 +17,7 @@ import functools
 import json
 import re
 import sys
+from math import gcd
 
 from .explore import speedup_sweep
 from .feasibility import (
@@ -284,29 +285,64 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     ts, plat = _platform_input(args)
     horizon = None if args.horizon is None else parse_rational(args.horizon)
     groups = _partition(ts, partition_by_subtask_index(ts, plat.processors), plat)
-    scale, _, runs, missed = _simulate_ticks(ts, groups, plat, horizon)
-    # each time by _ticks_texts's rule, inline: columns of strings held
-    # beside the lines would add about 2 MB on the benchmark's recurring set
-    lines = ["processor,task,subtask,start,end"]
-    lines += [
-        f"{proc},{task},{subtask},"
-        f"{format_ticks(start, scale) if start % scale else start // scale},"
-        f"{format_ticks(end, scale) if end % scale else end // scale}"
-        for proc, task, subtask, start, end in runs
-    ]
+    scale, _, blocks, missed = _simulate_ticks(ts, groups, plat, horizon)
+    lines = ["processor,task,subtask,start,end", *_interval_lines(blocks, scale)]
+    count = len(lines) - 1
     lines.append(f"# misses={len(missed)}")
     lines += [
         f"# miss,{task},{format_ticks(deadline, scale)},{format_ticks(done, scale)}"
         for deadline, task, done in missed
     ]
     sys.stdout.write("\n".join(lines) + "\n")
-    makespan = max((run[4] for run in runs), default=0)
+    # a block's runs are in time order, and its last ends latest
+    makespan = max((runs[-1][4] + shift for _, runs, shift, _ in blocks), default=0)
     print(
-        f"{ts.name}: {len(runs)} interval(s), "
+        f"{ts.name}: {count} interval(s), "
         f"{len(missed)} miss(es), makespan {format_ticks(makespan, scale)}",
         file=sys.stderr,
     )
     return 0 if not missed else 1
+
+
+class _Filled(dict):
+    """A dict that fills in a missing key with ``make(key)``."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _interval_lines(blocks: list, scale: int) -> list[str]:
+    """simulate's CSV line for each run of the blocks of
+    :func:`fedsched.simulate._simulate_ticks`, in ticks of ``1/scale``,
+    each time as :func:`format_ticks` writes it.  A processor's line head
+    is made once per task and subtask id, and a time v is written as
+    ``v // g`` and ``"/den"`` from the gcd g of the scale and v's residue
+    ``v % scale``, kept per residue (g is the scale and "/den" empty on a
+    whole time), with no gcd per time."""
+    fracs = _Filled(lambda r: (gcd(r, scale), f"/{scale // gcd(r, scale)}"))
+    fracs[0] = (scale, "")
+    lines = []
+    heads, now = {}, None
+    for proc, runs, shift, sids in blocks:
+        if proc != now:
+            heads, now = {}, proc
+        for _, task, subtask, start, end in runs:
+            head = heads.get((task, subtask))
+            if head is None:
+                head = heads[task, subtask] = f"{proc},{task},{sids[task] if sids else subtask},"
+            start += shift
+            end += shift
+            if scale == 1:
+                lines.append(f"{head}{start},{end}")
+            else:
+                g, a = fracs[start % scale]
+                h, b = fracs[end % scale]
+                lines.append(f"{head}{start // g}{a},{end // h}{b}")
+    return lines
 
 
 def _parse_grid(spec: str) -> list[CounterexampleParams]:

@@ -17,10 +17,12 @@ them per call.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
+from operator import add
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -75,18 +77,15 @@ def _hyperperiod(items: Sequence[tuple[int, int, int | None]], scale: int) -> in
 
 
 def _horizon(items: Sequence[tuple[int, int, int | None]], scale: int) -> int:
-    """How far a demand scan of int items in ticks of ``1/scale`` must
-    look, in the same ticks: the largest deadline, plus two hyperperiods
+    """How far ``analyze``'s demand tables and the default simulation run,
+    in ticks of ``1/scale``: the largest deadline, plus two hyperperiods
     (see :func:`_hyperperiod`) when any item recurs.
 
-    Beyond one hyperperiod past every deadline, the demand pattern repeats
-    with a fixed increment per hyperperiod, so (given the utilization
-    check in :func:`uniprocessor_edf_feasible`) no new violation can
-    first appear there.  Two hyperperiods keep the margin obvious.  The
-    demand table tabulates this far; the verdict of
-    :func:`uniprocessor_edf_feasible` usually needs far less, since when
-    utilization stays below the speed it stops at the sooner of this
-    horizon and the L_a bound.  Raises ValueError for a nonpositive period.
+    Past the largest deadline the demand repeats every hyperperiod, raised
+    by one hyperperiod's work (see :func:`_demand_table`), so the verdict
+    of :func:`uniprocessor_edf_feasible` needs only one hyperperiod past
+    it (see :func:`_first_violation`); the second keeps the printed tables
+    as they were.  Raises ValueError for a nonpositive period.
     """
     horizon = max([d for _, d, _ in items], default=0)
     if any(per is not None for _, _, per in items):
@@ -122,6 +121,16 @@ def _demand_table(
     time order and the last sum at each instant is kept.  Raises
     ValueError, before enumerating, when that takes more than
     ``MAX_DEMAND_STEPS`` step instants.
+
+    Only the steps up to the largest deadline ``top`` plus one
+    hyperperiod ``H`` are enumerated; each later hyperperiod repeats the
+    last one enumerated.  For every t >= ``top`` the instants t and t + H
+    step together and demand(t + H) = demand(t) + W, where W is the work
+    the recurring items release per hyperperiod (Baruah, Rosier and Howell
+    1990): a one-shot item steps at most at ``top``, and a recurring one
+    steps at t iff it steps at t + H, with H/period more steps of its work
+    up to there.  So the table over (top + kH, top + (k+1)H] is the one
+    over (top, top + H], shifted by kH and raised by kW.
     """
     last = horizon // 1  # the last whole tick within the horizon
     steps = [(d, w) for w, d, per in items if per is None]
@@ -135,13 +144,29 @@ def _demand_table(
             f"needs {total} step instants, more than the limit of "
             f"{MAX_DEMAND_STEPS}"
         )
+    end = last
+    if recurring:
+        top = max(d for _, d, _ in items)
+        hyper = lcm(*(per for _, _, per in recurring))
+        end = min(last, top + hyper)
     for w, d, per in recurring:
-        steps += zip(range(d, last + 1, per), repeat(w))
+        steps += zip(range(d, end + 1, per), repeat(w))
     steps.sort()
     demand, table = 0, {}
     for t, w in steps:
         demand += w
         table[t] = demand
+    if end < last:
+        work = sum(w * (hyper // per) for w, _, per in recurring)
+        keys = list(table)
+        cut = bisect_right(keys, top)
+        keys, demands = keys[cut:], list(table.values())[cut:]
+        for k in range(1, (last - keys[0]) // hyper + 1):
+            # only the last copy is cut short by the horizon; zip stops with its keys
+            shown = keys[: bisect_right(keys, last - k * hyper)]
+            table.update(
+                zip(map(add, shown, repeat(k * hyper)), map(add, demands, repeat(k * work)))
+            )
     return table.items()
 
 
@@ -175,8 +200,8 @@ def uniprocessor_edf_feasible(items: Iterable[Sequence], speed: Fraction) -> boo
     The scan reads the running demand at the step instants in increasing
     order (see :func:`_demand_table`) and stops at the first violation.  When
     U < speed and no work is negative, it ends at the sooner of the
-    largest deadline plus two hyperperiods (see :func:`_horizon`) and the
-    L_a bound (George, Rivierre and Spuri 1996)
+    largest deadline plus one hyperperiod (see :func:`_first_violation`)
+    and the L_a bound (George, Rivierre and Spuri 1996)
 
         L = max(largest deadline, N / (speed - U)),
         N = sum over recurring items of max(0, period - deadline) * work/period
@@ -205,7 +230,17 @@ def _first_violation(
     of ``1/scale`` at speed ``p/q``: None if the test passes, else a pair
     (a, b) such that it fails at every speed below a/b.  That is (demand,
     t) at the first instant where q*demand > p*t, or U as a pair when
-    U > p/q (U is a ratio of ticks, so the scale cancels in both)."""
+    U > p/q (U is a ratio of ticks, so the scale cancels in both).
+
+    Unless the L_a bound cuts it sooner, the scan ends one hyperperiod H
+    past the largest deadline ``last``, which finds the first violation
+    whenever U <= p/q, negative works and deadlines included.  For t >=
+    ``last``, demand(t + H) = demand(t) + W with W = U*H (see
+    :func:`_demand_table`), so q*demand - p*t changes by q*W - p*H <= 0
+    from t to t + H.  A violation at some t > last + H is thus one at
+    t - H as well, and, repeating, at some instant in [last, last + H):
+    the first violation, if any, lies within the scan, and so does the
+    pair it returns."""
     hyper = _hyperperiod(items, scale)
     recurring = [item for item in items if item[2] is not None]
     # U = used / hyper: each recurring item's work per hyperperiod
@@ -213,7 +248,7 @@ def _first_violation(
     if q * used > p * hyper:
         return used, hyper
     last = max([d for _, d, _ in items], default=0)
-    horizon = last + 2 * hyper if recurring else last
+    horizon = last + hyper if recurring else last
     slack = p * hyper - q * used  # (speed - U) * q * hyper
     # with no item recurring, L_a is never below the largest deadline
     if recurring and min(w for w, _, _ in items) >= 0:

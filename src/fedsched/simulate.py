@@ -92,7 +92,9 @@ def _edf_on_one_processor(
     runs as (proc, task id, subtask id, start, end), back-to-back runs of
     one subtask merged, and records in ``late``, per (absolute deadline,
     task id), the latest tick at which one of its subtask jobs finished
-    after that deadline.
+    after that deadline.  A job released onto an idle processor that is
+    done by the next release, strictly later, is compared with no other
+    job, so it runs without entering the heap.
     """
     heap: list[tuple[int, int, int, int]] = []
     left = [job[4] for job in jobs]
@@ -105,14 +107,24 @@ def _edf_on_one_processor(
         if not heap:
             # idle until the next release
             time = max(time, jobs[next_idx][0])
-        while next_idx < n and jobs[next_idx][0] <= time:
+        if not heap and (
+            next_idx + 1 == n or time + left[next_idx] <= jobs[next_idx + 1][0] > time
+        ):
+            # done by the next, strictly later, release, the job meets no
+            # other one: it runs alone, off the heap
             _, deadline, task, subtask, _ = jobs[next_idx]
-            heapq.heappush(heap, (deadline, task, subtask, next_idx))
+            idx = next_idx
             next_idx += 1
-        deadline, task, subtask, idx = heap[0]
-        run_until = time + left[idx]
-        if next_idx < n and jobs[next_idx][0] < run_until:
-            run_until = jobs[next_idx][0]  # re-evaluate priorities there
+            run_until = time + left[idx]
+        else:
+            while next_idx < n and jobs[next_idx][0] <= time:
+                _, deadline, task, subtask, _ = jobs[next_idx]
+                heapq.heappush(heap, (deadline, task, subtask, next_idx))
+                next_idx += 1
+            deadline, task, subtask, idx = heap[0]
+            run_until = time + left[idx]
+            if next_idx < n and jobs[next_idx][0] < run_until:
+                run_until = jobs[next_idx][0]  # re-evaluate priorities there
         if run_until > time:
             # a preemption check that turned out not to preempt splits a
             # run in two; stitch back-to-back runs of one subtask together
@@ -125,7 +137,8 @@ def _edf_on_one_processor(
             left[idx] -= run_until - time
         time = run_until
         if left[idx] == 0:
-            heapq.heappop(heap)
+            if heap:  # empty when the job ran alone
+                heapq.heappop(heap)
             if time > deadline:
                 key = (deadline, task)
                 if time > late.get(key, deadline):
@@ -142,33 +155,41 @@ def _replay(
     copies: int,
     cut: int,
     late: dict[tuple[int, int], int],
-) -> list[tuple[int, int, int, int, int]]:
+) -> list[tuple[list, int]]:
     """:func:`_edf_on_one_processor` over ``copies`` copies of ``jobs``,
     all released before ``hyper`` and none of them pending there, the
     k-th shifted by ``k*hyper``, then over those released by ``cut``,
     shifted by ``copies*hyper``: one run of ``jobs`` and one of the cut,
-    the rest copied (see :func:`_simulate_ticks`).  With no copies, that
-    is the one run over ``jobs``."""
+    handed out as blocks (runs, shift), each a nonempty list of kernel
+    runs whose times are to be shifted by ``shift``, with the copies'
+    runs shared (see :func:`_simulate_ticks`).  With no copies, that is
+    the one run over ``jobs``."""
     seg, seg_late, tail_late = [], {}, {}
     if copies:
         seg = _edf_on_one_processor(proc, jobs, seg_late)
         jobs = [job for job in jobs if job[0] <= cut]
     tail = _edf_on_one_processor(proc, jobs, tail_late)
-    out: list[tuple[int, int, int, int, int]] = []
+    blocks = []
     for k in range(copies + 1):
         shift = k * hyper
         part, part_late = (seg, seg_late) if k < copies else (tail, tail_late)
         for (deadline, task), done in part_late.items():
             key, done = (deadline + shift, task), done + shift
             late[key] = max(late.get(key, done), done)
-        if k and part:
-            # the kernel's own stitch of back-to-back runs of one subtask
-            if out[-1][4] == part[0][3] + shift and out[-1][1:3] == part[0][1:3]:
-                out[-1] = (*out[-1][:4], part[0][4] + shift)
+        if blocks and part:
+            runs, at = blocks[-1]
+            _, task, subtask, start, end = runs[-1]
+            if end + at == part[0][3] + shift and (task, subtask) == part[0][1:3]:
+                # the kernel's own stitch of back-to-back runs of one
+                # subtask: the two runs leave their blocks as one run
+                blocks.pop()
+                if len(runs) > 1:
+                    blocks.append((runs[:-1], at))
+                blocks.append(([(proc, task, subtask, start + at, part[0][4] + shift)], 0))
                 part = part[1:]
-            part = [(proc, t, s, a + shift, b + shift) for _, t, s, a, b in part]
-        out += part
-    return out
+        if part:
+            blocks.append((part, shift))
+    return blocks
 
 
 def _simulate_ticks(
@@ -179,24 +200,32 @@ def _simulate_ticks(
 ) -> tuple[
     int,
     Fraction,
-    list[tuple[int, int, int, int, int]],
+    list[tuple],
     list[tuple[int, int, int]],
 ]:
     """:func:`simulate_partitioned_edf` on int ticks, on the groups of
     :func:`fedsched.feasibility._partition`: the tick scale, the horizon in
-    effect, the runs as (processor, task id, subtask id, start, end) in
-    processor order and the misses as (deadline, task id, completion) in
-    (deadline, task id) order, every time in ticks of ``1/scale``.  EDF
-    runs once per job shape, on its first processor, and the others of
-    that shape take its runs relabelled.
+    effect, the runs as blocks in processor order and the misses as
+    (deadline, task id, completion) in (deadline, task id) order, every
+    time in ticks of ``1/scale``.  EDF runs once per job shape, on its
+    first processor, and the others of that shape take its blocks
+    relabelled.
+
+    A block (processor, runs, shift, relabel) stands for the runs
+    (processor, task id, subtask id, start + shift, end + shift), one per
+    kernel run (_, task id, subtask id, start, end) in the nonempty list
+    ``runs``, with the subtask id ``relabel[task id]`` when ``relabel``
+    is not None.  Lists of runs are shared between blocks, and nothing is
+    built per run until the output is.
 
     A first processor whose placed tasks all recur, with hyperperiod ``H``
     (the lcm of their periods, in these ticks) up to the last release,
     runs EDF only over the jobs released before ``H`` when none of them
     is left pending at ``H``; that run is copied, shifted by ``k*H``, for
     each whole hyperperiod, and one more run of those jobs up to the
-    leftover cut, shifted into place, ends the trace.  That is the run
-    over every job:
+    leftover cut, shifted into place, ends the trace: a block per copy,
+    all sharing the one run (see :func:`_replay`).  That is the run over
+    every job:
 
     - EDF compares only instants and (deadline, task id, subtask id,
       position), positions follow releases, and a shift by ``H`` keeps
@@ -278,7 +307,7 @@ def _simulate_ticks(
     # late exactly when one of them finishes late, and then it completes
     # at the latest of those
     late: dict[tuple[int, int], int] = {}
-    runs_of: dict[int, list[tuple[int, int, int, int, int]]] = {}
+    blocks_of: dict[int, list[tuple]] = {}
     for (first, placed), *others in groups.values():
         # the placed tasks' hyperperiod, 0 when one of them is one-shot
         hyper = lcm(*(ticks.period[i] or 0 for i, _ in placed)) * p
@@ -293,14 +322,12 @@ def _simulate_ticks(
                 # release past the horizon
                 copies = min(release_table[i].stop for i, _ in placed) // hyper
         jobs = jobs_of(placed, hyper if copies else 0)
-        runs_of[first] = _replay(first, jobs, hyper, copies, last - copies * hyper, late)
+        replayed = _replay(first, jobs, hyper, copies, last - copies * hyper, late)
+        blocks_of[first] = [(first, runs, shift, None) for runs, shift in replayed]
         for proc, placed in others:
             # each task id here stands for one subtask: relabel by task id
             sids = {ts.tasks[i].id: ts.tasks[i].subtasks[k].id for i, k in placed}
-            runs_of[proc] = [(proc, t, sids[t], a, b) for _, t, _, a, b in runs_of[first]]
-    runs: list[tuple[int, int, int, int, int]] = []
-    for proc in sorted(runs_of):
-        runs += runs_of[proc]
+            blocks_of[proc] = [(proc, runs, shift, sids) for runs, shift in replayed]
 
     for task, releases, deadline in zip(ts, release_table, deadlines):
         if deadline < 0 and not task.subtasks:
@@ -308,7 +335,8 @@ def _simulate_ticks(
                 key = (r + deadline, task.id)
                 late[key] = max(late.get(key, r), r)
     missed = sorted((deadline, tid, done) for (deadline, tid), done in late.items())
-    return ticks.scale * p, horizon, runs, missed
+    blocks = [block for proc in sorted(blocks_of) for block in blocks_of[proc]]
+    return ticks.scale * p, horizon, blocks, missed
 
 
 def simulate_partitioned_edf(
@@ -344,12 +372,19 @@ def simulate_partitioned_edf(
     and the later whole hyperperiods copy that run, shifted: the trace
     is the one a run over every job gives (see :func:`_simulate_ticks`).
     """
-    scale, horizon, runs, missed = _simulate_ticks(
+    scale, horizon, blocks, missed = _simulate_ticks(
         ts, _partition(ts, pa, plat), plat, horizon
     )
     intervals = tuple(
-        Interval(proc, task, subtask, Fraction(start, scale), Fraction(end, scale))
-        for proc, task, subtask, start, end in runs
+        Interval(
+            proc,
+            task,
+            sids[task] if sids else subtask,
+            Fraction(start + shift, scale),
+            Fraction(end + shift, scale),
+        )
+        for proc, runs, shift, sids in blocks
+        for _, task, subtask, start, end in runs
     )
     misses = tuple(
         DeadlineMiss(task, Fraction(deadline, scale), Fraction(done, scale))

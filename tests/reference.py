@@ -3,7 +3,8 @@
 Small task-set builders, and the layers that now decide and write on int
 ticks as they were on ``Fraction`` arithmetic: task validation, the demand
 test, the allocator, the oracle, the list scheduler, the partitioned
-simulator, and the ``analyze`` and ``simulate`` commands.  The differential tests in
+simulator, and the ``analyze`` and ``simulate`` commands; and the demand
+table as it enumerated every step, before it replayed hyperperiods.  The differential tests in
 ``test_ticks.py``, ``test_simulate.py`` and ``test_cli.py`` require
 identical results from the package and from these.  The topological order
 and the list scheduler are also kept as they were written with a
@@ -17,6 +18,7 @@ import sys
 from collections import Counter, deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import repeat
 
 import fedsched.feasibility
 from fedsched import cli
@@ -94,7 +96,9 @@ def ref_validate(task):
 
 
 
-def ref_default_horizon(items):
+def ref_default_horizon(items, hyperperiods=2):
+    """The largest deadline, plus ``hyperperiods`` times the lcm of the
+    periods when any item recurs."""
     if not items:
         return Fraction(0)
     horizon = max(d for _, d, _ in items)
@@ -104,7 +108,7 @@ def ref_default_horizon(items):
         for v in periods:
             num = math.lcm(num, v.numerator)
             den = math.gcd(den, v.denominator)
-        horizon += 2 * Fraction(num, den)
+        horizon += hyperperiods * Fraction(num, den)
     return horizon
 
 
@@ -133,6 +137,32 @@ def ref_demand_steps(items, horizon):
     return sorted(steps.items())
 
 
+def ref_demand_table(items, horizon, scale):
+    """``feasibility._demand_table`` as it enumerated every step up to the
+    horizon, int items in ticks of ``1/scale``: the reference for its
+    replay of later hyperperiods."""
+    last = horizon // 1
+    steps = [(d, w) for w, d, per in items if per is None]
+    recurring = [item for item in items if item[2] is not None]
+    total = len(steps)
+    for _, d, per in recurring:
+        total += (last - d) // per + 1
+    limit = fedsched.feasibility.MAX_DEMAND_STEPS  # as the test sets it
+    if total > limit:
+        raise ValueError(
+            f"demand scan to horizon {format_rational(Fraction(horizon) / scale)} "
+            f"needs {total} step instants, more than the limit of {limit}"
+        )
+    for w, d, per in recurring:
+        steps += zip(range(d, last + 1, per), repeat(w))
+    steps.sort()
+    demand, table = 0, {}
+    for t, w in steps:
+        demand += w
+        table[t] = demand
+    return list(table.items())
+
+
 def ref_demand_profile(items):
     total, points = Fraction(0), []
     for t, step in ref_demand_steps(items, ref_default_horizon(items)):
@@ -150,12 +180,15 @@ def ref_la_numerator(items):
     )
 
 
-def ref_first_violation(items, speed):
+def ref_first_violation(items, speed, hyperperiods=1):
+    """The demand test's first violation as (demand, t), (U, 1) when U >
+    speed, or None, scanning to ``hyperperiods`` hyperperiods past the
+    largest deadline or to the L_a bound."""
     recurring = [it for it in items if it[2] is not None]
     utilization = sum((w / p for w, _, p in recurring), Fraction(0))
     if utilization > speed:
         return utilization, Fraction(1)
-    horizon = ref_default_horizon(items)
+    horizon = ref_default_horizon(items, hyperperiods)
     if recurring and utilization < speed and all(w >= 0 for w, _, _ in items):
         offset = ref_la_numerator(items)
         deadline = max(d for _, d, _ in items)
@@ -242,7 +275,9 @@ def ref_allocate(ts, plat):
     heavy = [t for t in ts if ref_is_heavy(t, speed)]
     light = [t for t in ts if not ref_is_heavy(t, speed)]
     demand = None
-    if heavy:
+    # no count of processors suffices for a heavy task due at or before
+    # its release: no demand bound
+    if heavy and all(t.deadline > 0 for t in heavy):
         demand = sum(ref_demand_bound(t, speed) for t in heavy)
 
     def size_speed(task, k):

@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -7,6 +9,8 @@ from fedsched.feasibility import (
     MAX_DEMAND_STEPS,
     DemandProfile,
     PartitionedAssignment,
+    _demand_table,
+    _first_violation,
     _horizon,
     _scaled,
     demand_profile,
@@ -21,7 +25,13 @@ from fedsched.generate import (
     random_task_set,
 )
 from fedsched.model import DagTask, Platform, Subtask, TaskSet, validate_task_set, work
-from reference import ref_default_horizon, reference_set
+from reference import (
+    ref_default_horizon,
+    ref_demand_table,
+    ref_first_violation,
+    reference_set,
+)
+from test_ticks import outcome
 
 
 def dbf(work, deadline, period, t):
@@ -473,3 +483,97 @@ def test_nonpositive_period_is_an_error_not_a_hang():
                 uniprocessor_edf_feasible(items, speed)
     with pytest.raises(ValueError, match="period must be positive, got 0$"):
         uniprocessor_edf_feasible(mixed, 1)
+
+
+def random_tick_items(rng):
+    """Int items with zero and negative works and deadlines, one-shot
+    items among recurring ones, periods of lcm 12."""
+    return [
+        (
+            rng.choice((0, rng.randint(-3, 8), rng.randint(1, 8))),
+            rng.randint(-6, 30),
+            rng.choice((2, 3, 4, 6, 12)) if rng.random() < 0.7 else None,
+        )
+        for _ in range(rng.randint(1, 5))
+    ]
+
+
+def test_replayed_demand_table_matches_the_full_enumeration(monkeypatch):
+    # later hyperperiods copied from the first past the largest deadline
+    # against every step enumerated, below, at and above that mark, on int
+    # and Fraction horizons; a small step limit now and then compares the
+    # limit's message, which counts every step to the horizon
+    rng = random.Random(1990)
+    kinds = Counter()
+    for n in range(3000):
+        limit = 40 if rng.random() < 0.25 else 10**6
+        monkeypatch.setattr("fedsched.feasibility.MAX_DEMAND_STEPS", limit)
+        items = random_tick_items(rng)
+        scale = rng.choice((1, 2, 3))  # read only for the message
+        top = max(d for _, d, _ in items)
+        periods = [per for _, _, per in items if per is not None]
+        mark = top + lcm(*periods) if periods else top
+        horizon = mark + rng.choice((-13, -1, 0, 1, 5, 12, 13, 30, 61))
+        if rng.random() < 0.3:
+            horizon += Fraction(rng.randint(0, 6), 7)
+            kinds["Fraction horizon"] += 1
+        got = outcome(lambda: list(_demand_table(items, horizon, scale)))
+        assert got == outcome(ref_demand_table, items, horizon, scale), (items, horizon)
+        if isinstance(got, tuple):
+            kinds["refused"] += 1
+        elif not periods:
+            kinds["one-shot only"] += 1
+        else:
+            kinds["replayed" if horizon // 1 > mark else "enumerated"] += 1
+        kinds["negative work"] += min(w for w, _, _ in items) < 0
+        kinds["negative deadline"] += min(d for _, d, _ in items) < 0
+        kinds["zero work"] += 0 in (w for w, _, _ in items)
+        kinds["one-shot among recurring"] += bool(periods) and len(periods) < len(items)
+    assert kinds["replayed"] >= 1500, kinds
+    assert min(kinds.values()) >= 50, kinds
+
+
+def test_one_hyperperiod_scan_finds_the_two_hyperperiod_scans_violation(monkeypatch):
+    # at U == speed, or with a negative work, no L_a bound cuts the scan:
+    # the verdict scan, one hyperperiod past the largest deadline, must
+    # find the violation a scan to two hyperperiods finds, or none
+    monkeypatch.setattr("fedsched.feasibility.MAX_DEMAND_STEPS", 10**9)
+    rng = random.Random(2090)
+    kinds = Counter()
+    for n in range(4000):
+        items = [
+            (Fraction(w, 2), Fraction(d, 3), per and Fraction(per, 2))
+            for w, d, per in random_tick_items(rng)
+        ]
+        if n % 4 == 0:
+            # deadlines equal to periods, where demand meets U*t at every
+            # multiple of the hyperperiod, and one one-shot step at the
+            # largest deadline: at U == speed the first violation, if
+            # any, lies past that deadline
+            items = [(w, per, per) for w, _, per in items if per is not None and w >= 0]
+            top = max((d for _, d, _ in items), default=0)
+            items.append((Fraction(rng.randint(-1, 3), 5), top + rng.randint(1, 9), None))
+        used = sum((w / per for w, _, per in items if per is not None), Fraction(0))
+        speed = used if used > 0 and rng.random() < 0.7 else Fraction(rng.randint(1, 12), 4)
+        want = ref_first_violation(items, speed, hyperperiods=2)
+        scale, ticks = _scaled(items)
+        got = _first_violation(ticks, speed.numerator, speed.denominator, scale)
+        if used > speed:
+            # U as a ratio of ticks
+            assert want == (used, 1) and Fraction(*got) == used, (items, speed)
+        else:
+            # (demand, t) on ticks, scaled back
+            got = got and (Fraction(got[0], scale), Fraction(got[1], scale))
+            assert got == want, (items, speed)
+        kinds["U == speed" if used == speed else "U != speed"] += 1
+        kinds["negative work"] += min(w for w, _, _ in items) < 0
+        kinds["negative deadline"] += min(d for _, d, _ in items) < 0
+        kinds["passes" if want is None else "fails"] += 1
+        kinds["fails at U == speed"] += used == speed and want is not None
+        # a first violation past one hyperperiod after the largest deadline
+        # would show here; the proof says there is none
+        periods = [per for _, _, per in items if per is not None]
+        if want is not None and used <= speed and periods:
+            top = max(d for _, d, _ in items)
+            kinds["violation past the largest deadline"] += want[1] > top
+    assert min(kinds.values()) >= 100, kinds

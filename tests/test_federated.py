@@ -370,13 +370,19 @@ def test_retry_speed_of_each_infeasible_kind():
 
 
 def test_nonpositive_deadline_fits_on_no_cluster():
-    # a heavy task due at or before its release: no demand bound, no retry
+    # a heavy task due at or before its release: no demand bound, no retry,
+    # alone or after a heavy task that a cluster of 2 carries, as the
+    # reference has it
+    wide = DagTask(2, 4, 3, None, (Subtask(1, 2), Subtask(2, 2)))
     for deadline in (0, -1):
-        ts = TaskSet(name="d", tasks=(seq_task(1, 2, deadline),))
-        result = allocate_federated(ts, Platform(2, Fraction(1)))
-        assert isinstance(result, Infeasible)
-        assert result.processors_needed is None
-        assert result.demand_lower_bound is None and result.retry_speed is None
+        for others in ((), (wide,)):
+            ts = TaskSet(name="d", tasks=(*others, seq_task(1, 2, deadline)))
+            for plat in (Platform(2, Fraction(1)), Platform(3, Fraction(3, 2))):
+                result = allocate_federated(ts, plat)
+                assert result == ref_allocate(ts, plat), (deadline, others, plat)
+                assert isinstance(result, Infeasible)
+                assert result.processors_needed is None
+                assert result.demand_lower_bound is None and result.retry_speed is None
 
 
 def test_one_comparison_admission_needs_one_shot_items_on_both_sides():

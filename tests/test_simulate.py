@@ -28,6 +28,8 @@ from fedsched.simulate import (
     simulate_partitioned_edf,
 )
 from reference import (
+    _ref_edf_on_one_processor,
+    _RefJob,
     ref_default_horizon,
     ref_first_violation,
     ref_la_numerator,
@@ -856,9 +858,20 @@ def replay_case(rng):
             for sid in rng.sample(range(1, 5), rng.randint(1, 3))
         )
         tasks.append(DagTask(tid, sum(st.wcet for st in subtasks), deadline, period, subtasks))
-    if rng.random() < 0.2:
+    twins = rng.random() < 0.2
+    if twins:
+        # every task has one subtask of one wcet on each processor: the
+        # processors share one job shape, and only the first runs EDF
+        m = rng.randint(2, 3)
+        tasks = [
+            DagTask(t.id, t.subtasks[0].wcet * m, t.deadline, t.period,
+                    tuple(Subtask(sid, t.subtasks[0].wcet) for sid in rng.sample(range(1, 9), m)))
+            for t in tasks
+        ]
+    elif rng.random() < 0.25:
         # one processor of single-subtask tasks, filled to utilization 1,
-        # and a task of no work whose jobs wait behind the others
+        # where runs of one subtask may meet at each hyperperiod, and now
+        # and then a task of no work whose jobs wait behind the others
         m, periods = 1, rng.sample(REPLAY_PERIODS, rng.randint(1, 3))
         shares = [Fraction(rng.randint(1, 4)) for _ in periods]
         wcets = [share / sum(shares) * period for share, period in zip(shares, periods)]
@@ -866,12 +879,18 @@ def replay_case(rng):
             DagTask(tid, wcet, period * rng.choice((1, 2)) - 1, period, (Subtask(1, wcet),))
             for tid, (wcet, period) in enumerate(zip(wcets, periods), start=1)
         ]
-        period = rng.choice(REPLAY_PERIODS)
-        tasks.append(DagTask(len(tasks) + 1, 0, period + 1, period, (Subtask(1, 0),)))
+        if rng.random() < 0.5:
+            period = rng.choice(REPLAY_PERIODS)
+            tasks.append(DagTask(len(tasks) + 1, 0, period + 1, period, (Subtask(1, 0),)))
     ts = TaskSet("replay", tuple(tasks))
-    pa = PartitionedAssignment(
-        {(t.id, st.id): rng.randint(1, m) for t in ts for st in t.subtasks}
-    )
+    if twins:
+        pa = PartitionedAssignment(
+            {(t.id, st.id): k for t in ts for k, st in enumerate(t.subtasks, start=1)}
+        )
+    else:
+        pa = PartitionedAssignment(
+            {(t.id, st.id): rng.randint(1, m) for t in ts for st in t.subtasks}
+        )
     plat = Platform(m, rng.choice((Fraction(1), Fraction(1), Fraction(3, 2), Fraction(7, 3))))
     # the lcm of the periods as rationals, 1 when none recurs
     periods = [t.period for t in ts if t.period is not None] or [Fraction(1)]
@@ -884,6 +903,15 @@ def replay_case(rng):
         tick = Fraction(1, ts._ticks.scale)
         return ts, pa, plat, max(0, hyper * rng.randint(1, 4) + rng.choice((-tick, 0, tick)))
     return ts, pa, plat, Fraction(rng.randint(0, 60), rng.choice((1, 7)))
+
+
+def expanded(blocks):
+    """The runs the blocks of :func:`_simulate_ticks` stand for."""
+    return [
+        (proc, task, sids[task] if sids else subtask, start + shift, end + shift)
+        for proc, runs, shift, sids in blocks
+        for _, task, subtask, start, end in runs
+    ]
 
 
 def test_one_hyperperiod_replayed_matches_one_run_over_every_job(monkeypatch):
@@ -901,9 +929,10 @@ def test_one_hyperperiod_replayed_matches_one_run_over_every_job(monkeypatch):
         kinds["explicit horizon"] += horizon is not None
         groups = _partition(ts, pa, plat)
         handed.clear()
-        scale, horizon, runs, missed = _simulate_ticks(ts, groups, plat, horizon)
+        scale, horizon, blocks, missed = _simulate_ticks(ts, groups, plat, horizon)
         want_runs, want_missed, counts = plain_ticks(ts, groups, plat, horizon)
-        assert (runs, missed) == (want_runs, want_missed), n
+        assert (expanded(blocks), missed) == (want_runs, want_missed), n
+        assert all(runs for _, runs, _, _ in blocks), n
         assert scale == ts._ticks.scale * plat.speed.numerator
         ticks, p, q = ts._ticks, plat.speed.numerator, plat.speed.denominator
         for (first, placed), *_ in groups.values():
@@ -924,6 +953,13 @@ def test_one_hyperperiod_replayed_matches_one_run_over_every_job(monkeypatch):
                 else:
                     path = "replayed"
                     assert sum(calls) <= jobs and len(calls) == 2, n
+                    # a run across a multiple of the hyperperiod: runs of
+                    # one subtask joined where two copies meet
+                    kinds["runs joined across copies"] += any(
+                        start < k * hyper < end
+                        for proc, _, _, start, end in want_runs if proc == first
+                        for k in range(start // hyper + 1, end // hyper + 1)
+                    )
             if path != "replayed":
                 assert calls == [jobs], n
             kinds[path] += 1
@@ -936,8 +972,10 @@ def test_one_hyperperiod_replayed_matches_one_run_over_every_job(monkeypatch):
         kinds["subtasks of one task together"] += len(pa.mapping) > len(
             {(tid, proc) for (tid, _), proc in pa.mapping.items()}
         )
+        kinds["twin processors"] += any(len(procs) > 1 for procs in groups.values())
     floors = {"replayed": 200, "backlog at the hyperperiod": 50,
-              "last release before the hyperperiod": 20}
+              "last release before the hyperperiod": 20, "twin processors": 100,
+              "runs joined across copies": 20}
     assert all(kinds[path] >= floor for path, floor in floors.items()), kinds
     assert min(kinds.values()) >= 20, kinds
 
@@ -956,3 +994,63 @@ def test_a_job_of_no_work_waiting_at_the_hyperperiod_takes_one_run():
     assert [miss for miss in trace.misses if miss.task == 2] == [
         DeadlineMiss(2, Fraction(3 + 2 * k), Fraction(4 + 2 * k)) for k in range(3)
     ]
+
+
+# --- a job alone on an idle processor ------------------------------------------
+#
+# The kernel runs a job released onto an idle processor and done by the next,
+# strictly later, release without entering its heap.  The tests below hold
+# the kernel to the Fraction event loop at that path's edges.
+
+
+def kernel_and_reference(jobs):
+    """The kernel's runs and late completions for int ``jobs`` at speed 1,
+    then the Fraction reference's."""
+    late = {}
+    runs = _edf_on_one_processor(1, jobs, late)
+    intervals, completion = _ref_edf_on_one_processor(
+        1, [_RefJob(Fraction(d), t, s, Fraction(r), Fraction(w)) for r, d, t, s, w in jobs],
+        Fraction(1),
+    )
+    want = {key: done for key, done in completion.items() if done > key[0]}
+    return (runs, late), ([tuple(iv) for iv in intervals], want)
+
+
+def test_a_lone_job_runs_as_the_heap_would_run_it():
+    cases = {
+        # the job ends at the next release: alone, and joined to its next
+        # job when that is the same subtask
+        "end at the next release": [(0, 5, 1, 1, 2), (2, 6, 2, 1, 1)],
+        "one subtask back to back": [(0, 4, 1, 1, 2), (2, 6, 1, 1, 2), (4, 5, 1, 1, 2)],
+        # another job is released at the same instant: through the heap
+        "next release now": [(0, 5, 1, 1, 2), (0, 3, 2, 1, 1)],
+        "next release now, after idling": [(1, 2, 1, 1, 1), (4, 9, 1, 1, 1), (4, 6, 2, 1, 1)],
+        "zero wcet": [(0, 1, 1, 1, 0), (1, 3, 2, 1, 2)],
+        "zero wcet, next release now": [(3, 5, 1, 1, 0), (3, 4, 2, 1, 1)],
+        "zero wcet, due before its release": [(0, -1, 1, 1, 0), (2, 3, 2, 1, 1)],
+        "late alone": [(0, 1, 1, 1, 3), (5, 9, 2, 1, 1)],
+    }
+    for name, jobs in cases.items():
+        got, want = kernel_and_reference(jobs)
+        assert got == want, name
+    assert kernel_and_reference(cases["one subtask back to back"])[0][0] == [(1, 1, 1, 0, 6)]
+    assert kernel_and_reference(cases["late alone"])[0][1] == {(1, 1): 3}
+
+
+def test_the_kernel_matches_the_fraction_event_loop():
+    rng = random.Random(77)
+    kinds = Counter()
+    for n in range(2000):
+        releases = sorted(rng.randint(0, 15) for _ in range(rng.randint(1, 8)))
+        jobs = [
+            (r, r + rng.randint(-2, 8), rng.randint(1, 3), rng.randint(1, 2), rng.randint(0, 4))
+            for r in releases
+        ]
+        got, want = kernel_and_reference(jobs)
+        assert got == want, jobs
+        kinds["late"] += bool(got[1])
+        for (r, _, _, _, w), (after, *_) in zip(jobs, jobs[1:]):
+            kinds["end at the next release"] += r + w == after
+            kinds["next release now"] += r == after
+        kinds["zero wcet"] += any(job[4] == 0 for job in jobs)
+    assert min(kinds.values()) >= 200, kinds

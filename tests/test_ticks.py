@@ -509,7 +509,7 @@ def test_demand_test_matches_the_fraction_reference(monkeypatch):
         check(items, rng.choice(SPEEDS), sum(w / p for w, _, p in items if p is not None))
         kinds["mixed tie"] += 1
     rng = random.Random(10)
-    for _ in range(300):
+    for _ in range(400):
         # deadlines equal to periods at speed U, where no L_a cut applies;
         # periods whose lcm keeps the reference's scan past the limit short
         items = []
