@@ -10,7 +10,7 @@ task sets for property tests.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import DagTask, Subtask, TaskSet, _is_int
@@ -99,27 +99,23 @@ def random_task_set(seed: int, n_tasks: int | None = None) -> TaskSet:
     tasks = []
     for tid in range(1, n_tasks + 1):
         n_sub = rng.randint(1, 6)
-        subtasks = tuple(
-            Subtask(id=j, wcet=Fraction(rng.randint(1, 8)))
-            for j in range(1, n_sub + 1)
-        )
-        edges = []
-        for a in range(1, n_sub + 1):
-            for b in range(a + 1, n_sub + 1):
+        wcets = [rng.randint(1, 8) for _ in range(n_sub)]
+        # deadline must cover the critical path or no schedule can exist.
+        # Edges run from lower to higher id, so the subtasks in id order
+        # are in precedence order: a subtask's earliest start is final
+        # before its outgoing edges are drawn.
+        edges, start, span = [], [0] * n_sub, 0
+        for a in range(n_sub):
+            end = start[a] + wcets[a]
+            span = max(span, end)
+            for b in range(a + 1, n_sub):
                 if rng.random() < 0.3:
-                    edges.append((a, b))
-        task = DagTask(
-            id=tid,
-            wcet_total=sum((st.wcet for st in subtasks), Fraction(0)),
-            deadline=Fraction(1),  # placeholder, fixed below
-            period=None,
-            subtasks=subtasks,
-            edges=tuple(edges),
-        )
-        # deadline must cover the critical path or no schedule can exist
-        deadline = task.span + Fraction(rng.randint(1, 10))
+                    edges.append((a + 1, b + 1))
+                    start[b] = max(start[b], end)
+        subtasks = tuple(map(Subtask, range(1, n_sub + 1), map(Fraction, wcets)))
+        deadline = Fraction(span + rng.randint(1, 10))
         period = None
         if rng.random() < 0.5:
-            period = deadline + Fraction(rng.randint(0, 10))
-        tasks.append(replace(task, deadline=deadline, period=period))
+            period = deadline + rng.randint(0, 10)
+        tasks.append(DagTask(tid, Fraction(sum(wcets)), deadline, period, subtasks, edges))
     return TaskSet(name=f"random-{seed}", tasks=tuple(tasks))

@@ -98,27 +98,87 @@ def _rational_field(raw: dict, key: str, where: str, seen: dict[str, Fraction]) 
     return fraction
 
 
+# The document as json.dump(doc, stream, indent=2) lays it out.  Its shape
+# is fixed and its rationals are rational-strings, which need no escaping,
+# so it is written from these pieces; only the name and an id or edge
+# endpoint that is not an int go through the JSON encoder (see _json_at).
+_NAME = '{\n  "name": '
+_TASKS = ',\n  "tasks": '
+_TASKS_CLOSE = "\n  ]"
+_TASK_ID = '\n    {\n      "id": '
+_TASK_WCET = ',\n      "wcet": "'
+_DEADLINE = '",\n      "deadline": "'
+_PERIOD = '",\n      "period": '
+_SUBTASKS = ',\n      "subtasks": '
+_EDGES = ',\n      "edges": '
+_TASK_END = "\n    }"
+_SUBTASK_ID = '\n        {\n          "id": '
+_SUBTASK_WCET = ',\n          "wcet": "'
+_SUBTASK_END = '"\n        }'
+_EDGE_FROM = "\n        [\n          "
+_EDGE_TO = ",\n          "
+_EDGE_END = "\n        ]"
+_INNER_CLOSE = "\n      ]"  # after a task's last subtask or edge
+
+
+def _json_at(value: Any, depth: int) -> str:
+    """``value`` as json.dump(..., indent=2) writes it ``depth`` levels in.
+
+    An int is its digits; anything else is the encoder's own text with each
+    line break indented to the depth (a JSON string holds no raw line break).
+    Raises the encoder's TypeError or ValueError on what JSON cannot hold.
+    """
+    if type(value) is int:
+        return str(value)
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _json_list(items: list[str], close: str = _INNER_CLOSE) -> str:
+    """The encoded ``items`` as one indented JSON list."""
+    return "[" + ",".join(items) + close if items else "[]"
+
+
+def _encode_task_set(ts: TaskSet) -> str:
+    """The whole document as text, built before anything is written."""
+    # each distinct rational object is formatted once: the loader shares
+    # one Fraction per distinct string, the family one per task
+    texts: dict[int, str] = {}
+    held = []  # every object texts is keyed by, so that no id is reused
+
+    def rational(value: Fraction) -> str:
+        text = texts.get(id(value))
+        if text is None:
+            text = texts[id(value)] = format_rational(value)
+            held.append(value)
+        return text
+
+    tasks = []
+    for task in ts.tasks:
+        subtasks = [
+            f"{_SUBTASK_ID}{_json_at(st.id, 5)}{_SUBTASK_WCET}{rational(st.wcet)}{_SUBTASK_END}"
+            for st in task.subtasks
+        ]
+        edges = [
+            f"{_EDGE_FROM}{_json_at(a, 5)}{_EDGE_TO}{_json_at(b, 5)}{_EDGE_END}"
+            for a, b in task.edges
+        ]
+        period = "null" if task.period is None else f'"{rational(task.period)}"'
+        tasks.append(
+            f"{_TASK_ID}{_json_at(task.id, 3)}{_TASK_WCET}{rational(task.wcet_total)}"
+            f"{_DEADLINE}{rational(task.deadline)}{_PERIOD}{period}"
+            f"{_SUBTASKS}{_json_list(subtasks)}{_EDGES}{_json_list(edges)}{_TASK_END}"
+        )
+    return f"{_NAME}{_json_at(ts.name, 1)}{_TASKS}{_json_list(tasks, _TASKS_CLOSE)}\n}}\n"
+
+
 def dump_task_set(ts: TaskSet, stream: TextIO) -> None:
-    """Write a task set to an open text stream as indented JSON."""
-    doc = {
-        "name": ts.name,
-        "tasks": [
-            {
-                "id": task.id,
-                "wcet": format_rational(task.wcet_total),
-                "deadline": format_rational(task.deadline),
-                "period": None if task.period is None else format_rational(task.period),
-                "subtasks": [
-                    {"id": st.id, "wcet": format_rational(st.wcet)}
-                    for st in task.subtasks
-                ],
-                "edges": [[a, b] for a, b in task.edges],
-            }
-            for task in ts.tasks
-        ],
-    }
-    json.dump(doc, stream, indent=2)
-    stream.write("\n")
+    """Write a task set to an open text stream as indented JSON.
+
+    The text is json.dump's with ``indent=2`` and a final newline.  It is
+    built whole first, so a set JSON cannot hold (a task id that is no
+    JSON value, say) raises TypeError with nothing written.
+    """
+    stream.write(_encode_task_set(ts))
 
 
 def load_task_set(stream: TextIO) -> TaskSet:
@@ -148,8 +208,11 @@ def load_task_set(stream: TextIO) -> TaskSet:
 
 
 def save_task_set(ts: TaskSet, path: str) -> None:
+    """Write a task set to ``path``; the file is opened only once the whole
+    text is built, so a set that cannot be encoded leaves it untouched."""
+    text = _encode_task_set(ts)
     with open(path, "w", encoding="utf-8") as fh:
-        dump_task_set(ts, fh)
+        fh.write(text)
 
 
 def read_task_set(path: str) -> TaskSet:

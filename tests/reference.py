@@ -4,9 +4,13 @@ Small task-set builders, and the layers that now decide and write on int
 ticks as they were on ``Fraction`` arithmetic: task validation, the demand
 test, the allocator, the oracle, the list scheduler, the partitioned
 simulator, and the ``analyze`` and ``simulate`` commands; and the demand
-table as it enumerated every step, before it replayed hyperperiods.  The differential tests in
-``test_ticks.py``, ``test_simulate.py`` and ``test_cli.py`` require
-identical results from the package and from these.  The topological order
+table as it enumerated every step, before it replayed hyperperiods; and the
+task-set writer and the random generator as they were when the writer
+handed a built document to ``json.dump`` and the generator summed
+``Fraction`` wcets.  The differential tests in ``test_ticks.py``,
+``test_simulate.py``, ``test_cli.py``, ``test_taskio.py`` and
+``test_generate.py`` require identical results from the package and from
+these.  The topological order
 and the list scheduler are also kept as they were written with a
 ``Counter`` and a ``deque``, for ``test_model.py``.
 """
@@ -14,6 +18,7 @@ and the list scheduler are also kept as they were written with a
 import heapq
 import json
 import math
+import random
 import sys
 from collections import Counter, deque
 from dataclasses import dataclass, replace
@@ -30,7 +35,7 @@ from fedsched.feasibility import (
 )
 from fedsched.federated import FederatedAllocation, Infeasible
 from fedsched.generate import CounterexampleParams, build_counterexample
-from fedsched.model import DagTask, Platform, Subtask
+from fedsched.model import DagTask, Platform, Subtask, TaskSet, _is_int
 from fedsched.rational import format_rational, parse_rational
 from fedsched.simulate import (
     DeadlineMiss,
@@ -592,3 +597,67 @@ def ref_simulate(path, speed, processors, horizon):
         file=sys.stderr,
     )
     return 0 if not trace.misses else 1
+
+
+# --- the task-set writer and the random generator as they were ---------------
+
+
+def ref_dump_task_set(ts, stream):
+    """The writer as it built the whole document and handed it to
+    ``json.dump``."""
+    doc = {
+        "name": ts.name,
+        "tasks": [
+            {
+                "id": task.id,
+                "wcet": format_rational(task.wcet_total),
+                "deadline": format_rational(task.deadline),
+                "period": None if task.period is None else format_rational(task.period),
+                "subtasks": [
+                    {"id": st.id, "wcet": format_rational(st.wcet)}
+                    for st in task.subtasks
+                ],
+                "edges": [[a, b] for a, b in task.edges],
+            }
+            for task in ts.tasks
+        ],
+    }
+    json.dump(doc, stream, indent=2)
+    stream.write("\n")
+
+
+def ref_random_task_set(seed, n_tasks=None):
+    """``random_task_set`` as it summed ``Fraction`` wcets and fixed each
+    task's deadline with ``dataclasses.replace``."""
+    if n_tasks is not None and (not _is_int(n_tasks) or n_tasks < 1):
+        raise ValueError(f"n_tasks must be an integer >= 1, got {n_tasks!r}")
+    rng = random.Random(seed)
+    if n_tasks is None:
+        n_tasks = rng.randint(1, 5)
+    tasks = []
+    for tid in range(1, n_tasks + 1):
+        n_sub = rng.randint(1, 6)
+        subtasks = tuple(
+            Subtask(id=j, wcet=Fraction(rng.randint(1, 8)))
+            for j in range(1, n_sub + 1)
+        )
+        edges = []
+        for a in range(1, n_sub + 1):
+            for b in range(a + 1, n_sub + 1):
+                if rng.random() < 0.3:
+                    edges.append((a, b))
+        task = DagTask(
+            id=tid,
+            wcet_total=sum((st.wcet for st in subtasks), Fraction(0)),
+            deadline=Fraction(1),  # placeholder, fixed below
+            period=None,
+            subtasks=subtasks,
+            edges=tuple(edges),
+        )
+        # deadline must cover the critical path or no schedule can exist
+        deadline = task.span + Fraction(rng.randint(1, 10))
+        period = None
+        if rng.random() < 0.5:
+            period = deadline + Fraction(rng.randint(0, 10))
+        tasks.append(replace(task, deadline=deadline, period=period))
+    return TaskSet(name=f"random-{seed}", tasks=tuple(tasks))

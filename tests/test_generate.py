@@ -4,6 +4,7 @@ import pytest
 
 from fedsched.generate import CounterexampleParams, build_counterexample, random_task_set
 from fedsched.model import span, validate_task_set, work
+from reference import ref_random_task_set
 
 
 def test_reference_instance_values():
@@ -99,3 +100,16 @@ def test_random_task_set_rejects_bad_bounds():
     for n_tasks in (0, 2.5, True):
         with pytest.raises(ValueError, match="^n_tasks must be an integer >= 1, got "):
             random_task_set(0, n_tasks=n_tasks)
+        with pytest.raises(ValueError) as want:
+            ref_random_task_set(0, n_tasks=n_tasks)
+        with pytest.raises(ValueError) as got:
+            random_task_set(0, n_tasks=n_tasks)
+        assert str(got.value) == str(want.value)
+
+
+def test_random_task_set_draws_the_reference_sets():
+    # the benchmark's recorded oracle verdicts are on these exact sets
+    for seed in range(2000):
+        for n_tasks in (None, 5, 1 + seed % 8):
+            got, want = random_task_set(seed, n_tasks), ref_random_task_set(seed, n_tasks)
+            assert got == want and repr(got) == repr(want), (seed, n_tasks)

@@ -1,5 +1,6 @@
-"""The SHA-256 of what ``analyze``, ``simulate`` and ``federate`` write to
-stdout, pinned on fixed inputs.
+"""The SHA-256 of what ``analyze``, ``simulate``, ``federate`` and
+``generate`` write to stdout, and of the files ``save_task_set`` writes,
+pinned on fixed inputs.
 
 The digests were recorded from the commands as they were before the demand
 table replayed hyperperiods and the simulator handed out its runs as
@@ -8,7 +9,10 @@ byte for byte.  The inputs: the benchmark's four recurring tasks at speeds
 1 and 7/3, the 10x10 adversarial family, a set whose processors are busy
 all through each hyperperiod (work W equal to the hyperperiod H, where runs
 of one subtask meet at every junction), a lone task that fills its
-processor, and ``simulate --horizon`` cutting a hyperperiod short.
+processor, and ``simulate --horizon`` cutting a hyperperiod short.  The
+writer's digests were recorded when it handed a built document to
+``json.dump``, on those four sets and on ``generate``'s family at three
+sizes.
 
 Run it with pytest, or as ``python tests/test_golden.py`` under any
 supported Python with ``src`` on the path, which prints each case that
@@ -108,21 +112,49 @@ GOLDEN = {
 }
 
 
+# set: SHA-256 of the file save_task_set writes
+SAVED = {
+    "recurring": "48a0c1bc63c4d92b980da8f10a087d7eaeb92cc936c4481b8e158f6cf9ebb93b",
+    "family": "ba7b3200ef285c03ea1c8848b7e4aa1d77e2184ad9988d458d58c63dd9076b18",
+    "stitch": "705dbea24c91d07154f889c3db971296ec9c7a24a1603b1d62957a4eef066dfa",
+    "chain": "9e3e959192996fa132ea2ca6eb3726edfaf7842b692b442099f4f292baa766a3",
+}
+
+# generate's (--M, --N, --K): SHA-256 of its stdout
+GENERATED = {
+    ("10", "10", "2"): "ba7b3200ef285c03ea1c8848b7e4aa1d77e2184ad9988d458d58c63dd9076b18",
+    ("64", "64", "2"): "5519a52a12684b6cb23572cdae3a6b74a4827640795d1ff4f09f97da233074db",
+    ("3", "5", "5/2"): "3772f1395ba9dd2bf4143b0d155c8f35bf47efddec43854badd2b55f56baf5af",
+}
+
+
+def stdout_of(argv: list[str]) -> tuple[int, str]:
+    """``main(argv)``'s exit code and the SHA-256 of its stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
 def differences(folder: Path) -> list[str]:
-    """One line per golden case whose exit code or stdout digest differs."""
+    """One line per golden case whose exit code or digest differs."""
     paths = {}
-    for name, ts in SETS.items():
-        paths[name] = str(folder / f"{name}.json")
-        save_task_set(ts, paths[name])
     found = []
+    for name, ts in SETS.items():
+        paths[name] = folder / f"{name}.json"
+        save_task_set(ts, str(paths[name]))
+        got = hashlib.sha256(paths[name].read_bytes()).hexdigest()
+        if got != SAVED[name]:
+            found.append(f"save_task_set on {name}: {got}, pinned {SAVED[name]}")
+    for (m, n, k), want in GENERATED.items():
+        got = stdout_of(["generate", "--M", m, "--N", n, "--K", k])
+        if got != (0, want):
+            found.append(f"generate --M {m} --N {n} --K {k}: {got}, pinned {(0, want)}")
     for (command, name, speed, processors, horizon), want in GOLDEN.items():
-        argv = [command, "-i", paths[name], "--speed", speed, "--processors", str(processors)]
+        argv = [command, "-i", str(paths[name]), "--speed", speed, "--processors", str(processors)]
         if horizon is not None:
             argv += ["--horizon", horizon]
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv)
-        got = (code, hashlib.sha256(out.getvalue().encode()).hexdigest())
+        got = stdout_of(argv)
         if got != want:
             found.append(f"{' '.join(argv[:1] + argv[3:])} on {name}: {got}, pinned {want}")
     return found
@@ -135,5 +167,6 @@ def test_cli_output_keeps_its_pinned_digests(tmp_path):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as folder:
         lines = differences(Path(folder))
-    print("\n".join(lines) or f"all {len(GOLDEN)} digests match")
+    total = len(GOLDEN) + len(SAVED) + len(GENERATED)
+    print("\n".join(lines) or f"all {total} digests match")
     sys.exit(1 if lines else 0)

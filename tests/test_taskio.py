@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from fedsched.generate import CounterexampleParams, build_counterexample, random_task_set
-from fedsched.model import DagTask, Subtask
-from fedsched.taskio import _subtask_fields, dump_task_set, load_task_set
+from fedsched.model import DagTask, Subtask, TaskSet
+from fedsched.taskio import _subtask_fields, dump_task_set, load_task_set, save_task_set
+from reference import ref_dump_task_set
 
 
 def dumped(ts):
@@ -233,3 +234,75 @@ def test_subtask_decoding_matches_the_checked_path():
                 _subtask_fields(subtasks[j], where, {})
             assert str(got.value) == str(want.value)
             assert str(got.value).startswith(where + (f".{key}: " if key else ": "))
+
+
+# --- the writer against json.dump ---------------------------------------------
+
+
+def ref_dumped(ts):
+    buf = io.StringIO()
+    ref_dump_task_set(ts, buf)
+    return buf.getvalue()
+
+
+# names that need escaping: quotes, backslashes, non-ASCII (a lone
+# surrogate among them) and control characters
+NAMES = (
+    'say "hi"', "back\\slash\\", "caf\u00e9 \u6f22 \U0001f600 \ud800",
+    "tab\tnl\ncr\r\x00\x1f\x7f",
+)
+# ids and edge endpoints the model stores and JSON encodes in unusual ways
+ODD_VALUES = (
+    True, False, None, 0.5, -0.0, float("nan"), float("inf"), float("-inf"),
+    2**64 + 1, -(2**70), "7", 'q"\\\u00e9', [], {}, [1, [2, []], {"k": None}],
+    {"a": [1, {"b": {}}], 2: "x", None: 1.5, True: []}, (3, 4),
+)
+
+
+def odd_value_set(value):
+    """``value`` as the name, a task id, a subtask id and edge endpoints."""
+    subtasks = (Subtask(value, Fraction(1, 3)), Subtask(2, 1))
+    return TaskSet(value, (
+        DagTask(value, Fraction(4, 3), 5, None, subtasks, ((value, 2), (2, value))),
+        DagTask(2, 1, Fraction(7, 2), 4, (Subtask(1, 1),), ((1, value),)),
+    ))
+
+
+def test_the_writer_writes_json_dumps_text():
+    loadable = [random_task_set(seed) for seed in range(2000)]
+    loadable += [
+        build_counterexample(CounterexampleParams(m, n, Fraction(k)))
+        for m, n, k in ((4, 4, 2), (64, 64, 2), (3, 5, Fraction(5, 2)))
+    ]
+    loadable += [TaskSet("empty", ()), TaskSet("bare", (DagTask(1, 0, 1, None, ()),))]
+    loadable += [TaskSet(name, (DagTask(1, 2, 3, 4, (Subtask(1, 2),)),)) for name in NAMES]
+    for ts in loadable:
+        text = dumped(ts)
+        assert text == ref_dumped(ts), ts.name
+        assert load_task_set(io.StringIO(text)) == ts
+    for value in ODD_VALUES:
+        ts = odd_value_set(value)
+        assert dumped(ts) == ref_dumped(ts), value
+
+
+def test_a_set_json_cannot_hold_is_refused_before_anything_is_written(tmp_path):
+    # task 2's id is no JSON value: json.dump streamed task 1 out before
+    # refusing it, so the file ended at '"id": '
+    good = DagTask(1, 2, 3, None, (Subtask(1, 2),))
+    ts = TaskSet("t", (good, DagTask(object(), 2, 3, None, (Subtask(1, 2),))))
+    with pytest.raises(TypeError) as want:
+        ref_dumped(ts)
+    stream = io.StringIO()
+    with pytest.raises(TypeError) as got:
+        dump_task_set(ts, stream)
+    assert str(got.value) == str(want.value)
+    assert stream.getvalue() == ""
+    path = tmp_path / "set.json"
+    with pytest.raises(TypeError) as got:
+        save_task_set(ts, str(path))
+    assert str(got.value) == str(want.value)
+    assert not path.exists()
+    path.write_text("kept\n")
+    with pytest.raises(TypeError):
+        save_task_set(ts, str(path))
+    assert path.read_text() == "kept\n"
